@@ -5,11 +5,12 @@ exponentials, and decompose arbitrary unitaries back into canonical
 parameters, with an independent matrix-exponential oracle for verification.
 """
 
-from .blockexp import KBlock, compose, exp_column_factor, exp_diagonal, exp_k, k_matrix
+from .blockexp import (apply_factor, compose, exp_column_factor, exp_diagonal, exp_k,
+                       k_matrix)
 from .decompose import (DecomposeOptions, PeelConsistencyError, decompose,
                         normalize_thetas, roundtrip_error)
-from .linalg import (adjoint, anti_hermiticity_defect, as_cmatrix, as_cvector,
-                     frobenius_norm, mat_mul, unitarity_defect)
+from .linalg import (anti_hermiticity_defect, as_cmatrix, as_cvector, frobenius_norm,
+                     unitarity_defect)
 from .oracle import RngState, expm, random_params, random_unitary
 from .params import (CcskParams, assemble_generator, params_from_generator,
                      split_generator)
@@ -19,12 +20,11 @@ __all__ = [
     "CcskParams",
     "DecomposeOptions",
     "Euler2Factors",
-    "KBlock",
     "PeelConsistencyError",
     "ProjectorPair",
     "RngState",
-    "adjoint",
     "anti_hermiticity_defect",
+    "apply_factor",
     "as_cmatrix",
     "as_cvector",
     "assemble_generator",
@@ -37,7 +37,6 @@ __all__ = [
     "expm",
     "frobenius_norm",
     "k_matrix",
-    "mat_mul",
     "normalize_thetas",
     "params_from_generator",
     "projector_form",

@@ -1,19 +1,33 @@
 """Closed-form exponentials of the generator pieces and the ordered product map.
 
-The nontrivial factor acts on the leading j coordinates only. With
+The nontrivial factor F_j acts on the leading j coordinates only. With
 rho = ||z||_2 and ztilde = z / rho, its leading j x j block is
 
     [ I - (1 - cos rho) |ztilde><ztilde| ,  sin(rho) |ztilde> ]
     [       -sin(rho) <ztilde|           ,      cos(rho)      ]
 
-and the ordered product  diag-phases * factor_2 * ... * factor_n  covers all
-of U(n). The product is NOT the exponential of the summed generator (the
-factors do not commute); see the oracle module for the generic exponential.
+and the ordered product  diag-phases * F_2 * ... * F_n  covers all of U(n).
+The product is NOT the exponential of the summed generator (the factors do
+not commute); see the oracle module for the generic exponential.
+
+F_j is the identity plus a rank-2 correction, so ``apply_factor`` multiplies
+it onto the leading j x j block of a matrix in place, in O(j^2), without
+forming it. In terms of z itself, with sigma = sin(rho)/rho and
+a = (1 - cos rho)/rho^2 = 2 sin^2(rho/2)/rho^2 (both finite at rho = 0),
+splitting the block as [A | b] with b its last column:
+
+    w = A z,   A -= (a w + sigma b) z^H,   b <- cos(rho) b + sigma w
+
+(the signs of the sigma terms flip for F_j^H). ``compose`` starts from the
+phases and applies F_2 ... F_n in turn, sum_j j^2 ~ n^3/3 work in all;
+``decompose`` peels with the adjoints. ``exp_k`` and ``exp_column_factor``
+build the factor matrices themselves, as references for tests and
+``ccsk compare``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -21,34 +35,17 @@ from .linalg import as_cvector
 from .params import CcskParams
 
 __all__ = [
-    "KBlock",
     "k_matrix",
     "exp_diagonal",
     "exp_k",
     "exp_column_factor",
+    "apply_factor",
     "compose",
 ]
 
 # Below this norm, sin(rho)/rho and (1-cos(rho))/rho^2 are used directly on z
 # instead of normalizing; removes the 0/0 in ztilde without a discontinuity.
 _RHO_TINY = 1e-14
-
-
-@dataclass(frozen=True)
-class KBlock:
-    """A column vector z with its norm and normalized direction, for block size j."""
-
-    j: int
-    z: np.ndarray
-    rho: float
-    ztilde: np.ndarray
-
-    @classmethod
-    def from_z(cls, z) -> "KBlock":
-        z = as_cvector(z)
-        rho = float(np.linalg.norm(z))
-        ztilde = z / rho if rho > 0.0 else np.zeros_like(z)
-        return cls(j=z.shape[0] + 1, z=z.copy(), rho=rho, ztilde=ztilde)
 
 
 def k_matrix(z) -> np.ndarray:
@@ -106,10 +103,34 @@ def exp_column_factor(z, n: int, j: int) -> np.ndarray:
     return out
 
 
+def _sinc(x: float) -> float:
+    """sin(x)/x, continued by 1 at x = 0."""
+    return math.sin(x) / x if x else 1.0
+
+
+def apply_factor(u: np.ndarray, z: np.ndarray, j: int, *, inverse: bool = False) -> None:
+    """u[:j, :j] <- u[:j, :j] @ F_j (or @ F_j^H with ``inverse``), in place.
+
+    u is a complex array with at least j rows and columns, z a complex vector
+    of length j - 1, and F_j = ``exp_k(z)``. Entries of u outside the leading
+    j x j block are left untouched. Costs O(j^2).
+    """
+    rho = math.sqrt(np.vdot(z, z).real)
+    sigma = _sinc(rho)
+    a = 0.5 * _sinc(0.5 * rho) ** 2
+    if inverse:
+        sigma = -sigma
+    block = u[:j, :j - 1]
+    b = u[:j, j - 1]
+    w = block @ z
+    block -= (a * w + sigma * b)[:, None] * z.conj()
+    b *= math.cos(rho)
+    b += sigma * w
+
+
 def compose(p: CcskParams) -> np.ndarray:
     """Ordered product: diagonal phases, then the column factors j = 2..n."""
-    n = p.n
     u = exp_diagonal(p.thetas)
-    for j in range(2, n + 1):
-        u = u @ exp_column_factor(p.z_column(j), n, j)
+    for j in range(2, p.n + 1):
+        apply_factor(u, p.z_column(j), j)
     return u

@@ -3,8 +3,13 @@
 The last row of the factor for column j is (-sin(rho) <ztilde|, cos(rho)), and
 every earlier factor leaves row/column j untouched apart from the phase
 e^{i theta_j}. So row j of the current leading block reads off theta_j, rho_j
-and ztilde_j directly; multiplying by the factor's adjoint peels it away and
-the recursion continues on the leading (j-1) x (j-1) block.
+and ztilde_j directly; multiplying by the factor's adjoint (in place, with
+``apply_factor``) peels it away and the recursion continues on the leading
+(j-1) x (j-1) block.
+
+rho_j is read as atan2(||off-diagonal row||, |pivot|) and ztilde_j as the row
+over its own norm, so angles near 0 come back to full relative precision
+(acos of the pivot would lose every angle below about sqrt(eps)).
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockexp import compose, exp_column_factor
+from .blockexp import apply_factor, compose
 from .linalg import frobenius_norm, unitarity_defect
 from .params import CcskParams
 
@@ -56,8 +61,8 @@ def decompose(u: np.ndarray, opts: DecomposeOptions | None = None) -> CcskParams
     """Canonical parameters p with compose(p) == u (up to roundoff).
 
     Output ranges: theta in (-pi, pi], ||z_j|| in [0, pi/2]. When a pivot
-    magnitude vanishes the phase convention theta_j := 0 applies; when
-    sin(rho_j) vanishes the column z_j := 0.
+    magnitude vanishes the phase convention theta_j := 0 applies; when the
+    off-diagonal part of row j is exactly zero, so is z_j.
     """
     if opts is None:
         opts = DecomposeOptions()
@@ -73,36 +78,29 @@ def decompose(u: np.ndarray, opts: DecomposeOptions | None = None) -> CcskParams
 
     m = u.copy()
     thetas = np.zeros(n)
-    cols: list[np.ndarray] = [np.zeros(j - 1, dtype=np.complex128)
-                              for j in range(2, n + 1)]
+    cols: list[np.ndarray] = []  # z_n, z_{n-1}, ..., z_2
     for j in range(n, 1, -1):
         pivot = m[j - 1, j - 1]
-        c = min(abs(pivot), 1.0)
-        rho = math.acos(c)
+        row = m[j - 1, : j - 1]
+        c = abs(pivot)
+        s = frobenius_norm(row)
+        rho = math.atan2(s, c)
         theta = cmath.phase(pivot) if c > opts.zero_tol else 0.0
-        z = np.zeros(j - 1, dtype=np.complex128)
-        s = math.sin(rho)
-        if s > opts.zero_tol:
-            ztilde = -m[j - 1, : j - 1].conj() * cmath.exp(1j * theta) / s
-            z = rho * ztilde
-        thetas[j - 1] = theta
-        cols[j - 2] = z
+        phase = cmath.exp(1j * theta)
+        z = row.conj() * (-phase * rho / s) if s else np.zeros(j - 1, dtype=np.complex128)
+        # cmath.phase can return exactly -pi (e.g. a -0.0 imaginary part); wrap
+        # onto the half-open interval so output is always canonical.
+        thetas[j - 1] = _wrap_theta(theta)
+        cols.append(z)
 
-        factor = exp_column_factor(z, j, j)
-        m[:j, :j] = m[:j, :j] @ factor.conj().T
+        apply_factor(m, z, j, inverse=True)
         # The peeled row/column must now be e^{i theta} * e_j.
-        expected = np.zeros(j, dtype=np.complex128)
-        expected[j - 1] = cmath.exp(1j * theta)
-        residue = max(
-            float(np.linalg.norm(m[j - 1, :j] - expected)),
-            float(np.linalg.norm(m[:j, j - 1] - expected)),
-        )
+        off = max(frobenius_norm(m[j - 1, : j - 1]), frobenius_norm(m[: j - 1, j - 1]))
+        residue = math.hypot(off, abs(m[j - 1, j - 1] - phase))
         if residue > 10.0 * opts.unitarity_tol:
             raise PeelConsistencyError(j, residue)
-    thetas[0] = cmath.phase(m[0, 0])
-    # cmath.phase can return exactly -pi (e.g. a -0.0 imaginary part); wrap
-    # onto the half-open interval so output is always canonical.
-    return normalize_thetas(CcskParams(thetas, tuple(cols)))
+    thetas[0] = _wrap_theta(cmath.phase(m[0, 0]))
+    return CcskParams(thetas, tuple(reversed(cols)))
 
 
 def roundtrip_error(u: np.ndarray, opts: DecomposeOptions | None = None) -> float:

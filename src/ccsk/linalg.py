@@ -1,4 +1,4 @@
-"""Minimal dense complex linear algebra: products, adjoints, norms, defects.
+"""Minimal dense complex linear algebra: validation, norms, defects.
 
 Matrices are numpy ``complex128`` arrays with row-major semantics. Validation
 (finiteness, shape) happens once at the container boundary via ``as_cmatrix`` /
@@ -7,13 +7,13 @@ Matrices are numpy ``complex128`` arrays with row-major semantics. Validation
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
     "as_cmatrix",
     "as_cvector",
-    "mat_mul",
-    "adjoint",
     "frobenius_norm",
     "unitarity_defect",
     "anti_hermiticity_defect",
@@ -27,7 +27,7 @@ def as_cmatrix(a) -> np.ndarray:
         raise ValueError(f"expected a 2-D matrix, got ndim={m.ndim}")
     if m.shape[0] < 1 or m.shape[1] < 1:
         raise ValueError(f"matrix dimensions must be positive, got {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix contains non-finite entries")
     return m
 
@@ -39,26 +39,18 @@ def as_cvector(a) -> np.ndarray:
         raise ValueError(f"expected a 1-D vector, got ndim={v.ndim}")
     if v.shape[0] < 1:
         raise ValueError("vector must have length >= 1")
-    if not np.all(np.isfinite(v.real)) or not np.all(np.isfinite(v.imag)):
+    if not np.isfinite(v).all():
         raise ValueError("vector contains non-finite entries")
     return v
 
 
-def mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Complex matrix product a @ b with an explicit shape check."""
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch in product: {a.shape} x {b.shape}")
-    return a @ b
-
-
-def adjoint(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose. An involution: adjoint(adjoint(a)) == a bit-exactly."""
-    return a.conj().T.copy()
-
-
 def frobenius_norm(a: np.ndarray) -> float:
-    """sqrt of the sum of squared entry magnitudes."""
-    return float(np.linalg.norm(a))
+    """sqrt of the sum of squared entry magnitudes (of a vector or a matrix).
+
+    One BLAS dot product: on the short rows that ``decompose`` reads, the call
+    overhead of ``np.linalg.norm`` would cost more than the arithmetic.
+    """
+    return math.sqrt(np.vdot(a, a).real)
 
 
 def _require_square(a: np.ndarray, what: str) -> int:

@@ -37,13 +37,25 @@ class ParseError(ValueError):
     """Malformed or out-of-schema input document."""
 
 
+def _is_number(v) -> bool:
+    """A JSON number. bool subclasses int in Python, but true/false are not numbers."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _dimension(doc: dict) -> int:
+    n = doc.get("n")
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise ParseError(f'field "n" must be a positive integer, got {n!r}')
+    return n
+
+
 def _pair(entry: complex) -> list[float]:
     return [float(entry.real), float(entry.imag)]
 
 
 def _complex_from_pair(obj, where: str) -> complex:
     if (not isinstance(obj, list) or len(obj) != 2
-            or not all(isinstance(v, (int, float)) for v in obj)):
+            or not all(_is_number(v) for v in obj)):
         raise ParseError(f"{where}: expected a [re, im] number pair, got {obj!r}")
     return complex(obj[0], obj[1])
 
@@ -63,9 +75,7 @@ def matrix_to_doc(m: np.ndarray) -> dict:
 def matrix_from_doc(doc) -> np.ndarray:
     if not isinstance(doc, dict) or doc.get("type") != "cmatrix":
         raise ParseError('expected a document with "type": "cmatrix"')
-    n = doc.get("n")
-    if not isinstance(n, int) or n < 1:
-        raise ParseError(f'field "n" must be a positive integer, got {n!r}')
+    n = _dimension(doc)
     rows = doc.get("rows")
     if not isinstance(rows, list) or len(rows) != n:
         raise ParseError(f'field "rows" must be a list of {n} rows')
@@ -90,12 +100,10 @@ def params_to_doc(p: CcskParams) -> dict:
 def params_from_doc(doc) -> CcskParams:
     if not isinstance(doc, dict) or doc.get("type") != "ccsk_params":
         raise ParseError('expected a document with "type": "ccsk_params"')
-    n = doc.get("n")
-    if not isinstance(n, int) or n < 1:
-        raise ParseError(f'field "n" must be a positive integer, got {n!r}')
+    n = _dimension(doc)
     thetas = doc.get("thetas")
     if (not isinstance(thetas, list) or len(thetas) != n
-            or not all(isinstance(t, (int, float)) for t in thetas)):
+            or not all(_is_number(t) for t in thetas)):
         raise ParseError(f'field "thetas" must be a list of {n} reals')
     zs = doc.get("z")
     if not isinstance(zs, list) or len(zs) != n - 1:

@@ -4,29 +4,17 @@ import math
 import numpy as np
 import pytest
 
-from ccsk.blockexp import (KBlock, compose, exp_column_factor, exp_diagonal,
-                           exp_k, k_matrix)
+from ccsk.blockexp import (apply_factor, compose, exp_column_factor,
+                           exp_diagonal, exp_k, k_matrix)
 from ccsk.linalg import frobenius_norm, unitarity_defect
 from ccsk.oracle import RngState, expm, random_params
 from ccsk.params import CcskParams, assemble_generator
 
+from conftest import random_complex_matrix
+
 
 def random_z(rng, m):
     return rng.complex_gaussian_vector(m)
-
-
-class TestKBlock:
-    def test_fields_consistent(self, rng):
-        z = random_z(rng, 4)
-        k = KBlock.from_z(z)
-        assert k.j == 5
-        assert abs(k.rho - np.linalg.norm(z)) <= 1e-15
-        assert abs(np.linalg.norm(k.ztilde) - 1.0) <= 1e-14
-        assert np.linalg.norm(k.rho * k.ztilde - z) <= 1e-14
-
-    def test_zero_vector(self):
-        k = KBlock.from_z(np.zeros(2, dtype=complex))
-        assert k.rho == 0.0
 
 
 class TestKAlgebra:
@@ -127,6 +115,45 @@ class TestExpColumnFactor:
             exp_column_factor(np.zeros(4, dtype=complex), 4, 5)
 
 
+class TestApplyFactor:
+    N = 7
+
+    @pytest.mark.parametrize("inverse", [False, True])
+    @pytest.mark.parametrize("j", [2, 3, N])
+    @pytest.mark.parametrize("rho", [0.0, 1e-15, 1e-8, 1.0, math.pi / 2])
+    def test_matches_dense_factor(self, rng, rho, j, inverse):
+        u = random_complex_matrix(rng, self.N, self.N)
+        v = random_z(rng, j - 1)
+        z = rho * v / np.linalg.norm(v)
+        factor = exp_column_factor(z, j, j)
+        if inverse:
+            factor = factor.conj().T
+        want = u[:j, :j] @ factor
+        got = u.copy()
+        apply_factor(got, z, j, inverse=inverse)
+        assert np.max(np.abs(got[:j, :j] - want)) <= 1e-13
+        # Everything outside the leading j x j block is untouched, bit for bit.
+        outside = np.ones_like(u, dtype=bool)
+        outside[:j, :j] = False
+        np.testing.assert_array_equal(got[outside], u[outside])
+
+    def test_inverse_undoes_forward(self, rng):
+        u = random_complex_matrix(rng, 5, 5)
+        z = random_z(rng, 3)
+        got = u.copy()
+        apply_factor(got, z, 4)
+        apply_factor(got, z, 4, inverse=True)
+        assert np.max(np.abs(got - u)) <= 1e-13
+
+
+def dense_compose(p: CcskParams) -> np.ndarray:
+    """The ordered product built from explicit n x n factor matrices."""
+    u = exp_diagonal(p.thetas)
+    for j in range(2, p.n + 1):
+        u = u @ exp_column_factor(p.z_column(j), p.n, j)
+    return u
+
+
 class TestCompose:
     def test_all_zero_is_identity(self):
         np.testing.assert_array_equal(compose(CcskParams.zeros(4)), np.eye(4))
@@ -153,6 +180,18 @@ class TestCompose:
             xj[j - 1, : j - 1] = -p.z_column(j).conj()
             factors = factors @ expm(xj)
         assert frobenius_norm(compose(p) - factors) <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16])
+    def test_matches_dense_product(self, rng, n):
+        p = random_params(n, rng)
+        if n >= 4:
+            # Chart edges inside the product: rho = 0, tiny, pi/2.
+            cols = list(p.z_columns)
+            for j, rho in zip((2, n // 2 + 1, n), (0.0, 1e-12, math.pi / 2)):
+                d = random_z(rng, j - 1)
+                cols[j - 2] = rho * d / np.linalg.norm(d)
+            p = CcskParams(p.thetas, tuple(cols))
+        assert frobenius_norm(compose(p) - dense_compose(p)) <= 1e-13 * n
 
     def test_unitarity_sweep(self, rng):
         for n in (1, 2, 5, 16):

@@ -146,6 +146,25 @@ class TestRoundtripCommand:
         assert run("roundtrip", "-i", u) == 0
 
 
+class TestBoolIsNotANumber:
+    # JSON true/false must not pass as numbers (bool subclasses int in Python).
+    @pytest.mark.parametrize("command, doc", [
+        ("verify", '{"type": "cmatrix", "n": true, "rows": [[[1, 0]]]}'),
+        ("verify", '{"type": "cmatrix", "n": 1, "rows": [[[true, false]]]}'),
+        ("compose", '{"type": "ccsk_params", "n": true, "thetas": [0], "z": []}'),
+        ("compose", '{"type": "ccsk_params", "n": 1, "thetas": [true], "z": []}'),
+        ("compose", '{"type": "ccsk_params", "n": 2, "thetas": [0, 0], "z": [[[true, 0]]]}'),
+    ])
+    def test_exit_1_with_error_line(self, tmp_path, capsys, command, doc):
+        path = tmp_path / "in.json"
+        path.write_text(doc)
+        argv = [command, "-i", path] + (["-o", tmp_path / "out.json"] if command == "compose" else [])
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not (tmp_path / "out.json").exists()
+
+
 class TestUsageErrors:
     def test_unknown_command_exit_64(self):
         with pytest.raises(SystemExit) as exc:

@@ -3,13 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccsk.blockexp import compose
 from ccsk.decompose import (DecomposeOptions, decompose, normalize_thetas,
                             roundtrip_error)
 from ccsk.linalg import frobenius_norm
-from ccsk.oracle import RngState, random_params, random_unitary
-from ccsk.params import CcskParams
+from ccsk.oracle import RngState, expm, random_params, random_unitary
+from ccsk.params import CcskParams, assemble_generator, params_from_generator
 
 
 def params_close(a: CcskParams, b: CcskParams, tol: float) -> bool:
@@ -69,6 +71,99 @@ class TestDecompose:
         p = decompose(u)
         q = decompose(compose(p))
         assert params_close(p, q, 1e-9)
+
+
+def generic_params(seed: int, n: int) -> CcskParams:
+    """Thetas off the branch cut, every rho_j in [0.1, pi/2 - 0.1]."""
+    g = np.random.default_rng(seed)
+    thetas = g.uniform(-math.pi + 0.1, math.pi - 0.1, n)
+    cols = []
+    for j in range(2, n + 1):
+        d = g.standard_normal(j - 1) + 1j * g.standard_normal(j - 1)
+        cols.append(g.uniform(0.1, math.pi / 2 - 0.1) * d / np.linalg.norm(d))
+    return CcskParams(thetas, tuple(cols))
+
+
+def with_rho(p: CcskParams, j: int, rho: float) -> CcskParams:
+    """p with column j rescaled to norm rho (direction kept)."""
+    cols = list(p.z_columns)
+    cols[j - 2] = rho * cols[j - 2] / np.linalg.norm(cols[j - 2])
+    return CcskParams(p.thetas, tuple(cols))
+
+
+def assert_params_back(p: CcskParams, q: CcskParams, tol: float):
+    """q recovers p entry by entry.
+
+    Where |cos rho_j| <= zero_tol the convention theta_j := 0 fires and the
+    parameters of the columns peeled after j (k < j) are no longer unique, so
+    only rho_j and the parameters with k > j are compared. Elsewhere phases
+    are read off pivots of size cos rho_j, so the tolerance is scaled by
+    1 / min cos rho_j.
+    """
+    zero_tol = DecomposeOptions().zero_tol
+    cos = [math.cos(p.rho(j)) for j in range(2, p.n + 1)]
+    j0 = max((j for j in range(2, p.n + 1) if cos[j - 2] <= zero_tol), default=0)
+    if j0:
+        assert abs(q.rho(j0) - p.rho(j0)) <= tol
+    tol /= min(cos[j0 - 1:] if j0 else cos, default=1.0)
+    np.testing.assert_allclose(q.thetas[j0:], p.thetas[j0:], rtol=0, atol=tol)
+    for j in range(max(j0 + 1, 2), p.n + 1):
+        np.testing.assert_allclose(q.z_column(j), p.z_column(j), rtol=0, atol=tol)
+
+
+class TestChartEdges:
+    # Below about sqrt(eps), cos(rho) rounds to 1, so a rho_j read from the
+    # pivot alone is lost. rho_j in (1e-9, 1.5e-8] is where that once made the
+    # peel fail on exactly unitary input; it is sampled explicitly.
+    @pytest.mark.parametrize("n", [2, 6, 32])
+    @pytest.mark.parametrize("rho", np.geomspace(1.0001e-9, 1.5e-8, 6))
+    def test_small_rho_window(self, n, rho):
+        for j in sorted({2, (n + 2) // 2, n}):
+            p = with_rho(generic_params(j, n), j, rho)
+            q = decompose(compose(p))
+            assert_params_back(p, q, 1e-13 * n)
+            assert abs(q.rho(j) - rho) <= 1e-4 * rho
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(n=st.integers(2, 8), k=st.integers(0, 6), seed=st.integers(0, 2**32 - 1),
+           log_rho=st.floats(math.log(1e-16), math.log(math.pi / 2)))
+    def test_log_uniform_rho(self, n, k, seed, log_rho):
+        j = 2 + k % (n - 1)
+        p = with_rho(generic_params(seed, n), j, min(math.exp(log_rho), math.pi / 2))
+        u = compose(p)
+        q = decompose(u)
+        assert q.is_canonical()
+        assert frobenius_norm(compose(q) - u) <= 1e-13 * n
+        assert_params_back(p, q, 1e-13 * n)
+
+    @pytest.mark.parametrize("n, j", [(2, 2), (5, 3), (5, 5)])
+    def test_quarter_turn_column(self, n, j):
+        # At rho_j = pi/2 the pivot vanishes and theta_j is undefined: the
+        # convention theta_j := 0 fires and z_j absorbs the phase.
+        p = with_rho(generic_params(7, n), j, math.pi / 2)
+        u = compose(p)
+        q = decompose(u)
+        assert q.is_canonical()
+        assert frobenius_norm(compose(q) - u) <= 1e-13 * n
+        assert q.thetas[j - 1] == 0.0
+        phase = np.exp(-1j * p.thetas[j - 1])
+        np.testing.assert_allclose(q.z_column(j), phase * p.z_column(j), rtol=0, atol=1e-13)
+        assert_params_back(p, q, 1e-13 * n)
+        # With theta_j = 0 already, nothing is lost: every parameter comes back.
+        thetas = p.thetas.copy()
+        thetas[j - 1] = 0.0
+        p0 = CcskParams(thetas, p.z_columns)
+        q0 = decompose(compose(p0))
+        assert params_close(p0, q0, 1e-13 * n)
+
+    def test_near_identity(self):
+        # expm(eps X) agrees with the product map to O(eps^2), so its
+        # parameters are those of eps X to about 1e-18.
+        x = 1e-9 * assemble_generator(random_params(6, RngState(606)))
+        u = expm(x)
+        q = decompose(u)
+        assert params_close(q, params_from_generator(x), 1e-15)
+        assert frobenius_norm(compose(q) - u) <= 1e-14
 
 
 class TestRoundtripError:

@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from ccsk.linalg import (adjoint, anti_hermiticity_defect, as_cmatrix,
-                         as_cvector, frobenius_norm, mat_mul,
-                         unitarity_defect)
+from ccsk.linalg import (anti_hermiticity_defect, as_cmatrix, as_cvector,
+                         frobenius_norm, unitarity_defect)
 
 from conftest import random_complex_matrix
 
@@ -24,48 +23,6 @@ class TestValidation:
             as_cvector([])
 
 
-class TestMatMul:
-    def test_identity(self, rng):
-        m = random_complex_matrix(rng, 3, 3)
-        np.testing.assert_array_equal(mat_mul(np.eye(3, dtype=complex), m), m)
-
-    def test_rotation_squared_is_minus_identity(self):
-        r = np.array([[0, 1], [-1, 0]], dtype=complex)
-        np.testing.assert_array_equal(mat_mul(r, r), -np.eye(2))
-
-    def test_associativity(self, rng):
-        a = random_complex_matrix(rng, 4, 4)
-        b = random_complex_matrix(rng, 4, 4)
-        c = random_complex_matrix(rng, 4, 4)
-        lhs = mat_mul(mat_mul(a, b), c)
-        rhs = mat_mul(a, mat_mul(b, c))
-        assert np.max(np.abs(lhs - rhs)) <= 1e-13
-
-    def test_shape_mismatch_reports_both_shapes(self):
-        with pytest.raises(ValueError, match=r"\(2, 3\).*\(2, 2\)"):
-            mat_mul(np.zeros((2, 3), dtype=complex), np.zeros((2, 2), dtype=complex))
-
-
-class TestAdjoint:
-    def test_real_symmetric_fixed(self):
-        m = np.array([[1, 2], [2, 5]], dtype=complex)
-        np.testing.assert_array_equal(adjoint(m), m)
-
-    def test_1x1_conjugation(self):
-        np.testing.assert_array_equal(adjoint(np.array([[1j]])), np.array([[-1j]]))
-
-    def test_involution_bit_exact(self, rng):
-        a = random_complex_matrix(rng, 5, 3)
-        np.testing.assert_array_equal(adjoint(adjoint(a)), a)
-
-    def test_product_rule(self, rng):
-        a = random_complex_matrix(rng, 3, 3)
-        b = random_complex_matrix(rng, 3, 3)
-        lhs = adjoint(mat_mul(a, b))
-        rhs = mat_mul(adjoint(b), adjoint(a))
-        assert np.max(np.abs(lhs - rhs)) <= 1e-14
-
-
 class TestFrobeniusNorm:
     def test_zero(self):
         assert frobenius_norm(np.zeros((3, 3), dtype=complex)) == 0.0
@@ -81,7 +38,7 @@ class TestFrobeniusNorm:
         for _ in range(20):
             a = random_complex_matrix(rng, 4, 4)
             b = random_complex_matrix(rng, 4, 4)
-            assert (frobenius_norm(mat_mul(a, b))
+            assert (frobenius_norm(a @ b)
                     <= frobenius_norm(a) * frobenius_norm(b) * (1 + 1e-14))
 
 
@@ -114,4 +71,4 @@ class TestDefects:
         v = random_unitary(8, rng)
         assert unitarity_defect(u) <= 1e-14
         assert unitarity_defect(v) <= 1e-14
-        assert unitarity_defect(mat_mul(u, v)) <= 1e-13
+        assert unitarity_defect(u @ v) <= 1e-13
