@@ -33,6 +33,13 @@ __all__ = [
 ]
 
 
+# The residue a peeled row and column may keep, as a multiple of the defect
+# gate unitarity_tol * n. Both scale with n, so every input that passes the
+# gate also passes the peel (one row off by a factor 1 + e has defect 2e and
+# residue e).
+_PEEL_RESIDUE_FACTOR = 10.0
+
+
 @dataclass(frozen=True)
 class DecomposeOptions:
     unitarity_tol: float = 1e-10
@@ -70,11 +77,11 @@ def decompose(u: np.ndarray, opts: DecomposeOptions | None = None) -> CcskParams
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"decompose requires a square matrix, got {u.shape}")
     n = u.shape[0]
+    gate = opts.unitarity_tol * n
     defect = unitarity_defect(u)
-    if defect > opts.unitarity_tol * n:
+    if defect > gate:
         raise ValueError(
-            f"input is not unitary: defect {defect:.3e} exceeds "
-            f"{opts.unitarity_tol * n:.3e}")
+            f"input is not unitary: defect {defect:.3e} exceeds {gate:.3e}")
 
     m = u.copy()
     thetas = np.zeros(n)
@@ -97,7 +104,7 @@ def decompose(u: np.ndarray, opts: DecomposeOptions | None = None) -> CcskParams
         # The peeled row/column must now be e^{i theta} * e_j.
         off = max(frobenius_norm(m[j - 1, : j - 1]), frobenius_norm(m[: j - 1, j - 1]))
         residue = math.hypot(off, abs(m[j - 1, j - 1] - phase))
-        if residue > 10.0 * opts.unitarity_tol:
+        if residue > _PEEL_RESIDUE_FACTOR * gate:
             raise PeelConsistencyError(j, residue)
     thetas[0] = _wrap_theta(cmath.phase(m[0, 0]))
     return CcskParams(thetas, tuple(reversed(cols)))

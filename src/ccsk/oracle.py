@@ -5,6 +5,11 @@ squaring) used to cross-check the closed-form factors; it shares no code with
 them. The RNG is splitmix64: a tiny, platform-independent 64-bit generator
 (state advances by the golden-gamma constant, output is a bijective mix).
 Reference test vectors for seed 0 are frozen in the test suite.
+
+``uniform`` and ``gaussian`` define the samples one draw at a time.
+``random_params`` draws its whole stream with one ``next_u64_array`` call and
+gives the same bits: the uniforms are exact in numpy, and Box-Muller stays in
+``math`` on Python floats.
 """
 
 from __future__ import annotations
@@ -41,6 +46,24 @@ class RngState:
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
         return z ^ (z >> 31)
 
+    def next_u64_array(self, k: int) -> np.ndarray:
+        """The next k ``next_u64`` outputs as a uint64 array, drawn at once.
+
+        splitmix64 is counter-based: output i (from 0) is the mix of
+        state + (i + 1) * gamma, so the whole stream is a few array operations.
+        The state afterwards is the one k ``next_u64`` calls would leave.
+        """
+        z = np.arange(1, k + 1, dtype=np.uint64)
+        z *= np.uint64(_GAMMA)  # wraps modulo 2^64
+        z += np.uint64(self._state)
+        self._state = (self._state + k * _GAMMA) & _MASK64
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(0xBF58476D1CE4E5B9)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(0x94D049BB133111EB)
+        z ^= z >> np.uint64(31)
+        return z
+
     def uniform(self) -> float:
         """Uniform in [0, 1), 53-bit resolution."""
         return (self.next_u64() >> 11) * 2.0 ** -53
@@ -50,11 +73,6 @@ class RngState:
         u1 = ((self.next_u64() >> 11) + 1) * 2.0 ** -53  # in (0, 1]
         u2 = self.uniform()
         return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
-
-    def complex_gaussian_vector(self, m: int) -> np.ndarray:
-        re = np.array([self.gaussian() for _ in range(m)])
-        im = np.array([self.gaussian() for _ in range(m)])
-        return re + 1j * im
 
 
 def expm(x: np.ndarray) -> np.ndarray:
@@ -85,16 +103,35 @@ def expm(x: np.ndarray) -> np.ndarray:
 
 def random_params(n: int, rng: RngState) -> CcskParams:
     """Canonical random parameters: theta uniform in (-pi, pi]; each column is
-    rho * (random unit direction) with rho uniform in [0, pi/2]."""
+    rho * (random unit direction) with rho uniform in [0, pi/2].
+
+    The stream is n ``uniform`` draws for the thetas, then per column
+    j = 2..n one ``uniform`` for rho and 2(j-1) ``gaussian`` draws (real
+    parts, then imaginary parts), all taken from one ``next_u64_array`` call.
+    """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    thetas = np.array([math.pi * (1.0 - 2.0 * rng.uniform()) for _ in range(n)])
+    words = rng.next_u64_array(n + (n - 1) * (2 * n + 1)) >> np.uint64(11)  # 53 bits
+    thetas = math.pi * (1.0 - 2.0 * (words[:n] * 2.0 ** -53))
+    # Column j, with k = j - 1 entries, takes 1 + 4k words: rho's, then two per
+    # gaussian. The columns before it take (k - 1)(2k + 1) words.
+    k = np.arange(1, n)
+    column_words = words[n:]
+    is_rho = np.zeros(column_words.shape[0], dtype=bool)
+    is_rho[(k - 1) * (2 * k + 1)] = True
+    rhos = ((math.pi / 2.0) * (column_words[is_rho] * 2.0 ** -53)).tolist()
+    pairs = column_words[~is_rho].reshape(-1, 2)
+    u1 = ((pairs[:, 0] + np.uint64(1)) * 2.0 ** -53).tolist()  # in (0, 1]
+    u2 = (pairs[:, 1] * 2.0 ** -53).tolist()
+    gauss = np.array([math.sqrt(-2.0 * math.log(a)) * math.cos(2.0 * math.pi * b)
+                      for a, b in zip(u1, u2)])
     cols = []
-    for j in range(2, n + 1):
-        rho = (math.pi / 2.0) * rng.uniform()
-        g = rng.complex_gaussian_vector(j - 1)
+    for k, rho in enumerate(rhos, start=1):  # k = j - 1 entries, from gauss[k(k-1):]
+        re = gauss[k * (k - 1): k * k]
+        im = gauss[k * k: k * (k + 1)]
+        g = re + 1j * im
         norm = np.linalg.norm(g)
-        direction = g / norm if norm > 0 else np.eye(j - 1, dtype=np.complex128)[0]
+        direction = g / norm if norm > 0 else np.eye(k, dtype=np.complex128)[0]
         cols.append(rho * direction)
     return CcskParams(thetas, tuple(cols))
 

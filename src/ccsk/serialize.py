@@ -7,13 +7,21 @@ Two document shapes, both human-inspectable and diff-able:
    "z": [[[re, im]], [[re, im], [re, im]], ...]}   # column j has j-1 pairs
 
 Floats are emitted with Python's shortest-roundtrip repr, so write-then-read
-reproduces every value bit-exactly. Complex entries are [re, im] pairs, never
-strings.
+reproduces every value bit-exactly, the sign of -0.0 included. Complex entries
+are [re, im] pairs, never strings.
+
+A file is exactly ``json.dump(doc, fh, indent=2)`` plus a newline, where doc
+is ``matrix_to_doc`` / ``params_to_doc``; the writers render that text
+directly, since the standard encoder formats indented output one value at a
+time in pure Python. The readers parse with ``json.load``, check every pair in
+bulk and convert all of them with one numpy call; only a document that fails
+the bulk check is walked entry by entry, to name the first bad entry.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 import numpy as np
 
@@ -49,15 +57,42 @@ def _dimension(doc: dict) -> int:
     return n
 
 
-def _pair(entry: complex) -> list[float]:
-    return [float(entry.real), float(entry.imag)]
+def _read_pairs(groups: list, sizes: list[int], name: str, group_error) -> np.ndarray:
+    """All [re, im] pairs of ``groups`` (group k holds sizes[k] of them) as one
+    flat complex vector.
+
+    The bulk check asks for the exact types json.load gives: lists of lists
+    of two ints or floats. A document that fails it is walked in order,
+    raising the ParseError that names the first bad group (``group_error(k)``)
+    or entry.
+    """
+    leaves = None
+    if set(map(type, groups)) <= {list} and list(map(len, groups)) == sizes:
+        entries = list(chain.from_iterable(groups))
+        if set(map(type, entries)) <= {list} and set(map(len, entries)) <= {2}:
+            leaves = list(chain.from_iterable(entries))
+            if not set(map(type, leaves)) <= {int, float}:  # so no bool
+                leaves = None
+    if leaves is None:
+        for k, (group, size) in enumerate(zip(groups, sizes)):
+            if not isinstance(group, list) or len(group) != size:
+                raise ParseError(group_error(k))
+            for i, obj in enumerate(group):
+                if (not isinstance(obj, list) or len(obj) != 2
+                        or not all(_is_number(v) for v in obj)):
+                    raise ParseError(
+                        f"{name}[{k}][{i}]: expected a [re, im] number pair, got {obj!r}")
+        # Every entry is valid, with a subclass of list, int or float somewhere.
+        leaves = list(chain.from_iterable(chain.from_iterable(groups)))
+    try:
+        return np.array(leaves, dtype=np.float64).view(np.complex128)
+    except OverflowError as exc:
+        raise ParseError(f'field "{name}": {exc}') from exc
 
 
-def _complex_from_pair(obj, where: str) -> complex:
-    if (not isinstance(obj, list) or len(obj) != 2
-            or not all(_is_number(v) for v in obj)):
-        raise ParseError(f"{where}: expected a [re, im] number pair, got {obj!r}")
-    return complex(obj[0], obj[1])
+def _as_pairs(a: np.ndarray) -> list:
+    """The complex array a as nested lists of [re, im] float pairs."""
+    return np.stack([a.real, a.imag], -1).tolist()
 
 
 def matrix_to_doc(m: np.ndarray) -> dict:
@@ -67,8 +102,7 @@ def matrix_to_doc(m: np.ndarray) -> dict:
     return {
         "type": "cmatrix",
         "n": m.shape[0],
-        "rows": [[_pair(m[i, j]) for j in range(m.shape[1])]
-                 for i in range(m.shape[0])],
+        "rows": _as_pairs(m),
     }
 
 
@@ -79,21 +113,16 @@ def matrix_from_doc(doc) -> np.ndarray:
     rows = doc.get("rows")
     if not isinstance(rows, list) or len(rows) != n:
         raise ParseError(f'field "rows" must be a list of {n} rows')
-    out = np.zeros((n, n), dtype=np.complex128)
-    for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != n:
-            raise ParseError(f"row {i}: expected {n} entries")
-        for j, entry in enumerate(row):
-            out[i, j] = _complex_from_pair(entry, f"rows[{i}][{j}]")
-    return as_cmatrix(out)
+    flat = _read_pairs(rows, [n] * n, "rows", lambda i: f"row {i}: expected {n} entries")
+    return as_cmatrix(flat.reshape(n, n))
 
 
 def params_to_doc(p: CcskParams) -> dict:
     return {
         "type": "ccsk_params",
         "n": p.n,
-        "thetas": [float(t) for t in p.thetas],
-        "z": [[_pair(e) for e in z] for z in p.z_columns],
+        "thetas": p.thetas.tolist(),
+        "z": [_as_pairs(z) for z in p.z_columns],
     }
 
 
@@ -108,23 +137,64 @@ def params_from_doc(doc) -> CcskParams:
     zs = doc.get("z")
     if not isinstance(zs, list) or len(zs) != n - 1:
         raise ParseError(f'field "z" must be a list of {n - 1} columns')
-    cols = []
-    for k, col in enumerate(zs):
-        if not isinstance(col, list) or len(col) != k + 1:
-            raise ParseError(f"z[{k}]: expected {k + 1} entries (column j={k + 2})")
-        cols.append(np.array(
-            [_complex_from_pair(e, f"z[{k}][{i}]") for i, e in enumerate(col)],
-            dtype=np.complex128))
+    flat = _read_pairs(zs, list(range(1, n)), "z",
+                       lambda k: f"z[{k}]: expected {k + 1} entries (column j={k + 2})")
+    # Column j = k + 2 starts after the 1 + 2 + ... + k pairs before it.
+    cols = np.split(flat, [k * (k + 1) // 2 for k in range(1, n - 1)]) if n > 1 else []
     try:
         return CcskParams(np.array(thetas, dtype=np.float64), tuple(cols))
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ParseError(str(exc)) from exc
+
+
+def _pair_lists_chunks(groups: list):
+    """The indent=2 text of a top-level field holding lists of [re, im] pairs,
+    one piece per list.
+
+    Each list renders as below; joining the "re,\n        im" cores of its
+    pairs with the text between two pairs renders it in one call.
+
+        [
+          [
+            re,
+            im
+          ],
+          ...
+        ]
+    """
+    if not groups:
+        yield "[]"
+        return
+    opening = "[\n    "
+    for group in groups:
+        values = map(repr, chain.from_iterable(group))
+        cores = map(",\n        ".join, zip(values, values))
+        yield (opening + "[\n      [\n        "
+               + "\n      ],\n      [\n        ".join(cores) + "\n      ]\n    ]")
+        opening = ",\n    "
+    yield "\n  ]"
+
+
+def _chunks(doc: dict):
+    """``json.dumps(doc, indent=2)`` plus a newline, in pieces, for a document
+    from ``matrix_to_doc`` or ``params_to_doc`` (its numbers are ints and
+    finite floats)."""
+    opening = "{\n  "
+    for key, value in doc.items():
+        yield f'{opening}"{key}": '
+        if key == "thetas":  # never empty: n >= 1
+            yield "[\n    " + ",\n    ".join(map(repr, value)) + "\n  ]"
+        elif key in ("rows", "z"):
+            yield from _pair_lists_chunks(value)
+        else:
+            yield json.dumps(value)
+        opening = ",\n  "
+    yield "\n}\n"
 
 
 def _write(path, doc: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        fh.writelines(_chunks(doc))
 
 
 def _read(path) -> dict:

@@ -19,6 +19,7 @@ from ccsk.params import CcskParams, assemble_generator
 from ccsk.serialize import read_matrix, write_matrix, write_params
 from ccsk.special import euler2_factorize, projector_form
 
+from conftest import complex_gaussian_vector
 from test_decompose import params_close
 from test_special import compose2, three_lines
 
@@ -41,7 +42,7 @@ def test_criterion_1_closed_form_vs_oracle():
     for _ in range(100):
         n = 2 + rng.next_u64() % 11
         j = 2 + (rng.next_u64() % (n - 1) if n > 2 else 0)
-        z = rng.complex_gaussian_vector(j - 1)
+        z = complex_gaussian_vector(rng, j - 1)
         dev = frobenius_norm(exp_column_factor(z, n, j) - expm(embedded_block(z, n, j)))
         ok &= dev <= 1e-12
     report("closed-form factor matches generic exponential (100 cases, n<=12)", ok)
@@ -52,7 +53,7 @@ def test_criterion_2_k_algebra():
     ok = True
     for _ in range(100):
         m = 1 + rng.next_u64() % 8
-        z = rng.complex_gaussian_vector(m)
+        z = complex_gaussian_vector(rng, m)
         k = k_matrix(z)
         zz = float(np.vdot(z, z).real)
         rho = math.sqrt(zz)
@@ -121,7 +122,7 @@ def test_criterion_7_projector_remark():
     ok = True
     for _ in range(50):
         m = 1 + rng.next_u64() % 6
-        z = rng.complex_gaussian_vector(m)
+        z = complex_gaussian_vector(rng, m)
         pp = projector_form(z)
         eye = np.eye(m)
         ok &= frobenius_norm(pp.p0 @ pp.p0 - pp.p0) <= 1e-13

@@ -10,11 +10,11 @@ from ccsk.linalg import frobenius_norm, unitarity_defect
 from ccsk.oracle import RngState, expm, random_params
 from ccsk.params import CcskParams, assemble_generator
 
-from conftest import random_complex_matrix
+from conftest import complex_gaussian_vector, random_complex_matrix
 
 
 def random_z(rng, m):
-    return rng.complex_gaussian_vector(m)
+    return complex_gaussian_vector(rng, m)
 
 
 class TestKAlgebra:

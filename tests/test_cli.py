@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import ccsk
 from ccsk.blockexp import compose
 from ccsk.cli import main
+from ccsk.decompose import decompose
 from ccsk.linalg import frobenius_norm
 from ccsk.oracle import RngState, random_params
 from ccsk.params import CcskParams
@@ -74,6 +80,13 @@ class TestVerify:
         min_.write_text("[]")
         assert run("verify", "-i", min_) == 1
 
+    def test_integer_out_of_float_range_exit_1(self, tmp_path, capsys):
+        min_ = tmp_path / "m.json"
+        min_.write_text('{"type": "cmatrix", "n": 1, "rows": [[[1%s, 0]]]}' % ("0" * 400))
+        assert run("verify", "-i", min_) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
 
 class TestRandom:
     def test_n1_params(self, tmp_path):
@@ -144,6 +157,29 @@ class TestRoundtripCommand:
         a, b = read_matrix(u), read_matrix(u2)
         assert frobenius_norm(a - b) <= 1e-9 * 8
         assert run("roundtrip", "-i", u) == 0
+
+
+class TestSubprocessChain:
+    # The real entry point, run as a process: ``python -m ccsk.cli``.
+    def test_random_decompose_compose_n16(self, tmp_path):
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(ccsk.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        u, p, u2 = tmp_path / "u.json", tmp_path / "p.json", tmp_path / "u2.json"
+        for argv in (["random", "--n", "16", "--seed", "3", "--what", "unitary", "-o", u],
+                     ["decompose", "-i", u, "-o", p],
+                     ["compose", "-i", p, "-o", u2]):
+            done = subprocess.run([sys.executable, "-m", "ccsk.cli", *map(str, argv)],
+                                  env=env, capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+        # The processes wrote what the in-process writers write.
+        ref = tmp_path / "ref.json"
+        write_matrix(ref, compose(random_params(16, RngState(3))))
+        assert u.read_bytes() == ref.read_bytes()
+        write_params(ref, decompose(read_matrix(u)))
+        assert p.read_bytes() == ref.read_bytes()
+        write_matrix(ref, compose(read_params(p)))
+        assert u2.read_bytes() == ref.read_bytes()
 
 
 class TestBoolIsNotANumber:

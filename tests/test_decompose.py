@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from ccsk.blockexp import compose
 from ccsk.decompose import (DecomposeOptions, decompose, normalize_thetas,
                             roundtrip_error)
-from ccsk.linalg import frobenius_norm
+from ccsk.linalg import frobenius_norm, unitarity_defect
 from ccsk.oracle import RngState, expm, random_params, random_unitary
 from ccsk.params import CcskParams, assemble_generator, params_from_generator
 
@@ -164,6 +164,48 @@ class TestChartEdges:
         q = decompose(u)
         assert params_close(q, params_from_generator(x), 1e-15)
         assert frobenius_norm(compose(q) - u) <= 1e-14
+
+
+def perturbed(u: np.ndarray, kind: int, size: float, seed: int) -> np.ndarray:
+    """u off the unitary group by a perturbation whose defect is at most about size."""
+    g = np.random.default_rng(seed)
+    n = u.shape[0]
+    a = u.copy()
+    if kind == 0:  # one row scaled: defect 2e + e^2
+        a[g.integers(n)] *= 1 + size / 2
+    elif kind == 1:  # one column scaled
+        a[:, g.integers(n)] *= 1 + size / 2
+    elif kind == 2:  # u (I + e H), H Hermitian: defect about 2 e ||H||
+        h = g.standard_normal((n, n)) + 1j * g.standard_normal((n, n))
+        h += h.conj().T
+        a += u @ h * (size / (2 * frobenius_norm(h)))
+    else:  # any additive error; only its Hermitian part counts towards the defect
+        e = g.standard_normal((n, n)) + 1j * g.standard_normal((n, n))
+        a += e * (size / (2 * frobenius_norm(e)))
+    return a
+
+
+class TestInsideTheGate:
+    # decompose accepts every input whose unitarity defect is within
+    # unitarity_tol * n; the peel must then not reject it either.
+    def test_scaled_last_row_n128(self):
+        u = compose(random_params(128, RngState(1)))
+        u[-1] *= 1 + 2.56e-9
+        gate = DecomposeOptions().unitarity_tol * 128
+        assert 0.39 * gate <= unitarity_defect(u) <= 0.41 * gate
+        q = decompose(u)
+        assert frobenius_norm(compose(q) - u) <= 1e-9 * 128
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(n=st.integers(2, 128), kind=st.integers(0, 3), seed=st.integers(0, 2**32 - 1),
+           fraction=st.floats(0.0, 0.9))
+    def test_perturbations(self, n, kind, seed, fraction):
+        gate = DecomposeOptions().unitarity_tol * n
+        a = perturbed(compose(random_params(n, RngState(seed))), kind, fraction * gate, seed)
+        assert unitarity_defect(a) <= 0.9 * gate * (1 + 1e-6)
+        q = decompose(a)
+        assert q.is_canonical()
+        assert frobenius_norm(compose(q) - a) <= 1e-9 * n
 
 
 class TestRoundtripError:

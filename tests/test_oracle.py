@@ -7,7 +7,9 @@ from ccsk.blockexp import compose
 from ccsk.decompose import roundtrip_error
 from ccsk.linalg import frobenius_norm, unitarity_defect
 from ccsk.oracle import RngState, expm, random_params, random_unitary
-from ccsk.params import assemble_generator
+from ccsk.params import CcskParams, assemble_generator
+
+from conftest import complex_gaussian_vector
 
 
 class TestRngState:
@@ -33,6 +35,21 @@ class TestRngState:
         r = RngState(1)
         samples = [r.uniform() for _ in range(1000)]
         assert all(0.0 <= s < 1.0 for s in samples)
+
+    def test_seed0_reference_vectors_in_bulk(self):
+        assert RngState(0).next_u64_array(5).tolist() == self.SEED0_VECTORS
+
+    @pytest.mark.parametrize("seed", [0, 12345, 2**64 - 1])
+    @pytest.mark.parametrize("k", [0, 1, 7, 1000])
+    def test_bulk_draws_match_scalar_draws(self, seed, k):
+        bulk, scalar = RngState(seed), RngState(seed)
+        bulk.next_u64()
+        scalar.next_u64()
+        words = bulk.next_u64_array(k)
+        assert words.dtype == np.uint64
+        assert words.tolist() == [scalar.next_u64() for _ in range(k)]
+        # Both leave the same state behind.
+        assert bulk.next_u64_array(3).tolist() == [scalar.next_u64() for _ in range(3)]
 
     def test_gaussian_moments(self):
         r = RngState(2)
@@ -94,6 +111,29 @@ class TestRandomParams:
     def test_rejects_n0(self):
         with pytest.raises(ValueError):
             random_params(0, RngState(1))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+    @pytest.mark.parametrize("n", [1, 2, 5, 128])
+    def test_bulk_stream_matches_scalar_draws(self, seed, n):
+        p = random_params(n, RngState(seed))
+        q = scalar_random_params(n, RngState(seed))
+        assert p.thetas.tobytes() == q.thetas.tobytes()
+        assert len(p.z_columns) == len(q.z_columns)
+        for a, b in zip(p.z_columns, q.z_columns):
+            assert a.tobytes() == b.tobytes()
+
+
+def scalar_random_params(n: int, rng: RngState) -> CcskParams:
+    """random_params drawn one uniform or gaussian at a time."""
+    thetas = np.array([math.pi * (1.0 - 2.0 * rng.uniform()) for _ in range(n)])
+    cols = []
+    for j in range(2, n + 1):
+        rho = (math.pi / 2.0) * rng.uniform()
+        g = complex_gaussian_vector(rng, j - 1)
+        norm = np.linalg.norm(g)
+        direction = g / norm if norm > 0 else np.eye(j - 1, dtype=np.complex128)[0]
+        cols.append(rho * direction)
+    return CcskParams(thetas, tuple(cols))
 
 
 class TestRandomUnitary:

@@ -9,6 +9,8 @@ from ccsk.linalg import frobenius_norm, unitarity_defect
 from ccsk.params import CcskParams
 from ccsk.special import euler2_factorize, projector_form
 
+from conftest import complex_gaussian_vector
+
 
 def compose2(theta1, theta2, z):
     return compose(CcskParams(np.array([theta1, theta2]), (np.array([z]),)))
@@ -85,7 +87,7 @@ class TestProjectorForm:
         assert pp.rho == pytest.approx(0.7)
 
     def test_projector_algebra(self, rng):
-        z = rng.complex_gaussian_vector(4)
+        z = complex_gaussian_vector(rng, 4)
         pp = projector_form(z)
         assert frobenius_norm(pp.p0 @ pp.p0 - pp.p0) <= 1e-13
         assert frobenius_norm(pp.p1 @ pp.p1 - pp.p1) <= 1e-13
@@ -93,7 +95,7 @@ class TestProjectorForm:
         assert frobenius_norm(pp.p0 + pp.p1 - np.eye(4)) <= 1e-13
 
     def test_matches_exp_k_leading_block(self, rng):
-        z = rng.complex_gaussian_vector(4)
+        z = complex_gaussian_vector(rng, 4)
         pp = projector_form(z)
         rho = pp.rho
         direct = np.eye(4) - (1 - math.cos(rho)) * pp.p1
