@@ -19,10 +19,18 @@ splitting the block as [A | b] with b its last column:
     w = A z,   A -= (a w + sigma b) z^H,   b <- cos(rho) b + sigma w
 
 (the signs of the sigma terms flip for F_j^H). ``compose`` starts from the
-phases and applies F_2 ... F_n in turn, sum_j j^2 ~ n^3/3 work in all;
+phases and applies F_2 ... F_n, sum_j j^2 ~ n^3/3 work in all;
 ``decompose`` peels with the adjoints. ``exp_k`` and ``exp_column_factor``
 build the factor matrices themselves, as references for tests and
 ``ccsk compare``.
+
+One factor at a time is matrix-vector work. At large n, k consecutive
+factors are combined into one update I + W T W^H, with W = [Z | E] the k z
+columns and the k unit vectors e_j, and T a 2k x 2k matrix (the compact WY
+form of Schreiber and Van Loan, SIAM J. Sci. Stat. Comput. 10, 1989, here
+for rank-2 factors). Applying it is two matrix-matrix products. ``compose``
+applies the first factors one at a time and the rest in blocks of _NB;
+``decompose`` peels in panels of _NB rows (see the constants below).
 """
 
 from __future__ import annotations
@@ -46,6 +54,18 @@ __all__ = [
 # Below this norm, sin(rho)/rho and (1-cos(rho))/rho^2 are used directly on z
 # instead of normalizing; removes the 0/0 in ztilde without a discontinuity.
 _RHO_TINY = 1e-14
+
+# compose applies F_2 ... F_b one at a time and the rest in blocks of _NB
+# consecutive factors, with b = _NX + (n - _NX) % _NB (b = n below
+# _NX + _NB); decompose peels panels of _NB rows while at least _NX_PEEL rows
+# remain above the panel. A block of _NB factors costs one fixed ~0.1 ms set-up
+# (its T matrix) and saves the per-factor calls, so compose gains from
+# n = 64 on. decompose still reads and peels each panel row on its own, so
+# only the flops move into the block: even near n = 96, a gain from about 128.
+# Measured at n = 32 ... 512 with one BLAS thread; see CHANGES.md.
+_NB = 32
+_NX = 32
+_NX_PEEL = 64
 
 
 def k_matrix(z) -> np.ndarray:
@@ -128,9 +148,67 @@ def apply_factor(u: np.ndarray, z: np.ndarray, j: int, *, inverse: bool = False)
     b += sigma * w
 
 
+def _compact_form(zs) -> tuple[np.ndarray, np.ndarray]:
+    """F_{j0} ... F_{j1} = I + W T W^H on the leading j1 x j1 block.
+
+    zs are the k consecutive columns z_{j0} ... z_{j1}. W = [Z | E], where Z
+    (returned, j1 x k) holds the z columns padded with zeros and E the unit
+    columns e_{j0} ... e_{j1}, the last k of the block; T is 2k x 2k. This is
+    the compact WY form of Schreiber and Van Loan (SIAM J. Sci. Stat. Comput.
+    10, 1989) for rank-2 factors: F_i alone is I + [z_i e_i] C_i [z_i e_i]^H
+    with the core C_i = [[-a, sigma], [-sigma, cos(rho) - 1]] (a and sigma as
+    in ``apply_factor``), and T = (I - M L)^{-1} M, where M holds the cores
+    and L the inner products z_i^H z_l and e_i^H z_l that couple F_i to a
+    later F_l (z_i^H e_l and e_i^H e_l vanish). In the [Z | E] order I - M L
+    is block lower triangular with the unit upper triangular I - P on its
+    leading block, so one triangular solve gives T.
+    """
+    k = len(zs)
+    j1 = zs[-1].shape[0] + 1
+    z = np.zeros((j1, k), dtype=np.complex128)
+    for i, zi in enumerate(zs):
+        z[:zi.shape[0], i] = zi
+    g = z.conj().T @ z
+    rho2 = g.diagonal().real
+    rho = np.sqrt(rho2)
+    sigma = np.sinc(rho / np.pi)
+    a = 0.5 * np.sinc(rho / (2.0 * np.pi)) ** 2
+    cm1 = -a * rho2  # cos(rho) - 1 without the cancellation
+    lz = np.triu(g, 1)
+    le = np.triu(z[j1 - k:], 1)
+    # M L = [[P, 0], [Q, 0]]: row i of P and Q is the core C_i times the
+    # couplings (lz, le) of F_i.
+    p = -a[:, None] * lz + sigma[:, None] * le
+    q = -sigma[:, None] * lz + cm1[:, None] * le
+    top = np.linalg.solve(np.eye(k) - p, np.hstack((np.diag(-a), np.diag(sigma))))
+    t = np.vstack((top, q @ top + np.hstack((np.diag(-sigma), np.diag(cm1)))))
+    return z, t
+
+
+def _apply_factors(a: np.ndarray, zs, *, inverse: bool = False) -> None:
+    """a <- a @ F_{j0} ... F_{j1} (or @ its adjoint with ``inverse``), in place.
+
+    zs are the k consecutive columns z_{j0} ... z_{j1} and a has j1 columns.
+    With Y = [a Z, a E] T, a += Y_Z Z^H and a E += Y_E: two products of
+    size rows x j1 x k, and the E half costs no flops.
+    """
+    k = len(zs)
+    z, t = _compact_form(zs)
+    if inverse:
+        t = t.conj().T
+    e = a[:, -k:]
+    y = np.hstack((a @ z, e)) @ t
+    a += y[:, :k] @ z.conj().T
+    e += y[:, k:]
+
+
 def compose(p: CcskParams) -> np.ndarray:
     """Ordered product: diagonal phases, then the column factors j = 2..n."""
     u = exp_diagonal(p.thetas)
-    for j in range(2, p.n + 1):
+    n = p.n
+    b = min(n, _NX + (n - _NX) % _NB)
+    for j in range(2, b + 1):
         apply_factor(u, p.z_column(j), j)
+    for j1 in range(b + _NB, n + 1, _NB):
+        _apply_factors(u[:j1, :j1], p.z_columns[j1 - _NB - 1:j1 - 1])
     return u

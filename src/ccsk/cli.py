@@ -8,6 +8,7 @@ failure, 64 usage error. Results go to stdout, diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .blockexp import compose, exp_k, k_matrix
@@ -34,6 +35,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _tolerance(text: str) -> float:
+    """argparse type for --tol: a finite number in (0, 1)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 < value < 1.0:  # also false for nan
+        raise argparse.ArgumentTypeError(f"must be a number in (0, 1), got {text!r}")
+    return value
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="ccsk",
                 description="Compose and decompose unitary matrices via "
@@ -47,12 +59,12 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("decompose", help="unitary matrix file -> params file")
     sp.add_argument("-i", "--input", required=True, help="matrix file (JSON)")
     sp.add_argument("-o", "--output", required=True, help="params file to write")
-    sp.add_argument("--tol", type=float, default=VERIFY_TOL,
+    sp.add_argument("--tol", type=_tolerance, default=VERIFY_TOL,
                     help="per-dimension unitarity tolerance (default %(default)g)")
 
     sp = sub.add_parser("verify", help="print the unitarity defect of a matrix")
     sp.add_argument("-i", "--input", required=True, help="matrix file (JSON)")
-    sp.add_argument("--tol", type=float, default=VERIFY_TOL,
+    sp.add_argument("--tol", type=_tolerance, default=VERIFY_TOL,
                     help="per-dimension pass threshold (default %(default)g)")
 
     sp = sub.add_parser("random", help="write a seeded random params/matrix file")
@@ -71,7 +83,7 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("roundtrip", help="decompose-then-compose error of a matrix")
     sp.add_argument("-i", "--input", required=True, help="matrix file (JSON)")
-    sp.add_argument("--tol", type=float, default=VERIFY_TOL,
+    sp.add_argument("--tol", type=_tolerance, default=VERIFY_TOL,
                     help="per-dimension unitarity tolerance (default %(default)g)")
     return p
 

@@ -10,6 +10,13 @@ and ztilde_j directly; multiplying by the factor's adjoint (in place, with
 rho_j is read as atan2(||off-diagonal row||, |pivot|) and ztilde_j as the row
 over its own norm, so angles near 0 come back to full relative precision
 (acos of the pivot would lose every angle below about sqrt(eps)).
+
+Reading row j needs only row j itself to be up to date. So while at least
+blockexp._NX_PEEL rows remain above it, the peel works in a panel of
+blockexp._NB rows: each factor is applied at once to the panel rows alone,
+and the rows above the panel take all the panel's factors in one aggregated
+block, the adjoint of I + W T W^H (the compact WY form, see ``blockexp``),
+as matrix-matrix products. Otherwise the panel is the whole remaining block.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockexp import apply_factor, compose
+from .blockexp import _NB, _NX_PEEL, _apply_factors, apply_factor, compose
 from .linalg import frobenius_norm, unitarity_defect
 from .params import CcskParams
 
@@ -86,26 +93,39 @@ def decompose(u: np.ndarray, opts: DecomposeOptions | None = None) -> CcskParams
     m = u.copy()
     thetas = np.zeros(n)
     cols: list[np.ndarray] = []  # z_n, z_{n-1}, ..., z_2
-    for j in range(n, 1, -1):
-        pivot = m[j - 1, j - 1]
-        row = m[j - 1, : j - 1]
-        c = abs(pivot)
-        s = frobenius_norm(row)
-        rho = math.atan2(s, c)
-        theta = cmath.phase(pivot) if c > opts.zero_tol else 0.0
-        phase = cmath.exp(1j * theta)
-        z = row.conj() * (-phase * rho / s) if s else np.zeros(j - 1, dtype=np.complex128)
-        # cmath.phase can return exactly -pi (e.g. a -0.0 imaginary part); wrap
-        # onto the half-open interval so output is always canonical.
-        thetas[j - 1] = _wrap_theta(theta)
-        cols.append(z)
-
-        apply_factor(m, z, j, inverse=True)
-        # The peeled row/column must now be e^{i theta} * e_j.
-        off = max(frobenius_norm(m[j - 1, : j - 1]), frobenius_norm(m[: j - 1, j - 1]))
-        residue = math.hypot(off, abs(m[j - 1, j - 1] - phase))
-        if residue > _PEEL_RESIDUE_FACTOR * gate:
-            raise PeelConsistencyError(j, residue)
+    top = n  # rows and columns from index top on are peeled
+    while top > 1:
+        # The panel is rows lo..top-1. Each peel updates the panel rows at
+        # once, so the next row is read in full; the rows above the panel
+        # take the panel's factors together, as one aggregated block.
+        lo = top - _NB if top - _NB >= _NX_PEEL else 0
+        panel = range(top, max(lo, 1), -1)
+        phases = []
+        for j in panel:
+            pivot = m[j - 1, j - 1]
+            row = m[j - 1, : j - 1]
+            c = abs(pivot)
+            s = frobenius_norm(row)
+            rho = math.atan2(s, c)
+            theta = cmath.phase(pivot) if c > opts.zero_tol else 0.0
+            phase = cmath.exp(1j * theta)
+            z = row.conj() * (-phase * rho / s) if s else np.zeros(j - 1, dtype=np.complex128)
+            # cmath.phase can return exactly -pi (e.g. a -0.0 imaginary part);
+            # wrap onto the half-open interval so output is always canonical.
+            thetas[j - 1] = _wrap_theta(theta)
+            cols.append(z)
+            phases.append(phase)
+            apply_factor(m[lo:j], z, j, inverse=True)
+        if lo:
+            _apply_factors(m[:lo, :top], cols[-len(panel):][::-1], inverse=True)
+        # The peeled row/column must now be e^{i theta} * e_j. Later peels
+        # touch neither, so each column is checked once the block is applied.
+        for j, phase in zip(panel, phases):
+            off = max(frobenius_norm(m[j - 1, : j - 1]), frobenius_norm(m[: j - 1, j - 1]))
+            residue = math.hypot(off, abs(m[j - 1, j - 1] - phase))
+            if residue > _PEEL_RESIDUE_FACTOR * gate:
+                raise PeelConsistencyError(j, residue)
+        top = lo
     thetas[0] = _wrap_theta(cmath.phase(m[0, 0]))
     return CcskParams(thetas, tuple(reversed(cols)))
 

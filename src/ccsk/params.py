@@ -84,15 +84,27 @@ class CcskParams:
         return all(np.linalg.norm(z) <= math.pi / 2 + 1e-15 for z in self.z_columns)
 
 
+def _strictly_lower(n: int) -> np.ndarray:
+    """Mask of the strict lower triangle. For an n x n x, x.T[mask] lists the
+    strict upper triangle column by column: z_2, z_3, ..., z_n laid end to
+    end; x[mask] lists the lower triangle row by row, in the same order."""
+    return np.tri(n, k=-1, dtype=bool)
+
+
+def _split_columns(flat: np.ndarray, n: int) -> tuple:
+    """z_2 ... z_n from their entries laid end to end (views into flat)."""
+    # z_{k+1} has k entries and starts after the 1 + 2 + ... + (k-1) before it.
+    return tuple(flat[k * (k - 1) // 2:k * (k + 1) // 2] for k in range(1, n))
+
+
 def assemble_generator(p: CcskParams) -> np.ndarray:
     """Anti-Hermitian n x n matrix: i*theta diagonal, z columns above, -conj below."""
-    n = p.n
-    x = np.zeros((n, n), dtype=np.complex128)
-    x[np.diag_indices(n)] = 1j * p.thetas
-    for j in range(2, n + 1):
-        z = p.z_column(j)
-        x[: j - 1, j - 1] = z
-        x[j - 1, : j - 1] = -z.conj()
+    x = np.diag(1j * p.thetas)
+    if p.n > 1:
+        z = np.concatenate(p.z_columns)
+        lower = _strictly_lower(p.n)
+        x.T[lower] = z
+        x[lower] = -z.conj()
     return x
 
 
@@ -138,5 +150,4 @@ def params_from_generator(x: np.ndarray) -> CcskParams:
         raise ValueError(
             f"generator diagonal has real part up to {worst:.3e}; not in u(n)")
     thetas = diag.imag.copy()
-    cols = tuple(x[: j - 1, j - 1].copy() for j in range(2, n + 1))
-    return CcskParams(thetas, cols)
+    return CcskParams(thetas, _split_columns(x.T[_strictly_lower(n)], n))

@@ -26,7 +26,7 @@ from itertools import chain
 import numpy as np
 
 from .linalg import as_cmatrix
-from .params import CcskParams
+from .params import CcskParams, _split_columns
 
 __all__ = [
     "ParseError",
@@ -139,10 +139,8 @@ def params_from_doc(doc) -> CcskParams:
         raise ParseError(f'field "z" must be a list of {n - 1} columns')
     flat = _read_pairs(zs, list(range(1, n)), "z",
                        lambda k: f"z[{k}]: expected {k + 1} entries (column j={k + 2})")
-    # Column j = k + 2 starts after the 1 + 2 + ... + k pairs before it.
-    cols = np.split(flat, [k * (k + 1) // 2 for k in range(1, n - 1)]) if n > 1 else []
     try:
-        return CcskParams(np.array(thetas, dtype=np.float64), tuple(cols))
+        return CcskParams(np.array(thetas, dtype=np.float64), _split_columns(flat, n))
     except (ValueError, OverflowError) as exc:
         raise ParseError(str(exc)) from exc
 

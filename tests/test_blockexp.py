@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from ccsk.blockexp import (apply_factor, compose, exp_column_factor,
-                           exp_diagonal, exp_k, k_matrix)
+from ccsk.blockexp import (_NB, _NX, _compact_form, apply_factor, compose,
+                           exp_column_factor, exp_diagonal, exp_k, k_matrix)
 from ccsk.linalg import frobenius_norm, unitarity_defect
 from ccsk.oracle import RngState, expm, random_params
 from ccsk.params import CcskParams, assemble_generator
@@ -146,6 +146,36 @@ class TestApplyFactor:
         assert np.max(np.abs(got - u)) <= 1e-13
 
 
+class TestCompactForm:
+    # F_{j0} ... F_{j1} = I + W T W^H with W = [Z | E], E the last k unit columns.
+    @pytest.mark.parametrize("j0, j1", [(2, 2), (2, 6), (5, 5), (4, 9)])
+    def test_matches_dense_product(self, rng, j0, j1):
+        zs = [random_z(rng, j - 1) for j in range(j0, j1 + 1)]
+        if len(zs) >= 3:
+            zs[0] = np.zeros(j0 - 1, dtype=complex)
+            zs[-1] *= (math.pi / 2) / np.linalg.norm(zs[-1])
+        want = np.eye(j1, dtype=complex)
+        for j, z in zip(range(j0, j1 + 1), zs):
+            want = want @ exp_column_factor(z, j1, j)
+        z, t = _compact_form(zs)
+        w = np.hstack((z, np.eye(j1, dtype=complex)[:, j0 - 1:]))
+        assert np.max(np.abs(np.eye(j1) + w @ t @ w.conj().T - want)) <= 1e-14
+
+
+def single_factor_compose(p: CcskParams) -> np.ndarray:
+    """The ordered product with every factor applied on its own."""
+    u = exp_diagonal(p.thetas)
+    for j in range(2, p.n + 1):
+        apply_factor(u, p.z_column(j), j)
+    return u
+
+
+def compose_blocks(n: int) -> list:
+    """The (first, last) factor of each block compose aggregates."""
+    b = min(n, _NX + (n - _NX) % _NB)
+    return [(j1 - _NB + 1, j1) for j1 in range(b + _NB, n + 1, _NB)]
+
+
 def dense_compose(p: CcskParams) -> np.ndarray:
     """The ordered product built from explicit n x n factor matrices."""
     u = exp_diagonal(p.thetas)
@@ -192,6 +222,21 @@ class TestCompose:
                 cols[j - 2] = rho * d / np.linalg.norm(d)
             p = CcskParams(p.thetas, tuple(cols))
         assert frobenius_norm(compose(p) - dense_compose(p)) <= 1e-13 * n
+
+    @pytest.mark.parametrize("shift", [0, 1, 2])
+    @pytest.mark.parametrize("n", [_NX + _NB - 1, _NX + _NB, _NX + _NB + 1,
+                                   _NX + 2 * _NB + 1, 200])
+    def test_aggregated_blocks_match_single_factors(self, rng, n, shift):
+        # rho = 0, tiny and pi/2 at the first, middle and last factor of each
+        # aggregated block, in turn.
+        p = random_params(n, rng)
+        cols = list(p.z_columns)
+        for j0, j1 in compose_blocks(n):
+            for j, rho in zip((j0, (j0 + j1) // 2, j1), np.roll([0.0, 1e-12, math.pi / 2], shift)):
+                d = random_z(rng, j - 1)
+                cols[j - 2] = rho * d / np.linalg.norm(d)
+        p = CcskParams(p.thetas, tuple(cols))
+        assert frobenius_norm(compose(p) - single_factor_compose(p)) <= 1e-13 * n
 
     def test_unitarity_sweep(self, rng):
         for n in (1, 2, 5, 16):

@@ -211,3 +211,30 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             run("verify")
         assert exc.value.code == 64
+
+
+class TestToleranceOption:
+    # --tol must be a finite number in (0, 1): nan once passed every matrix
+    # (defect > nan is false) and -1 or 0 failed every one.
+    @pytest.mark.parametrize("command", ["verify", "decompose", "roundtrip"])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0", "1"])
+    def test_bad_value_exit_64(self, tmp_path, capsys, command, tol):
+        path = tmp_path / "u.json"
+        write_matrix(path, np.eye(2, dtype=complex))
+        argv = [command, "-i", path, "--tol", tol]
+        if command == "decompose":
+            argv += ["-o", tmp_path / "p.json"]
+        with pytest.raises(SystemExit) as exc:
+            run(*argv)
+        assert exc.value.code == 64
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ") and "--tol" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["verify", "decompose", "roundtrip"])
+    def test_good_value_accepted(self, tmp_path, command):
+        path = tmp_path / "u.json"
+        write_matrix(path, np.eye(2, dtype=complex))
+        argv = [command, "-i", path, "--tol", "1e-8"]
+        if command == "decompose":
+            argv += ["-o", tmp_path / "p.json"]
+        assert run(*argv) == 0

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccsk.blockexp import compose
+from ccsk.blockexp import _NB, _NX_PEEL, compose
 from ccsk.decompose import (DecomposeOptions, decompose, normalize_thetas,
                             roundtrip_error)
 from ccsk.linalg import frobenius_norm, unitarity_defect
@@ -111,6 +111,16 @@ def assert_params_back(p: CcskParams, q: CcskParams, tol: float):
         np.testing.assert_allclose(q.z_column(j), p.z_column(j), rtol=0, atol=tol)
 
 
+def peel_panels(n: int) -> list:
+    """(first, last) row that decompose peels in each of its panels."""
+    panels, top = [], n
+    while top > 1:
+        lo = top - _NB if top - _NB >= _NX_PEEL else 0
+        panels.append((top, max(lo + 1, 2)))
+        top = lo
+    return panels
+
+
 class TestChartEdges:
     # Below about sqrt(eps), cos(rho) rounds to 1, so a rho_j read from the
     # pivot alone is lost. rho_j in (1e-9, 1.5e-8] is where that once made the
@@ -156,6 +166,28 @@ class TestChartEdges:
         q0 = decompose(compose(p0))
         assert params_close(p0, q0, 1e-13 * n)
 
+    @pytest.mark.parametrize("first, last", [(math.pi / 2, 0.0), (0.0, math.pi / 2)])
+    @pytest.mark.parametrize("n", [_NX_PEEL + _NB - 1, _NX_PEEL + _NB, _NX_PEEL + _NB + 1, 200])
+    def test_panel_edge_rows(self, n, first, last):
+        # rho = pi/2 (theta_j := 0 fires) and rho = 0 (z_j := 0) on the first
+        # and the last row peeled in each panel. theta_j is 0 wherever rho_j
+        # is pi/2, so every parameter is defined and must come back.
+        p = generic_params(n, n)
+        thetas, cols = p.thetas.copy(), list(p.z_columns)
+        for top, bottom in peel_panels(n):
+            for j, rho in ((top, first), (bottom, last)):
+                if rho:
+                    cols[j - 2] *= rho / np.linalg.norm(cols[j - 2])
+                    thetas[j - 1] = 0.0
+                else:
+                    cols[j - 2] = np.zeros(j - 1, dtype=complex)
+        p = CcskParams(thetas, tuple(cols))
+        u = compose(p)
+        q = decompose(u)
+        assert q.is_canonical()
+        assert frobenius_norm(compose(q) - u) <= 1e-13 * n
+        assert params_close(p, q, 1e-13 * n)
+
     def test_near_identity(self):
         # expm(eps X) agrees with the product map to O(eps^2), so its
         # parameters are those of eps X to about 1e-18.
@@ -188,13 +220,14 @@ def perturbed(u: np.ndarray, kind: int, size: float, seed: int) -> np.ndarray:
 class TestInsideTheGate:
     # decompose accepts every input whose unitarity defect is within
     # unitarity_tol * n; the peel must then not reject it either.
-    def test_scaled_last_row_n128(self):
-        u = compose(random_params(128, RngState(1)))
-        u[-1] *= 1 + 2.56e-9
-        gate = DecomposeOptions().unitarity_tol * 128
+    @pytest.mark.parametrize("n", [128, 200])
+    def test_scaled_last_row(self, n):
+        u = compose(random_params(n, RngState(1)))
+        gate = DecomposeOptions().unitarity_tol * n
+        u[-1] *= 1 + 0.2 * gate
         assert 0.39 * gate <= unitarity_defect(u) <= 0.41 * gate
         q = decompose(u)
-        assert frobenius_norm(compose(q) - u) <= 1e-9 * 128
+        assert frobenius_norm(compose(q) - u) <= 1e-9 * n
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(n=st.integers(2, 128), kind=st.integers(0, 3), seed=st.integers(0, 2**32 - 1),

@@ -40,6 +40,16 @@ class TestAssembleGenerator:
         x = assemble_generator(random_params(3, rng))
         assert anti_hermiticity_defect(x) <= 1e-15
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 128])
+    def test_bit_identical_to_column_loop(self, rng, n):
+        p = random_params(n, rng)
+        want = np.zeros((n, n), dtype=np.complex128)
+        want[np.diag_indices(n)] = 1j * p.thetas
+        for j in range(2, n + 1):
+            want[: j - 1, j - 1] = p.z_column(j)
+            want[j - 1, : j - 1] = -p.z_column(j).conj()
+        assert assemble_generator(p).tobytes() == want.tobytes()
+
 
 class TestSplitGenerator:
     def test_diagonal_input(self):
@@ -84,6 +94,17 @@ class TestParamsFromGenerator:
         np.testing.assert_array_equal(q.thetas, p.thetas)
         for a, b in zip(q.z_columns, p.z_columns):
             np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 128])
+    def test_bit_identical_to_column_loop(self, rng, n):
+        # The lower triangle is off by roundoff: only the upper one is read.
+        x = assemble_generator(random_params(n, rng))
+        x[np.tril_indices(n, -1)] *= 1 + 1e-15
+        q = params_from_generator(x)
+        assert q.thetas.tobytes() == x.diagonal().imag.tobytes()
+        assert len(q.z_columns) == n - 1
+        for j in range(2, n + 1):
+            assert q.z_column(j).tobytes() == x[: j - 1, j - 1].tobytes()
 
     def test_generator_roundtrip(self, rng):
         x = assemble_generator(random_params(4, rng))
