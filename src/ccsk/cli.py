@@ -103,7 +103,7 @@ def _cmd_decompose(args) -> int:
     write_params(args.output, p)
     err = frobenius_norm(compose(p) - u)
     print(f"roundtrip_error {err:.17e}")
-    if err > ROUNDTRIP_TOL * p.n:
+    if not err <= ROUNDTRIP_TOL * p.n:
         print(f"roundtrip error exceeds {ROUNDTRIP_TOL * p.n:.3e}", file=sys.stderr)
         return EXIT_TOLERANCE
     return EXIT_OK
@@ -113,7 +113,7 @@ def _cmd_verify(args) -> int:
     u = read_matrix(args.input)
     defect = unitarity_defect(u)
     print(f"unitarity_defect {defect:.17e}")
-    if defect > args.tol * u.shape[0]:
+    if not defect <= args.tol * u.shape[0]:
         return EXIT_TOLERANCE
     return EXIT_OK
 
@@ -153,7 +153,7 @@ def _cmd_roundtrip(args) -> int:
     u = read_matrix(args.input)
     err = roundtrip_error(u, DecomposeOptions(unitarity_tol=args.tol))
     print(f"roundtrip_error {err:.17e}")
-    if err > ROUNDTRIP_TOL * u.shape[0]:
+    if not err <= ROUNDTRIP_TOL * u.shape[0]:
         return EXIT_TOLERANCE
     return EXIT_OK
 

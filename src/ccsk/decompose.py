@@ -76,17 +76,22 @@ def decompose(u: np.ndarray, opts: DecomposeOptions | None = None) -> CcskParams
 
     Output ranges: theta in (-pi, pi], ||z_j|| in [0, pi/2]. When a pivot
     magnitude vanishes the phase convention theta_j := 0 applies; when the
-    off-diagonal part of row j is exactly zero, so is z_j.
+    off-diagonal part of row j is exactly zero, so is z_j. An input with a
+    nan or inf entry is refused (ValueError) before any arithmetic.
     """
     if opts is None:
         opts = DecomposeOptions()
     u = np.asarray(u, dtype=np.complex128)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"decompose requires a square matrix, got {u.shape}")
+    # A nan or inf entry makes the norm nan or inf; the norm costs one BLAS
+    # call, less than isfinite on small matrices.
+    if not math.isfinite(frobenius_norm(u)) and not np.isfinite(u).all():
+        raise ValueError("decompose requires finite entries; u contains nan or inf")
     n = u.shape[0]
     gate = opts.unitarity_tol * n
     defect = unitarity_defect(u)
-    if defect > gate:
+    if not defect <= gate:
         raise ValueError(
             f"input is not unitary: defect {defect:.3e} exceeds {gate:.3e}")
 
@@ -123,7 +128,7 @@ def decompose(u: np.ndarray, opts: DecomposeOptions | None = None) -> CcskParams
         for j, phase in zip(panel, phases):
             off = max(frobenius_norm(m[j - 1, : j - 1]), frobenius_norm(m[: j - 1, j - 1]))
             residue = math.hypot(off, abs(m[j - 1, j - 1] - phase))
-            if residue > _PEEL_RESIDUE_FACTOR * gate:
+            if not residue <= _PEEL_RESIDUE_FACTOR * gate:
                 raise PeelConsistencyError(j, residue)
         top = lo
     thetas[0] = _wrap_theta(cmath.phase(m[0, 0]))

@@ -27,6 +27,19 @@ __all__ = [
 # Per-dimension tolerance on ||X† + X||_F for a matrix accepted as a generator.
 GENERATOR_DEFECT_TOL = 1e-12
 
+# Largest |Re x_kk| that params_from_generator accepts on a generator's
+# diagonal, whose real parts must vanish in u(n). It bounds each entry on its
+# own, so unlike GENERATOR_DEFECT_TOL (a Frobenius norm over n^2 entries) it
+# does not scale with n.
+_DIAG_REAL_TOL = 1e-12
+
+# Slack in is_canonical's test ||z_j|| <= pi/2, for the rounding of the norm of
+# a column drawn at rho = pi/2 exactly. An ulp at pi/2 is 2.2e-16, so the slack
+# is 4.5 ulps. The rounding grows slowly with the column length j - 1: at most
+# 2 ulps up to length 100, 3 at 1000 and 7 at 4000 over 300 random directions
+# each. So the fixed slack covers n up to about 1000, not beyond.
+_CANONICAL_RHO_SLACK = 1e-15
+
 
 @dataclass(frozen=True)
 class CcskParams:
@@ -81,7 +94,8 @@ class CcskParams:
         """theta in (-pi, pi] and each ||z_j|| in [0, pi/2]."""
         if np.any(self.thetas <= -math.pi) or np.any(self.thetas > math.pi):
             return False
-        return all(np.linalg.norm(z) <= math.pi / 2 + 1e-15 for z in self.z_columns)
+        return all(np.linalg.norm(z) <= math.pi / 2 + _CANONICAL_RHO_SLACK
+                   for z in self.z_columns)
 
 
 def _strictly_lower(n: int) -> np.ndarray:
@@ -112,9 +126,11 @@ def _check_generator(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.complex128)
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
         raise ValueError(f"generator must be square, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError("generator contains non-finite entries (nan or inf)")
     n = x.shape[0]
     defect = anti_hermiticity_defect(x)
-    if defect > GENERATOR_DEFECT_TOL * n:
+    if not defect <= GENERATOR_DEFECT_TOL * n:
         raise ValueError(
             f"matrix is not anti-Hermitian: defect {defect:.3e} exceeds "
             f"{GENERATOR_DEFECT_TOL * n:.3e}")
@@ -145,7 +161,7 @@ def params_from_generator(x: np.ndarray) -> CcskParams:
     x = _check_generator(x)
     n = x.shape[0]
     diag = np.diag(x)
-    if np.any(np.abs(diag.real) > 1e-12):
+    if not np.all(np.abs(diag.real) <= _DIAG_REAL_TOL):
         worst = float(np.max(np.abs(diag.real)))
         raise ValueError(
             f"generator diagonal has real part up to {worst:.3e}; not in u(n)")

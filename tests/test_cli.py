@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -198,6 +199,26 @@ class TestBoolIsNotANumber:
         assert run(*argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+        assert not (tmp_path / "out.json").exists()
+
+
+class TestNonFiniteEntries:
+    # json.load reads NaN, Infinity and -Infinity; every command that reads a
+    # matrix file must refuse them with an error line (exit 1).
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("command", ["verify", "decompose", "roundtrip", "expm"])
+    def test_exit_1_with_error_line(self, tmp_path, capsys, command, literal):
+        path = tmp_path / "in.json"
+        path.write_text('{"type": "cmatrix", "n": 2, "rows": '
+                        '[[[1, 0], [0, 0]], [[0, 0], [1, %s]]]}' % literal)
+        argv = [command, "-i", path]
+        if command in ("decompose", "expm"):
+            argv += ["-o", tmp_path / "out.json"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "non-finite" in err
         assert not (tmp_path / "out.json").exists()
 
 

@@ -13,6 +13,8 @@ from ccsk.linalg import frobenius_norm, unitarity_defect
 from ccsk.oracle import RngState, expm, random_params, random_unitary
 from ccsk.params import CcskParams, assemble_generator, params_from_generator
 
+from conftest import NON_FINITE_MATRICES, rejects_non_finite
+
 
 def params_close(a: CcskParams, b: CcskParams, tol: float) -> bool:
     if a.n != b.n or np.max(np.abs(a.thetas - b.thetas)) > tol:
@@ -271,6 +273,20 @@ class TestDegenerateInputs:
         p = decompose(u)
         assert p.is_canonical()
         assert frobenius_norm(compose(p) - u) <= 1e-14
+
+
+class TestNonFiniteInput:
+    # The defect of such a matrix is nan, which passed the gate `defect > gate`;
+    # the peel then ran on nan and CcskParams blamed the thetas.
+    @pytest.mark.parametrize("name", sorted(NON_FINITE_MATRICES))
+    def test_decompose_rejects(self, name):
+        with rejects_non_finite("decompose requires finite entries"):
+            decompose(NON_FINITE_MATRICES[name])
+
+    @pytest.mark.parametrize("name", sorted(NON_FINITE_MATRICES))
+    def test_roundtrip_error_rejects(self, name):
+        with rejects_non_finite("decompose requires finite entries"):
+            roundtrip_error(NON_FINITE_MATRICES[name])
 
 
 class TestNormalizeThetas:

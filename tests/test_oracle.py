@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -6,10 +7,11 @@ import pytest
 from ccsk.blockexp import compose
 from ccsk.decompose import roundtrip_error
 from ccsk.linalg import frobenius_norm, unitarity_defect
-from ccsk.oracle import RngState, expm, random_params, random_unitary
+from ccsk.oracle import RngState, _taylor_degree, expm, random_params, random_unitary
 from ccsk.params import CcskParams, assemble_generator
 
-from conftest import complex_gaussian_vector
+from conftest import (NON_FINITE_MATRICES, complex_gaussian_vector,
+                      random_complex_matrix, rejects_non_finite)
 
 
 class TestRngState:
@@ -86,6 +88,144 @@ class TestExpm:
     def test_requires_square(self):
         with pytest.raises(ValueError, match="square"):
             expm(np.zeros((2, 3), dtype=complex))
+
+    @pytest.mark.parametrize("name", sorted(NON_FINITE_MATRICES))
+    def test_rejects_non_finite_entries(self, name):
+        with rejects_non_finite("finite entries"):
+            expm(NON_FINITE_MATRICES[name])
+
+    def test_rejects_a_norm_that_overflows(self):
+        with rejects_non_finite("overflows"):
+            expm(np.full((2, 2), 1e200, dtype=complex))
+
+
+def reference_expm(x: np.ndarray) -> np.ndarray:
+    """The term-by-term Taylor sum expm used before Paterson-Stockmeyer: same
+    scaling and squaring, but the series runs until a term is below 1e-18
+    of the partial sum (at most 40 terms)."""
+    x = np.asarray(x, dtype=np.complex128)
+    norm = frobenius_norm(x)
+    s = max(0, math.ceil(math.log2(norm / 0.5))) if norm > 0 else 0
+    a = x / (2.0 ** s)
+    n = x.shape[0]
+    result = np.eye(n, dtype=np.complex128)
+    term = np.eye(n, dtype=np.complex128)
+    for k in range(1, 41):
+        term = term @ a / k
+        result = result + term
+        if frobenius_norm(term) <= 1e-18 * frobenius_norm(result):
+            break
+    for _ in range(s):
+        result = result @ result
+    return result
+
+
+def with_norm(y: np.ndarray, target: float) -> np.ndarray:
+    """y scaled to Frobenius norm target. For a power of two the norm is made
+    exact: a diagonal entry's imaginary part takes up the rest of the
+    scaling's rounding (the largest first, the next if it cannot)."""
+    if target == 0.0:
+        return np.zeros_like(y)
+    x = y * (target / frobenius_norm(y))
+    if math.frexp(target)[0] != 0.5:
+        return x
+    for k in np.argsort(-np.abs(np.diag(x).imag)):
+        for _ in range(50):
+            norm = frobenius_norm(x)
+            if norm == target:
+                return x
+            im = x[k, k].imag
+            fixed = math.copysign(math.sqrt(max(0.0, im * im + target ** 2 - norm ** 2)), im)
+            if fixed == im:  # within rounding: step by an ulp
+                fixed = np.nextafter(im, math.copysign(math.inf, im) if norm < target else 0.0)
+            x[k, k] = complex(x[k, k].real, fixed)
+    raise AssertionError(f"no nudge of y has norm exactly {target}")
+
+
+ORACLE_DIMS = [1, 2, 3, 8, 33, 128]
+# 0.5 * 2^k sits on the scaling boundary: s = k and ||a||_F = 0.5 exactly.
+ORACLE_NORMS = [0.0, 1e-12, 0.5, 0.5 * 2 ** 2, 0.5 * 2 ** 5, 1.0, 50.0, 1e3]
+
+
+class TestExpmAgainstReference:
+    @pytest.mark.parametrize("norm", ORACLE_NORMS)
+    @pytest.mark.parametrize("n", ORACLE_DIMS)
+    def test_anti_hermitian(self, n, norm):
+        defects = []
+        for seed in range(10):
+            x = with_norm(assemble_generator(random_params(n, RngState(seed))), norm)
+            got, want = expm(x), reference_expm(x)
+            # e^x moves by about eps * ||x|| when x is rounded, so past
+            # ||x||_F = 100 either method's error grows with ||x||: at 1e3
+            # both are 2e-13 to 1.6e-12 away from the eigendecomposition's e^x.
+            assert frobenius_norm(got - want) <= 1e-13 * n * max(1.0, norm / 100)
+            defects.append([unitarity_defect(got), unitarity_defect(want)])
+        # Defects of a few ulps are noise: one input in twenty at n <= 8 has a
+        # defect over twice the loop's, either way round. So the means over
+        # ten seeds are compared, each defect counted as at least eps: at
+        # ||x||_F = 1e-12 the degree is 1 and the defect ||a^H a||_F is about
+        # 1e-24, where the loop's extra a^2/2 leaves 1e-28.
+        ours, loops = np.maximum(defects, np.finfo(float).eps).mean(axis=0)
+        assert ours <= 2 * loops
+
+    @pytest.mark.parametrize("norm", ORACLE_NORMS)
+    @pytest.mark.parametrize("n", ORACLE_DIMS)
+    def test_gaussian(self, n, norm):
+        # Shifted so that no eigenvalue has a positive real part: e^x then
+        # stays in range at ||x||_F = 1e3 (unshifted, n = 3 overflows).
+        g = random_complex_matrix(RngState(1000 + n), n, n)
+        g -= np.linalg.eigvals(g).real.max() * np.eye(n)
+        x = with_norm(g, norm)
+        got, want = expm(x), reference_expm(x)
+        assert frobenius_norm(got - want) <= 1e-12 * frobenius_norm(want)
+
+    @pytest.mark.parametrize("scale", [0.3, 1.0, 10.0])
+    @pytest.mark.parametrize("n", [2, 3, 8, 33])
+    def test_nilpotent_series_ends(self, n, scale):
+        g = np.triu(random_complex_matrix(RngState(2000 + n), n, n), 1)
+        nil = g * (scale / frobenius_norm(g))
+        want = np.eye(n, dtype=complex)
+        term = np.eye(n, dtype=complex)
+        for k in range(1, n):  # N^n = 0
+            term = term @ nil / k
+            want = want + term
+        got = expm(nil)
+        assert np.all(np.tril(got, -1) == 0)
+        assert frobenius_norm(got - want) <= 1e-15 * frobenius_norm(want)
+
+    # Each squaring doubles a scalar's relative error, so 1e-15 (4.5 ulps)
+    # is checked with at most one squaring, ||D||_F <= 1; larger norms are in
+    # the comparisons with the reference above.
+    @pytest.mark.parametrize("scale", [0.1, 0.5, 1.0])
+    @pytest.mark.parametrize("n", [1, 3, 8, 33])
+    def test_diagonal_is_scalar_exp(self, n, scale):
+        d = random_complex_matrix(RngState(3000 + n), 1, n)[0]
+        d *= scale / np.linalg.norm(d)
+        got = expm(np.diag(d))
+        want = np.diag([cmath.exp(v) for v in d])
+        assert np.all(got[~np.eye(n, dtype=bool)] == 0)
+        assert frobenius_norm(got - want) <= 1e-15 * frobenius_norm(want)
+
+
+def tail_bound(t: float, m: int) -> float:
+    """The bound on the Taylor tail of exp(a) past degree m, ||a||_F = t."""
+    return t ** (m + 1) / math.factorial(m + 1) / (1 - t / (m + 2))
+
+
+class TestTaylorDegree:
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 33, 128, 10 ** 6])
+    @pytest.mark.parametrize("t", [0.0, 1e-300, 1e-12, 1e-3, 0.1, 0.25, 0.3, 0.49, 0.5])
+    def test_smallest_degree_meeting_the_bound(self, t, n):
+        target = 1e-18 * (math.sqrt(n) - math.expm1(t))
+        m = _taylor_degree(t, n)
+        assert tail_bound(t, m) <= target
+        assert m == 0 or tail_bound(t, m - 1) > target
+
+    def test_known_degrees(self):
+        assert _taylor_degree(0.0, 1) == 0
+        assert _taylor_degree(1e-12, 1) == 1
+        assert _taylor_degree(0.5, 1) == 16
+        assert _taylor_degree(0.5, 256) <= 16
 
 
 class TestRandomParams:

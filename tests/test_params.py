@@ -6,6 +6,8 @@ from ccsk.oracle import random_params
 from ccsk.params import (CcskParams, assemble_generator, params_from_generator,
                          split_generator)
 
+from conftest import NON_FINITE_MATRICES, rejects_non_finite
+
 
 class TestCcskParams:
     def test_shape_validation(self):
@@ -117,3 +119,17 @@ class TestParamsFromGenerator:
         x = np.diag([1.4e-12 + 0.3j, 0.1j, -0.2j])
         with pytest.raises(ValueError, match="real part"):
             params_from_generator(x)
+
+
+class TestNonFiniteGenerator:
+    # nan passed the anti-Hermitian gate `defect > tol` and the diagonal check,
+    # and CcskParams then blamed a "vector".
+    @pytest.mark.parametrize("name", sorted(NON_FINITE_MATRICES))
+    def test_params_from_generator_rejects(self, name):
+        with rejects_non_finite("generator contains non-finite entries"):
+            params_from_generator(NON_FINITE_MATRICES[name])
+
+    @pytest.mark.parametrize("name", sorted(NON_FINITE_MATRICES))
+    def test_split_generator_rejects(self, name):
+        with rejects_non_finite("generator contains non-finite entries"):
+            split_generator(NON_FINITE_MATRICES[name])
