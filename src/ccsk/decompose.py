@@ -17,6 +17,17 @@ blockexp._NB rows: each factor is applied at once to the panel rows alone,
 and the rows above the panel take all the panel's factors in one aggregated
 block, the adjoint of I + W T W^H (the compact WY form, see ``blockexp``),
 as matrix-matrix products. Otherwise the panel is the whole remaining block.
+
+The unitarity gate (defect at most ``unitarity_tol * n``) is decided after the
+peel, from what it leaves: m = D + R with D = diag(e^{i theta_j}) and u = m Q
+for the unitary product Q of the peeled factors, so the defect of u is at most
+2 ||R||_F + ||R||_F^2 plus the peel's rounding. ||R||_F costs one pass over
+m - D. The input is accepted on that bound when it is at most half the gate,
+the other half being the allowance for rounding. Otherwise the exact defect
+||u^H u - I||_F is computed, and it decides. Only then are the peeled rows and
+columns checked for residue, in one pass, and only where ||R||_F, which bounds
+every residue, does not already clear them; so an input far from unitary is
+refused by the gate, not by the peel.
 """
 
 from __future__ import annotations
@@ -45,6 +56,12 @@ __all__ = [
 # gate also passes the peel (one row off by a factor 1 + e has defect 2e and
 # residue e).
 _PEEL_RESIDUE_FACTOR = 10.0
+
+# The rounding that the peel adds to the bound 2 ||R||_F + ||R||_F^2 on the
+# defect, as a multiple of n^{3/2}: the bound fell below the exact defect by
+# at most 0.07 eps n^{3/2} at n = 8 ... 1024. The bound decides alone only
+# where half the gate covers this allowance, 14 times the worst seen.
+_ROUNDING = 2.0 ** -52  # eps of float64
 
 
 @dataclass(frozen=True)
@@ -77,26 +94,29 @@ def decompose(u: np.ndarray, opts: DecomposeOptions | None = None) -> CcskParams
     Output ranges: theta in (-pi, pi], ||z_j|| in [0, pi/2]. When a pivot
     magnitude vanishes the phase convention theta_j := 0 applies; when the
     off-diagonal part of row j is exactly zero, so is z_j. An input with a
-    nan or inf entry is refused (ValueError) before any arithmetic.
+    nan or inf entry is refused (ValueError) before any arithmetic, and so
+    is one whose Frobenius norm overflows, as not unitary.
     """
     if opts is None:
         opts = DecomposeOptions()
     u = np.asarray(u, dtype=np.complex128)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"decompose requires a square matrix, got {u.shape}")
-    # A nan or inf entry makes the norm nan or inf; the norm costs one BLAS
-    # call, less than isfinite on small matrices.
-    if not math.isfinite(frobenius_norm(u)) and not np.isfinite(u).all():
-        raise ValueError("decompose requires finite entries; u contains nan or inf")
     n = u.shape[0]
     gate = opts.unitarity_tol * n
-    defect = unitarity_defect(u)
-    if not defect <= gate:
-        raise ValueError(
-            f"input is not unitary: defect {defect:.3e} exceeds {gate:.3e}")
+    # A nan or inf entry makes the norm nan or inf; the norm costs one BLAS
+    # call, less than isfinite on small matrices.
+    if not math.isfinite(frobenius_norm(u)):
+        if not np.isfinite(u).all():
+            raise ValueError("decompose requires finite entries; u contains nan or inf")
+        # Finite entries whose squares sum past the float range. So does the
+        # trace of u^H u, which that sum is: the defect overflows, and
+        # forming u^H u would only add an overflow warning.
+        raise _not_unitary(math.inf, gate)
 
     m = u.copy()
     thetas = np.zeros(n)
+    phases = []  # e^{i theta_j} for j = n, n-1, ..., 1
     cols: list[np.ndarray] = []  # z_n, z_{n-1}, ..., z_2
     top = n  # rows and columns from index top on are peeled
     while top > 1:
@@ -105,7 +125,6 @@ def decompose(u: np.ndarray, opts: DecomposeOptions | None = None) -> CcskParams
         # take the panel's factors together, as one aggregated block.
         lo = top - _NB if top - _NB >= _NX_PEEL else 0
         panel = range(top, max(lo, 1), -1)
-        phases = []
         for j in panel:
             pivot = m[j - 1, j - 1]
             row = m[j - 1, : j - 1]
@@ -123,16 +142,46 @@ def decompose(u: np.ndarray, opts: DecomposeOptions | None = None) -> CcskParams
             apply_factor(m[lo:j], z, j, inverse=True)
         if lo:
             _apply_factors(m[:lo, :top], cols[-len(panel):][::-1], inverse=True)
-        # The peeled row/column must now be e^{i theta} * e_j. Later peels
-        # touch neither, so each column is checked once the block is applied.
-        for j, phase in zip(panel, phases):
-            off = max(frobenius_norm(m[j - 1, : j - 1]), frobenius_norm(m[: j - 1, j - 1]))
-            residue = math.hypot(off, abs(m[j - 1, j - 1] - phase))
-            if not residue <= _PEEL_RESIDUE_FACTOR * gate:
-                raise PeelConsistencyError(j, residue)
         top = lo
-    thetas[0] = _wrap_theta(cmath.phase(m[0, 0]))
+    theta = cmath.phase(m[0, 0])
+    thetas[0] = _wrap_theta(theta)
+    phases.append(cmath.exp(1j * theta))
+
+    # Now m = D + R with D = diag(e^{i theta_j}), and u = m Q for the unitary
+    # product Q of the peeled factors. So u^H u - I = Q^H (D^H R + R^H D +
+    # R^H R) Q, and defect(u) <= 2 ||R||_F + ||R||_F^2 plus the rounding of
+    # the peel. m becomes R in place: each peeled row and column keeps its
+    # residue there, since later peels touch neither.
+    m.ravel()[:: n + 1] -= phases[::-1]
+    r = frobenius_norm(m)
+    half = 0.5 * gate
+    if not (2.0 * r + r * r <= half and _ROUNDING * n * math.sqrt(n) <= half):
+        defect = unitarity_defect(u)
+        if not defect <= gate:
+            raise _not_unitary(defect, gate)
+    # No residue exceeds ||R||_F, so the columns need no check of their own
+    # while ||R||_F is within the residue bound.
+    if not r <= _PEEL_RESIDUE_FACTOR * gate:
+        _check_residues(m, _PEEL_RESIDUE_FACTOR * gate)
     return CcskParams(thetas, tuple(reversed(cols)))
+
+
+def _not_unitary(defect: float, gate: float) -> ValueError:
+    return ValueError(f"input is not unitary: defect {defect:.3e} exceeds {gate:.3e}")
+
+
+def _check_residues(r: np.ndarray, bound: float) -> None:
+    """Raise PeelConsistencyError for the first column peeled (the largest j)
+    whose residue exceeds bound. Row j - 1 of r left of the diagonal, column
+    j - 1 above it and the diagonal entry are what the peel of column j left,
+    and its residue is hypot(larger of the two norms, |r_jj|)."""
+    a = np.abs(r) ** 2
+    rows = np.tril(a, -1).sum(axis=1)
+    cols = np.triu(a, 1).sum(axis=0)
+    residues = np.sqrt(np.maximum(rows, cols) + a.diagonal())[1:]  # j = 2..n
+    bad = np.flatnonzero(~(residues <= bound))
+    if bad.size:
+        raise PeelConsistencyError(int(bad[-1]) + 2, float(residues[bad[-1]]))
 
 
 def roundtrip_error(u: np.ndarray, opts: DecomposeOptions | None = None) -> float:

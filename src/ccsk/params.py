@@ -34,11 +34,11 @@ GENERATOR_DEFECT_TOL = 1e-12
 _DIAG_REAL_TOL = 1e-12
 
 # Slack in is_canonical's test ||z_j|| <= pi/2, for the rounding of the norm of
-# a column drawn at rho = pi/2 exactly. An ulp at pi/2 is 2.2e-16, so the slack
-# is 4.5 ulps. The rounding grows slowly with the column length j - 1: at most
-# 2 ulps up to length 100, 3 at 1000 and 7 at 4000 over 300 random directions
-# each. So the fixed slack covers n up to about 1000, not beyond.
-_CANONICAL_RHO_SLACK = 1e-15
+# a column drawn at rho = pi/2 exactly, per square root of the column length
+# j - 1: 4 ulps of pi/2 (an ulp there is 2.2e-16). The rounding grows like that
+# root: over lengths 1 to 4000, one random direction each, it reached 1.42 ulps
+# times the root (2 ulps at length 2; 5 ulps, 1.1e-15, at lengths from 1426).
+_CANONICAL_RHO_SLACK = 4 * math.ulp(math.pi / 2)
 
 
 @dataclass(frozen=True)
@@ -94,8 +94,12 @@ class CcskParams:
         """theta in (-pi, pi] and each ||z_j|| in [0, pi/2]."""
         if np.any(self.thetas <= -math.pi) or np.any(self.thetas > math.pi):
             return False
-        return all(np.linalg.norm(z) <= math.pi / 2 + _CANONICAL_RHO_SLACK
-                   for z in self.z_columns)
+        return all(_rho_in_chart(z) for z in self.z_columns)
+
+
+def _rho_in_chart(z: np.ndarray) -> bool:
+    """||z|| <= pi/2, up to the rounding of the norm of a column of z's length."""
+    return np.linalg.norm(z) <= math.pi / 2 + _CANONICAL_RHO_SLACK * math.sqrt(z.shape[0])
 
 
 def _strictly_lower(n: int) -> np.ndarray:

@@ -1,5 +1,7 @@
+import importlib
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,13 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccsk.blockexp import _NB, _NX_PEEL, compose
-from ccsk.decompose import (DecomposeOptions, decompose, normalize_thetas,
-                            roundtrip_error)
+from ccsk.decompose import (DecomposeOptions, PeelConsistencyError, _check_residues,
+                            decompose, normalize_thetas, roundtrip_error)
 from ccsk.linalg import frobenius_norm, unitarity_defect
 from ccsk.oracle import RngState, expm, random_params, random_unitary
 from ccsk.params import CcskParams, assemble_generator, params_from_generator
 
 from conftest import NON_FINITE_MATRICES, rejects_non_finite
+
+# The module itself: the package exports the function under the same name.
+decompose_module = importlib.import_module("ccsk.decompose")
 
 
 def params_close(a: CcskParams, b: CcskParams, tol: float) -> bool:
@@ -241,6 +246,124 @@ class TestInsideTheGate:
         q = decompose(a)
         assert q.is_canonical()
         assert frobenius_norm(compose(q) - a) <= 1e-9 * n
+
+
+def at_defect(u: np.ndarray, kind: int, defect: float, seed: int) -> np.ndarray:
+    """perturbed(u, kind, ..., seed) rescaled so that its unitarity defect is
+    defect: the defect is linear in the size to first order."""
+    a = perturbed(u, kind, defect, seed)
+    return perturbed(u, kind, defect * defect / unitarity_defect(a), seed)
+
+
+_gaussian = np.random.default_rng(128).standard_normal((2, 128, 128))
+FAR_FROM_UNITARY = {
+    "two_identity_3": 2 * np.eye(3, dtype=complex),
+    "two_identity_200": 2 * np.eye(200, dtype=complex),
+    "gaussian_128": _gaussian[0] + 1j * _gaussian[1],
+    "entries_1e200": np.full((3, 3), 1e200, dtype=complex),
+}
+
+
+class TestOutsideTheGate:
+    # Just outside unitarity_tol * n, in every direction perturbed() knows,
+    # the gate must reject: the bound from the peel never accepts alone there.
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(n=st.integers(2, 200), kind=st.integers(0, 3), seed=st.integers(0, 2**32 - 1),
+           fraction=st.floats(1.05, 3.0))
+    def test_perturbations(self, n, kind, seed, fraction):
+        gate = DecomposeOptions().unitarity_tol * n
+        a = at_defect(compose(random_params(n, RngState(seed))), kind, fraction * gate, seed)
+        assert unitarity_defect(a) >= 1.04 * gate
+        with pytest.raises(ValueError, match="not unitary"):
+            decompose(a)
+
+    # Far from unitary: the peel runs before the gate is decided, but the
+    # error must still be the gate's, with no numpy warning on the way.
+    @pytest.mark.parametrize("name", sorted(FAR_FROM_UNITARY))
+    def test_gross(self, name):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="input is not unitary"):
+                decompose(FAR_FROM_UNITARY[name])
+
+
+@pytest.fixture
+def defect_calls(monkeypatch):
+    """Count decompose's calls of the exact unitarity defect."""
+    calls = []
+
+    def counted(u):
+        calls.append(u.shape[0])
+        return unitarity_defect(u)
+
+    monkeypatch.setattr(decompose_module, "unitarity_defect", counted)
+    return calls
+
+
+class TestGateCertificate:
+    # After the peel m = D + R, and defect(u) <= 2 ||R|| + ||R||^2 plus
+    # rounding. decompose computes the exact defect only when that bound
+    # exceeds half the gate.
+    @pytest.mark.parametrize("n", [1, 8, 128, 200])
+    def test_unitary_input_takes_the_bound(self, n, defect_calls):
+        for seed in range(3):
+            decompose(compose(random_params(n, RngState(seed))))
+        decompose(random_unitary(n, RngState(n)))
+        assert defect_calls == []
+
+    @pytest.mark.parametrize("kind", range(4))
+    @pytest.mark.parametrize("n", [2, 8, 33, 128, 200])
+    def test_near_the_gate_computes_the_defect(self, n, kind, defect_calls):
+        gate = DecomposeOptions().unitarity_tol * n
+        a = at_defect(compose(random_params(n, RngState(n + kind))), kind, 0.9 * gate, n)
+        q = decompose(a)
+        assert defect_calls == [n]
+        assert frobenius_norm(compose(q) - a) <= 1e-9 * n
+
+    @pytest.mark.parametrize("n", [8, 200])
+    def test_tight_tolerance_computes_the_defect(self, n, defect_calls):
+        # Half of a gate of 1e-15 n does not cover the peel's rounding, so
+        # the bound is not trusted and the decision is the exact defect's.
+        u = compose(random_params(n, RngState(n)))
+        opts = DecomposeOptions(unitarity_tol=1e-15)
+        if unitarity_defect(u) <= opts.unitarity_tol * n:
+            decompose(u, opts)
+        else:
+            with pytest.raises(ValueError, match="not unitary"):
+                decompose(u, opts)
+        assert defect_calls == [n]
+
+
+def loop_residues(r: np.ndarray) -> list:
+    """The residue of each column j = 2..n, one column at a time."""
+    return [math.hypot(max(frobenius_norm(r[j - 1, : j - 1]), frobenius_norm(r[: j - 1, j - 1])),
+                       abs(r[j - 1, j - 1]))
+            for j in range(2, r.shape[0] + 1)]
+
+
+class TestPeelResidues:
+    def test_first_column_peeled_is_named(self, monkeypatch):
+        # With no residue allowed every column fails; the error names the
+        # first one peeled, j = n.
+        monkeypatch.setattr(decompose_module, "_PEEL_RESIDUE_FACTOR", 0.0)
+        with pytest.raises(PeelConsistencyError) as info:
+            decompose(random_unitary(200, RngState(200)))
+        assert info.value.j == 200
+
+    @pytest.mark.parametrize("n", [2, 7, 40])
+    def test_check_matches_loop(self, n):
+        g = np.random.default_rng(n)
+        r = g.standard_normal((n, n)) + 1j * g.standard_normal((n, n))
+        res = loop_residues(r)
+        levels = sorted(res)
+        for lo, hi in zip(levels, levels[1:]):
+            bound = 0.5 * (lo + hi)
+            j = max(j for j, x in enumerate(res, start=2) if x > bound)
+            with pytest.raises(PeelConsistencyError) as info:
+                _check_residues(r, bound)
+            assert info.value.j == j
+            assert info.value.residue == pytest.approx(res[j - 2], rel=1e-14)
+        _check_residues(r, levels[-1] * (1 + 1e-12))
 
 
 class TestRoundtripError:

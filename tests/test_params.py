@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from ccsk.linalg import anti_hermiticity_defect
 from ccsk.oracle import random_params
-from ccsk.params import (CcskParams, assemble_generator, params_from_generator,
-                         split_generator)
+from ccsk.params import (CcskParams, _rho_in_chart, assemble_generator,
+                         params_from_generator, split_generator)
 
 from conftest import NON_FINITE_MATRICES, rejects_non_finite
 
@@ -26,6 +28,31 @@ class TestCcskParams:
         p = CcskParams.zeros(4)
         assert p.n == 4
         assert all(p.rho(j) == 0.0 for j in range(2, 5))
+
+
+def column_at(rho: float, length: int, seed: int) -> np.ndarray:
+    """rho times a random unit direction with length entries."""
+    g = np.random.default_rng(seed)
+    d = g.standard_normal(length) + 1j * g.standard_normal(length)
+    return rho * d / np.linalg.norm(d)
+
+
+class TestIsCanonical:
+    # The norm of a column drawn at rho = pi/2 rounds up by a few ulps, more
+    # for longer columns: from length 1426 on, by more than a fixed 1e-15.
+    def test_half_pi_column_lengths(self):
+        for length in range(1, 4001):
+            z = column_at(math.pi / 2, length, length)
+            assert _rho_in_chart(z), length
+            assert not _rho_in_chart(z * (1 + 1e-12)), length
+
+    def test_long_params(self):
+        n = 2048
+        cols = [column_at(math.pi / 2, j - 1, j) for j in range(2, n + 1)]
+        assert CcskParams(np.full(n, math.pi), tuple(cols)).is_canonical()
+        cols[-1] = cols[-1] * (1 + 1e-12)
+        assert not CcskParams(np.zeros(n), tuple(cols)).is_canonical()
+        assert not CcskParams(np.full(n, -math.pi), tuple(cols[:-1]) + (cols[-1] / 2,)).is_canonical()
 
 
 class TestAssembleGenerator:
