@@ -5,15 +5,11 @@ exponentials, and decompose arbitrary unitaries back into canonical
 parameters, with an independent matrix-exponential oracle for verification.
 """
 
-from .blockexp import (apply_factor, compose, exp_column_factor, exp_diagonal, exp_k,
-                       k_matrix)
-from .decompose import (DecomposeOptions, PeelConsistencyError, decompose,
-                        normalize_thetas, roundtrip_error)
-from .linalg import (anti_hermiticity_defect, as_cmatrix, as_cvector, frobenius_norm,
-                     unitarity_defect)
+from .blockexp import apply_factor, compose, exp_column_factor, exp_k, k_matrix
+from .decompose import DecomposeOptions, PeelConsistencyError, decompose, roundtrip_error
+from .linalg import anti_hermiticity_defect, frobenius_norm, unitarity_defect
 from .oracle import RngState, expm, random_params, random_unitary
-from .params import (CcskParams, assemble_generator, params_from_generator,
-                     split_generator)
+from .params import CcskParams, assemble_generator, params_from_generator
 from .special import Euler2Factors, ProjectorPair, euler2_factorize, projector_form
 
 __all__ = [
@@ -25,25 +21,20 @@ __all__ = [
     "RngState",
     "anti_hermiticity_defect",
     "apply_factor",
-    "as_cmatrix",
-    "as_cvector",
     "assemble_generator",
     "compose",
     "decompose",
     "euler2_factorize",
     "exp_column_factor",
-    "exp_diagonal",
     "exp_k",
     "expm",
     "frobenius_norm",
     "k_matrix",
-    "normalize_thetas",
     "params_from_generator",
     "projector_form",
     "random_params",
     "random_unitary",
     "roundtrip_error",
-    "split_generator",
     "unitarity_defect",
 ]
 

@@ -40,7 +40,7 @@ import math
 import numpy as np
 
 from .linalg import as_cvector
-from .params import CcskParams
+from .params import CcskParams, z_offset
 
 __all__ = [
     "k_matrix",
@@ -148,12 +148,13 @@ def apply_factor(u: np.ndarray, z: np.ndarray, j: int, *, inverse: bool = False)
     b += sigma * w
 
 
-def _compact_form(zs) -> tuple[np.ndarray, np.ndarray]:
+def _compact_form(seg: np.ndarray, j0: int, j1: int) -> tuple[np.ndarray, np.ndarray]:
     """F_{j0} ... F_{j1} = I + W T W^H on the leading j1 x j1 block.
 
-    zs are the k consecutive columns z_{j0} ... z_{j1}. W = [Z | E], where Z
-    (returned, j1 x k) holds the z columns padded with zeros and E the unit
-    columns e_{j0} ... e_{j1}, the last k of the block; T is 2k x 2k. This is
+    seg holds the k = j1 - j0 + 1 consecutive columns z_{j0} ... z_{j1},
+    packed as in ``CcskParams.z``. W = [Z | E], where Z (returned, j1 x k)
+    holds the z columns padded with zeros and E the unit columns
+    e_{j0} ... e_{j1}, the last k of the block; T is 2k x 2k. This is
     the compact WY form of Schreiber and Van Loan (SIAM J. Sci. Stat. Comput.
     10, 1989) for rank-2 factors: F_i alone is I + [z_i e_i] C_i [z_i e_i]^H
     with the core C_i = [[-a, sigma], [-sigma, cos(rho) - 1]] (a and sigma as
@@ -163,11 +164,11 @@ def _compact_form(zs) -> tuple[np.ndarray, np.ndarray]:
     is block lower triangular with the unit upper triangular I - P on its
     leading block, so one triangular solve gives T.
     """
-    k = len(zs)
-    j1 = zs[-1].shape[0] + 1
+    k = j1 - j0 + 1
     z = np.zeros((j1, k), dtype=np.complex128)
-    for i, zi in enumerate(zs):
-        z[:zi.shape[0], i] = zi
+    # Row i of Z^T holds z_{j0+i} in its first j0 + i - 1 entries; the mask
+    # walks them row by row, which is the packed order.
+    z.T[np.tri(k, j1, j0 - 2, dtype=bool)] = seg
     g = z.conj().T @ z
     rho2 = g.diagonal().real
     rho = np.sqrt(rho2)
@@ -185,15 +186,17 @@ def _compact_form(zs) -> tuple[np.ndarray, np.ndarray]:
     return z, t
 
 
-def _apply_factors(a: np.ndarray, zs, *, inverse: bool = False) -> None:
+def _apply_factors(a: np.ndarray, seg: np.ndarray, j0: int, *,
+                   inverse: bool = False) -> None:
     """a <- a @ F_{j0} ... F_{j1} (or @ its adjoint with ``inverse``), in place.
 
-    zs are the k consecutive columns z_{j0} ... z_{j1} and a has j1 columns.
-    With Y = [a Z, a E] T, a += Y_Z Z^H and a E += Y_E: two products of
-    size rows x j1 x k, and the E half costs no flops.
+    a has j1 columns and seg holds z_{j0} ... z_{j1}, packed as in
+    ``CcskParams.z``. With Y = [a Z, a E] T, a += Y_Z Z^H and a E += Y_E:
+    two products of size rows x j1 x k, and the E half costs no flops.
     """
-    k = len(zs)
-    z, t = _compact_form(zs)
+    j1 = a.shape[1]
+    k = j1 - j0 + 1
+    z, t = _compact_form(seg, j0, j1)
     if inverse:
         t = t.conj().T
     e = a[:, -k:]
@@ -209,6 +212,7 @@ def compose(p: CcskParams) -> np.ndarray:
     b = min(n, _NX + (n - _NX) % _NB)
     for j in range(2, b + 1):
         apply_factor(u, p.z_column(j), j)
-    for j1 in range(b + _NB, n + 1, _NB):
-        _apply_factors(u[:j1, :j1], p.z_columns[j1 - _NB - 1:j1 - 1])
+    for j0 in range(b + 1, n + 1, _NB):
+        j1 = j0 + _NB - 1
+        _apply_factors(u[:j1, :j1], p.z[z_offset(j0):z_offset(j1 + 1)], j0)
     return u

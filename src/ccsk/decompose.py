@@ -40,16 +40,18 @@ import numpy as np
 
 from .blockexp import _NB, _NX_PEEL, _apply_factors, apply_factor, compose
 from .linalg import frobenius_norm, unitarity_defect
-from .params import CcskParams
+from .params import CcskParams, z_offset
 
 __all__ = [
     "DecomposeOptions",
     "PeelConsistencyError",
     "decompose",
     "roundtrip_error",
-    "normalize_thetas",
 ]
 
+# At or below this |pivot| the pivot's phase is noise: the convention
+# theta_j := 0 fires (see ``decompose``).
+ZERO_PIVOT_TOL = 1e-12
 
 # The residue a peeled row and column may keep, as a multiple of the defect
 # gate unitarity_tol * n. Both scale with n, so every input that passes the
@@ -67,13 +69,10 @@ _ROUNDING = 2.0 ** -52  # eps of float64
 @dataclass(frozen=True)
 class DecomposeOptions:
     unitarity_tol: float = 1e-10
-    zero_tol: float = 1e-12
 
     def __post_init__(self):
-        for name in ("unitarity_tol", "zero_tol"):
-            v = getattr(self, name)
-            if not 0.0 < v < 1.0:
-                raise ValueError(f"{name} must be in (0, 1), got {v}")
+        if not 0.0 < self.unitarity_tol < 1.0:
+            raise ValueError(f"unitarity_tol must be in (0, 1), got {self.unitarity_tol}")
 
 
 class PeelConsistencyError(RuntimeError):
@@ -116,32 +115,33 @@ def decompose(u: np.ndarray, opts: DecomposeOptions | None = None) -> CcskParams
 
     m = u.copy()
     thetas = np.zeros(n)
+    z_all = np.zeros(z_offset(n + 1), dtype=np.complex128)
     phases = []  # e^{i theta_j} for j = n, n-1, ..., 1
-    cols: list[np.ndarray] = []  # z_n, z_{n-1}, ..., z_2
     top = n  # rows and columns from index top on are peeled
     while top > 1:
         # The panel is rows lo..top-1. Each peel updates the panel rows at
         # once, so the next row is read in full; the rows above the panel
         # take the panel's factors together, as one aggregated block.
         lo = top - _NB if top - _NB >= _NX_PEEL else 0
-        panel = range(top, max(lo, 1), -1)
-        for j in panel:
+        for j in range(top, max(lo, 1), -1):
             pivot = m[j - 1, j - 1]
             row = m[j - 1, : j - 1]
             c = abs(pivot)
             s = frobenius_norm(row)
             rho = math.atan2(s, c)
-            theta = cmath.phase(pivot) if c > opts.zero_tol else 0.0
+            theta = cmath.phase(pivot) if c > ZERO_PIVOT_TOL else 0.0
             phase = cmath.exp(1j * theta)
-            z = row.conj() * (-phase * rho / s) if s else np.zeros(j - 1, dtype=np.complex128)
+            z = z_all[z_offset(j):z_offset(j + 1)]
+            if s:
+                np.multiply(row.conj(), -phase * rho / s, out=z)
             # cmath.phase can return exactly -pi (e.g. a -0.0 imaginary part);
             # wrap onto the half-open interval so output is always canonical.
             thetas[j - 1] = _wrap_theta(theta)
-            cols.append(z)
             phases.append(phase)
             apply_factor(m[lo:j], z, j, inverse=True)
         if lo:
-            _apply_factors(m[:lo, :top], cols[-len(panel):][::-1], inverse=True)
+            _apply_factors(m[:lo, :top], z_all[z_offset(lo + 1):z_offset(top + 1)], lo + 1,
+                           inverse=True)
         top = lo
     theta = cmath.phase(m[0, 0])
     thetas[0] = _wrap_theta(theta)
@@ -163,7 +163,7 @@ def decompose(u: np.ndarray, opts: DecomposeOptions | None = None) -> CcskParams
     # while ||R||_F is within the residue bound.
     if not r <= _PEEL_RESIDUE_FACTOR * gate:
         _check_residues(m, _PEEL_RESIDUE_FACTOR * gate)
-    return CcskParams(thetas, tuple(reversed(cols)))
+    return CcskParams(thetas, z_all)
 
 
 def _not_unitary(defect: float, gate: float) -> ValueError:
@@ -195,7 +195,3 @@ def _wrap_theta(t: float) -> float:
         w += 2.0 * math.pi
     return w
 
-
-def normalize_thetas(p: CcskParams) -> CcskParams:
-    """Wrap every theta into (-pi, pi]; z columns unchanged."""
-    return CcskParams(np.array([_wrap_theta(t) for t in p.thetas]), p.z_columns)

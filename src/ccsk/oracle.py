@@ -28,7 +28,7 @@ import numpy as np
 
 from .blockexp import compose
 from .linalg import frobenius_norm
-from .params import CcskParams
+from .params import CcskParams, z_offset
 
 __all__ = ["RngState", "expm", "random_params", "random_unitary"]
 
@@ -190,15 +190,15 @@ def random_params(n: int, rng: RngState) -> CcskParams:
     u2 = (pairs[:, 1] * 2.0 ** -53).tolist()
     gauss = np.array([math.sqrt(-2.0 * math.log(a)) * math.cos(2.0 * math.pi * b)
                       for a, b in zip(u1, u2)])
-    cols = []
+    z = np.empty(z_offset(n + 1), dtype=np.complex128)
     for k, rho in enumerate(rhos, start=1):  # k = j - 1 entries, from gauss[k(k-1):]
         re = gauss[k * (k - 1): k * k]
         im = gauss[k * k: k * (k + 1)]
         g = re + 1j * im
         norm = np.linalg.norm(g)
         direction = g / norm if norm > 0 else np.eye(k, dtype=np.complex128)[0]
-        cols.append(rho * direction)
-    return CcskParams(thetas, tuple(cols))
+        z[z_offset(k + 1):z_offset(k + 2)] = rho * direction
+    return CcskParams(thetas, z)
 
 
 def random_unitary(n: int, rng: RngState) -> np.ndarray:

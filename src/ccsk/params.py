@@ -5,6 +5,11 @@ complex column vector z_j of length j-1 for each j = 2..n, for a total of
 n^2 real parameters. The generator assembled from them is the anti-Hermitian
 matrix with i*theta on the diagonal, z entries in the strict upper triangle
 and the negated conjugates below.
+
+``CcskParams`` stores the columns packed in one vector z of length
+n(n-1)/2: z_2, z_3, ..., z_n laid end to end, which is the strict upper
+triangle of the generator read column by column, ``x.T[np.tri(n, k=-1,
+dtype=bool)]``. z_j starts at ``z_offset(j)``; ``z_column(j)`` is a view.
 """
 
 from __future__ import annotations
@@ -14,14 +19,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import anti_hermiticity_defect, as_cvector
+from .linalg import anti_hermiticity_defect
 
 __all__ = [
     "CcskParams",
     "GENERATOR_DEFECT_TOL",
     "assemble_generator",
-    "split_generator",
     "params_from_generator",
+    "z_offset",
 ]
 
 # Per-dimension tolerance on ||X† + X||_F for a matrix accepted as a generator.
@@ -41,12 +46,24 @@ _DIAG_REAL_TOL = 1e-12
 _CANONICAL_RHO_SLACK = 4 * math.ulp(math.pi / 2)
 
 
+def z_offset(j: int) -> int:
+    """Index of z_j's first entry in the packed z: the 1 + 2 + ... + (j-2)
+    entries of z_2 ... z_{j-1} come before it. z_offset(n + 1) is len(z)."""
+    return (j - 1) * (j - 2) // 2
+
+
 @dataclass(frozen=True)
 class CcskParams:
-    """Phases plus column vectors; column j (j = 2..n) has length j-1."""
+    """Phases plus the packed columns z; column j (j = 2..n) has length j-1.
+
+    z is either the packed complex vector (a 1-D numpy array of length
+    n(n-1)/2) or a sequence of the n-1 columns z_2 ... z_n, which are
+    concatenated.
+    """
 
     thetas: np.ndarray
-    z_columns: tuple = field(default_factory=tuple)
+    z: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.complex128))
+    z_columns: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         thetas = np.asarray(self.thetas, dtype=np.float64)
@@ -55,18 +72,29 @@ class CcskParams:
         if not np.all(np.isfinite(thetas)):
             raise ValueError("thetas contain non-finite values")
         n = thetas.shape[0]
-        cols = tuple(as_cvector(z) if len(z) else np.zeros(0, dtype=np.complex128)
-                     for z in self.z_columns)
-        if len(cols) != n - 1:
-            raise ValueError(
-                f"expected {n - 1} z columns for dimension {n}, got {len(cols)}")
-        for k, z in enumerate(cols):
-            j = k + 2
-            if z.shape[0] != j - 1:
+        z = self.z
+        if isinstance(z, np.ndarray):
+            z = z.astype(np.complex128, copy=False)
+            if z.ndim != 1 or z.shape[0] != z_offset(n + 1):
                 raise ValueError(
-                    f"z column for j={j} must have length {j - 1}, got {z.shape[0]}")
+                    f"packed z for dimension {n} must be a 1-D array of length "
+                    f"{z_offset(n + 1)}, got shape {z.shape}")
+        else:
+            cols = [np.asarray(c, dtype=np.complex128) for c in z]
+            if len(cols) != n - 1:
+                raise ValueError(
+                    f"expected {n - 1} z columns for dimension {n}, got {len(cols)}")
+            for j, c in enumerate(cols, start=2):
+                if c.shape != (j - 1,):
+                    raise ValueError(
+                        f"z column for j={j} must have length {j - 1}, got shape {c.shape}")
+            z = np.concatenate(cols) if cols else np.zeros(0, dtype=np.complex128)
+        if not np.isfinite(z).all():
+            raise ValueError("z contains non-finite values")
         object.__setattr__(self, "thetas", thetas)
-        object.__setattr__(self, "z_columns", cols)
+        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "z_columns", tuple(
+            z[z_offset(j):z_offset(j + 1)] for j in range(2, n + 1)))
 
     @property
     def n(self) -> int:
@@ -74,7 +102,7 @@ class CcskParams:
 
     def real_parameter_count(self) -> int:
         """n thetas + 2(j-1) reals per column; always n^2."""
-        return self.n + sum(2 * z.shape[0] for z in self.z_columns)
+        return self.n + 2 * self.z.shape[0]
 
     def z_column(self, j: int) -> np.ndarray:
         """The column vector for factor j, 2 <= j <= n (1-based, as documented)."""
@@ -87,8 +115,7 @@ class CcskParams:
 
     @classmethod
     def zeros(cls, n: int) -> "CcskParams":
-        return cls(np.zeros(n), tuple(np.zeros(j - 1, dtype=np.complex128)
-                                      for j in range(2, n + 1)))
+        return cls(np.zeros(n), np.zeros(z_offset(n + 1), dtype=np.complex128))
 
     def is_canonical(self) -> bool:
         """theta in (-pi, pi] and each ||z_j|| in [0, pi/2]."""
@@ -104,25 +131,18 @@ def _rho_in_chart(z: np.ndarray) -> bool:
 
 def _strictly_lower(n: int) -> np.ndarray:
     """Mask of the strict lower triangle. For an n x n x, x.T[mask] lists the
-    strict upper triangle column by column: z_2, z_3, ..., z_n laid end to
-    end; x[mask] lists the lower triangle row by row, in the same order."""
+    strict upper triangle column by column, the packed z; x[mask] lists the
+    lower triangle row by row, in the same order."""
     return np.tri(n, k=-1, dtype=bool)
-
-
-def _split_columns(flat: np.ndarray, n: int) -> tuple:
-    """z_2 ... z_n from their entries laid end to end (views into flat)."""
-    # z_{k+1} has k entries and starts after the 1 + 2 + ... + (k-1) before it.
-    return tuple(flat[k * (k - 1) // 2:k * (k + 1) // 2] for k in range(1, n))
 
 
 def assemble_generator(p: CcskParams) -> np.ndarray:
     """Anti-Hermitian n x n matrix: i*theta diagonal, z columns above, -conj below."""
     x = np.diag(1j * p.thetas)
     if p.n > 1:
-        z = np.concatenate(p.z_columns)
         lower = _strictly_lower(p.n)
-        x.T[lower] = z
-        x[lower] = -z.conj()
+        x.T[lower] = p.z
+        x[lower] = -p.z.conj()
     return x
 
 
@@ -141,25 +161,6 @@ def _check_generator(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def split_generator(x: np.ndarray):
-    """Split a generator into its diagonal part and the per-column blocks.
-
-    Returns (x0, blocks) where blocks[k] is the block for column j = k + 2:
-    zero except for z_j in column j rows 1..j-1 and -<z_j| in row j. The sum
-    x0 + sum(blocks) reproduces x entrywise.
-    """
-    x = _check_generator(x)
-    n = x.shape[0]
-    x0 = np.diag(np.diag(x)).astype(np.complex128)
-    blocks = []
-    for j in range(2, n + 1):
-        b = np.zeros((n, n), dtype=np.complex128)
-        b[: j - 1, j - 1] = x[: j - 1, j - 1]
-        b[j - 1, : j - 1] = x[j - 1, : j - 1]
-        blocks.append(b)
-    return x0, blocks
-
-
 def params_from_generator(x: np.ndarray) -> CcskParams:
     """Read parameters off a generator: thetas from Im(diag), z from the upper triangle."""
     x = _check_generator(x)
@@ -170,4 +171,4 @@ def params_from_generator(x: np.ndarray) -> CcskParams:
         raise ValueError(
             f"generator diagonal has real part up to {worst:.3e}; not in u(n)")
     thetas = diag.imag.copy()
-    return CcskParams(thetas, _split_columns(x.T[_strictly_lower(n)], n))
+    return CcskParams(thetas, x.T[_strictly_lower(n)])

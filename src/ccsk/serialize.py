@@ -26,7 +26,7 @@ from itertools import chain
 import numpy as np
 
 from .linalg import as_cmatrix
-from .params import CcskParams, _split_columns
+from .params import CcskParams, z_offset
 
 __all__ = [
     "ParseError",
@@ -118,11 +118,12 @@ def matrix_from_doc(doc) -> np.ndarray:
 
 
 def params_to_doc(p: CcskParams) -> dict:
+    pairs = _as_pairs(p.z)
     return {
         "type": "ccsk_params",
         "n": p.n,
         "thetas": p.thetas.tolist(),
-        "z": [_as_pairs(z) for z in p.z_columns],
+        "z": [pairs[z_offset(j):z_offset(j + 1)] for j in range(2, p.n + 1)],
     }
 
 
@@ -140,7 +141,7 @@ def params_from_doc(doc) -> CcskParams:
     flat = _read_pairs(zs, list(range(1, n)), "z",
                        lambda k: f"z[{k}]: expected {k + 1} entries (column j={k + 2})")
     try:
-        return CcskParams(np.array(thetas, dtype=np.float64), _split_columns(flat, n))
+        return CcskParams(np.array(thetas, dtype=np.float64), flat)
     except (ValueError, OverflowError) as exc:
         raise ParseError(str(exc)) from exc
 

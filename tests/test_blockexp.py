@@ -157,7 +157,11 @@ class TestCompactForm:
         want = np.eye(j1, dtype=complex)
         for j, z in zip(range(j0, j1 + 1), zs):
             want = want @ exp_column_factor(z, j1, j)
-        z, t = _compact_form(zs)
+        z, t = _compact_form(np.concatenate(zs), j0, j1)
+        padded = np.zeros_like(z)
+        for i, zi in enumerate(zs):
+            padded[:zi.shape[0], i] = zi
+        assert z.tobytes() == padded.tobytes()
         w = np.hstack((z, np.eye(j1, dtype=complex)[:, j0 - 1:]))
         assert np.max(np.abs(np.eye(j1) + w @ t @ w.conj().T - want)) <= 1e-14
 

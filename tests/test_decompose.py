@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from ccsk.blockexp import _NB, _NX_PEEL, compose
 from ccsk.decompose import (DecomposeOptions, PeelConsistencyError, _check_residues,
-                            decompose, normalize_thetas, roundtrip_error)
+                            _wrap_theta, decompose, roundtrip_error)
 from ccsk.linalg import frobenius_norm, unitarity_defect
 from ccsk.oracle import RngState, expm, random_params, random_unitary
 from ccsk.params import CcskParams, assemble_generator, params_from_generator
@@ -101,13 +101,13 @@ def with_rho(p: CcskParams, j: int, rho: float) -> CcskParams:
 def assert_params_back(p: CcskParams, q: CcskParams, tol: float):
     """q recovers p entry by entry.
 
-    Where |cos rho_j| <= zero_tol the convention theta_j := 0 fires and the
+    Where |cos rho_j| <= ZERO_PIVOT_TOL the convention theta_j := 0 fires and the
     parameters of the columns peeled after j (k < j) are no longer unique, so
     only rho_j and the parameters with k > j are compared. Elsewhere phases
     are read off pivots of size cos rho_j, so the tolerance is scaled by
     1 / min cos rho_j.
     """
-    zero_tol = DecomposeOptions().zero_tol
+    zero_tol = decompose_module.ZERO_PIVOT_TOL
     cos = [math.cos(p.rho(j)) for j in range(2, p.n + 1)]
     j0 = max((j for j in range(2, p.n + 1) if cos[j - 2] <= zero_tol), default=0)
     if j0:
@@ -412,29 +412,24 @@ class TestNonFiniteInput:
             roundtrip_error(NON_FINITE_MATRICES[name])
 
 
-class TestNormalizeThetas:
+class TestWrapTheta:
+    # decompose wraps each theta it reads onto (-pi, pi].
     def test_wraps_3pi_to_pi(self):
-        p = normalize_thetas(CcskParams(np.array([3 * math.pi])))
-        assert p.thetas[0] == pytest.approx(math.pi)
+        assert _wrap_theta(3 * math.pi) == pytest.approx(math.pi)
 
     def test_minus_pi_maps_to_pi(self):
-        p = normalize_thetas(CcskParams(np.array([-math.pi])))
-        assert p.thetas[0] == pytest.approx(math.pi)
+        assert _wrap_theta(-math.pi) == pytest.approx(math.pi)
 
     def test_in_range_unchanged(self):
-        p = normalize_thetas(CcskParams(np.array([0.3])))
-        assert p.thetas[0] == 0.3
+        assert _wrap_theta(0.3) == 0.3
 
     def test_compose_invariant(self, rng):
         p = random_params(4, rng)
-        shifted = CcskParams(p.thetas + 2 * math.pi, p.z_columns)
-        q = normalize_thetas(shifted)
-        assert frobenius_norm(compose(q) - compose(p)) <= 1e-13
+        wrapped = CcskParams(np.array([_wrap_theta(t) for t in p.thetas + 2 * math.pi]), p.z)
+        assert frobenius_norm(compose(wrapped) - compose(p)) <= 1e-13
 
 
 class TestDecomposeOptions:
     def test_tolerances_validated(self):
         with pytest.raises(ValueError):
             DecomposeOptions(unitarity_tol=0.0)
-        with pytest.raises(ValueError):
-            DecomposeOptions(zero_tol=1.5)

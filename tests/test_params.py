@@ -6,7 +6,7 @@ import pytest
 from ccsk.linalg import anti_hermiticity_defect
 from ccsk.oracle import random_params
 from ccsk.params import (CcskParams, _rho_in_chart, assemble_generator,
-                         params_from_generator, split_generator)
+                         params_from_generator, z_offset)
 
 from conftest import NON_FINITE_MATRICES, rejects_non_finite
 
@@ -28,6 +28,59 @@ class TestCcskParams:
         p = CcskParams.zeros(4)
         assert p.n == 4
         assert all(p.rho(j) == 0.0 for j in range(2, 5))
+
+
+class TestPackedLayout:
+    # z is the strict upper triangle of the generator, read column by column.
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 200])
+    def test_z_is_the_generator_upper_triangle(self, rng, n):
+        p = random_params(n, rng)
+        x = assemble_generator(p)
+        assert p.z.tobytes() == x.T[np.tri(n, k=-1, dtype=bool)].tobytes()
+        assert z_offset(n + 1) == p.z.shape[0] == n * (n - 1) // 2
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 200])
+    def test_columns_and_packed_forms_agree(self, rng, n):
+        p = random_params(n, rng)
+        cols = tuple(p.z_column(j).copy() for j in range(2, n + 1))
+        q = CcskParams(p.thetas, cols)
+        assert q.z.tobytes() == p.z.tobytes()
+        assert len(q.z_columns) == n - 1
+        for j in range(2, n + 1):
+            assert q.z_column(j).tobytes() == cols[j - 2].tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3, 64])
+    def test_columns_are_views_of_z(self, rng, n):
+        p = random_params(n, rng)
+        for j in range(2, n + 1):
+            assert p.z_column(j).shape == (j - 1,)
+            assert np.shares_memory(p.z, p.z_column(j))
+
+    def test_rejects_wrong_column_count(self):
+        with pytest.raises(ValueError, match="expected 2 z columns"):
+            CcskParams(np.zeros(3), (np.zeros(1, dtype=complex),) * 3)
+
+    def test_rejects_right_total_wrong_column_lengths(self):
+        with pytest.raises(ValueError, match="j=2 must have length 1"):
+            CcskParams(np.zeros(3), (np.zeros(2, dtype=complex), np.zeros(1, dtype=complex)))
+
+    @pytest.mark.parametrize("length", [2, 4])
+    def test_rejects_packed_length_off_by_one(self, length):
+        with pytest.raises(ValueError, match="length 3"):
+            CcskParams(np.zeros(3), np.zeros(length, dtype=complex))
+
+    def test_rejects_2d_z(self):
+        with pytest.raises(ValueError, match="1-D"):
+            CcskParams(np.zeros(3), np.zeros((1, 3), dtype=complex))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+    def test_rejects_non_finite(self, bad):
+        z = np.array([0.1, 0.2j, 0.3], dtype=complex)
+        z[1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            CcskParams(np.zeros(3), z)
+        with pytest.raises(ValueError, match="non-finite"):
+            CcskParams(np.zeros(3), (z[:1], z[1:]))
 
 
 def column_at(rho: float, length: int, seed: int) -> np.ndarray:
@@ -80,37 +133,6 @@ class TestAssembleGenerator:
         assert assemble_generator(p).tobytes() == want.tobytes()
 
 
-class TestSplitGenerator:
-    def test_diagonal_input(self):
-        x = np.diag([0.2j, -0.4j, 1.1j])
-        x0, blocks = split_generator(x)
-        np.testing.assert_array_equal(x0, x)
-        for b in blocks:
-            assert np.all(b == 0)
-
-    def test_n2_offdiagonal(self):
-        x = np.array([[0, 1], [-1, 0]], dtype=complex)
-        x0, blocks = split_generator(x)
-        assert np.all(x0 == 0)
-        np.testing.assert_array_equal(blocks[0], x)
-
-    def test_reassembly_exact(self, rng):
-        x = assemble_generator(random_params(4, rng))
-        x0, blocks = split_generator(x)
-        np.testing.assert_array_equal(x0 + sum(blocks), x)
-
-    def test_blocks_anti_hermitian_rank_le_2(self, rng):
-        x = assemble_generator(random_params(5, rng))
-        _, blocks = split_generator(x)
-        for b in blocks:
-            assert anti_hermiticity_defect(b) <= 1e-15
-            assert np.linalg.matrix_rank(b) <= 2
-
-    def test_rejects_non_anti_hermitian(self):
-        with pytest.raises(ValueError, match="anti-Hermitian"):
-            split_generator(np.eye(3, dtype=complex))
-
-
 class TestParamsFromGenerator:
     def test_scalar(self):
         p = params_from_generator(np.array([[0.5j]]))
@@ -156,7 +178,3 @@ class TestNonFiniteGenerator:
         with rejects_non_finite("generator contains non-finite entries"):
             params_from_generator(NON_FINITE_MATRICES[name])
 
-    @pytest.mark.parametrize("name", sorted(NON_FINITE_MATRICES))
-    def test_split_generator_rejects(self, name):
-        with rejects_non_finite("generator contains non-finite entries"):
-            split_generator(NON_FINITE_MATRICES[name])
