@@ -12,7 +12,8 @@ import math
 import sys
 
 from .blockexp import compose, exp_k, k_matrix
-from .decompose import DecomposeOptions, PeelConsistencyError, decompose, roundtrip_error
+from .decompose import (UNITARITY_TOL, DecomposeOptions, PeelConsistencyError, decompose,
+                        roundtrip_error)
 from .linalg import frobenius_norm, unitarity_defect
 from .oracle import RngState, expm, random_params
 from .params import assemble_generator
@@ -25,7 +26,6 @@ EXIT_TOLERANCE = 2
 EXIT_USAGE = 64
 
 ROUNDTRIP_TOL = 1e-9
-VERIFY_TOL = 1e-10
 
 
 class _Parser(argparse.ArgumentParser):
@@ -59,12 +59,12 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("decompose", help="unitary matrix file -> params file")
     sp.add_argument("-i", "--input", required=True, help="matrix file (JSON)")
     sp.add_argument("-o", "--output", required=True, help="params file to write")
-    sp.add_argument("--tol", type=_tolerance, default=VERIFY_TOL,
+    sp.add_argument("--tol", type=_tolerance, default=UNITARITY_TOL,
                     help="per-dimension unitarity tolerance (default %(default)g)")
 
     sp = sub.add_parser("verify", help="print the unitarity defect of a matrix")
     sp.add_argument("-i", "--input", required=True, help="matrix file (JSON)")
-    sp.add_argument("--tol", type=_tolerance, default=VERIFY_TOL,
+    sp.add_argument("--tol", type=_tolerance, default=UNITARITY_TOL,
                     help="per-dimension pass threshold (default %(default)g)")
 
     sp = sub.add_parser("random", help="write a seeded random params/matrix file")
@@ -83,7 +83,7 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("roundtrip", help="decompose-then-compose error of a matrix")
     sp.add_argument("-i", "--input", required=True, help="matrix file (JSON)")
-    sp.add_argument("--tol", type=_tolerance, default=VERIFY_TOL,
+    sp.add_argument("--tol", type=_tolerance, default=UNITARITY_TOL,
                     help="per-dimension unitarity tolerance (default %(default)g)")
     return p
 

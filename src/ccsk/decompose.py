@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blockexp import _NB, _NX_PEEL, _apply_factors, apply_factor, compose
-from .linalg import frobenius_norm, unitarity_defect
+from .linalg import frobenius_norm, square_matrix, unitarity_defect
 from .params import CcskParams, z_offset
 
 __all__ = [
@@ -65,10 +65,14 @@ _PEEL_RESIDUE_FACTOR = 10.0
 # where half the gate covers this allowance, 14 times the worst seen.
 _ROUNDING = 2.0 ** -52  # eps of float64
 
+# Default per-dimension unitarity gate: decompose accepts a defect
+# ||u^H u - I||_F up to UNITARITY_TOL * n. Also the default --tol of the CLI.
+UNITARITY_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class DecomposeOptions:
-    unitarity_tol: float = 1e-10
+    unitarity_tol: float = UNITARITY_TOL
 
     def __post_init__(self):
         if not 0.0 < self.unitarity_tol < 1.0:
@@ -98,16 +102,10 @@ def decompose(u: np.ndarray, opts: DecomposeOptions | None = None) -> CcskParams
     """
     if opts is None:
         opts = DecomposeOptions()
-    u = np.asarray(u, dtype=np.complex128)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise ValueError(f"decompose requires a square matrix, got {u.shape}")
+    u, norm = square_matrix(u, "decompose")
     n = u.shape[0]
     gate = opts.unitarity_tol * n
-    # A nan or inf entry makes the norm nan or inf; the norm costs one BLAS
-    # call, less than isfinite on small matrices.
-    if not math.isfinite(frobenius_norm(u)):
-        if not np.isfinite(u).all():
-            raise ValueError("decompose requires finite entries; u contains nan or inf")
+    if not math.isfinite(norm):
         # Finite entries whose squares sum past the float range. So does the
         # trace of u^H u, which that sum is: the defect overflows, and
         # forming u^H u would only add an overflow warning.

@@ -1,8 +1,9 @@
 """Minimal dense complex linear algebra: validation, norms, defects.
 
-Matrices are numpy ``complex128`` arrays with row-major semantics. Validation
-(finiteness, shape) happens once at the container boundary via ``as_cmatrix`` /
-``as_cvector``; the kernels below assume validated input and stay branch-free.
+Matrices are numpy ``complex128`` arrays with row-major semantics. Each public
+function that takes a square matrix from outside checks it once, on entry,
+with ``square_matrix`` (vectors with ``as_cvector``); the kernels behind them
+assume checked input and stay branch-free.
 """
 
 from __future__ import annotations
@@ -12,24 +13,12 @@ import math
 import numpy as np
 
 __all__ = [
-    "as_cmatrix",
     "as_cvector",
     "frobenius_norm",
+    "square_matrix",
     "unitarity_defect",
     "anti_hermiticity_defect",
 ]
-
-
-def as_cmatrix(a) -> np.ndarray:
-    """Validate and return a dense complex matrix (2-D, finite entries)."""
-    m = np.asarray(a, dtype=np.complex128)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got ndim={m.ndim}")
-    if m.shape[0] < 1 or m.shape[1] < 1:
-        raise ValueError(f"matrix dimensions must be positive, got {m.shape}")
-    if not np.isfinite(m).all():
-        raise ValueError("matrix contains non-finite entries")
-    return m
 
 
 def as_cvector(a) -> np.ndarray:
@@ -48,24 +37,42 @@ def frobenius_norm(a: np.ndarray) -> float:
     """sqrt of the sum of squared entry magnitudes (of a vector or a matrix).
 
     One BLAS dot product: on the short rows that ``decompose`` reads, the call
-    overhead of ``np.linalg.norm`` would cost more than the arithmetic.
+    overhead of ``np.linalg.norm`` would cost more than the arithmetic. The
+    squares are summed unscaled, so the norm overflows to inf above about
+    1.3e154 (the root of the float range) even when every entry is finite.
     """
     return math.sqrt(np.vdot(a, a).real)
 
 
-def _require_square(a: np.ndarray, what: str) -> int:
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"{what} requires a square matrix, got {a.shape}")
-    return a.shape[0]
+def square_matrix(a, what: str) -> tuple[np.ndarray, float]:
+    """``a`` as a non-empty square complex128 matrix, and its Frobenius norm.
+
+    The ValueError otherwise names ``what`` and the fault: the shape, or the
+    first nan or inf entry. ``isfinite`` runs only when the norm, one BLAS
+    call, is not finite. A norm that overflows with finite entries is
+    returned as inf, for the caller to judge.
+    """
+    m = np.asarray(a, dtype=np.complex128)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
+        raise ValueError(f"{what} requires a non-empty square matrix, got shape {m.shape}")
+    norm = frobenius_norm(m)
+    if not math.isfinite(norm):
+        bad = np.argwhere(~np.isfinite(m))
+        if bad.size:
+            i, j = bad[0]
+            v = m[i, j]
+            raise ValueError(f"{what} requires finite entries; entry ({i}, {j}) "
+                             f"is non-finite ({v.real}{v.imag:+}j)")
+    return m, norm
 
 
-def unitarity_defect(u: np.ndarray) -> float:
+def unitarity_defect(u) -> float:
     """||u† u - I||_F; zero (to roundoff) iff u is unitary."""
-    n = _require_square(u, "unitarity_defect")
-    return frobenius_norm(u.conj().T @ u - np.eye(n))
+    u, _ = square_matrix(u, "unitarity_defect")
+    return frobenius_norm(u.conj().T @ u - np.eye(u.shape[0]))
 
 
-def anti_hermiticity_defect(x: np.ndarray) -> float:
+def anti_hermiticity_defect(x) -> float:
     """||x† + x||_F; zero iff x is anti-Hermitian (a u(n) element)."""
-    _require_square(x, "anti_hermiticity_defect")
+    x, _ = square_matrix(x, "anti_hermiticity_defect")
     return frobenius_norm(x.conj().T + x)

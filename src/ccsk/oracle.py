@@ -27,7 +27,7 @@ import math
 import numpy as np
 
 from .blockexp import compose
-from .linalg import frobenius_norm
+from .linalg import square_matrix
 from .params import CcskParams, z_offset
 
 __all__ = ["RngState", "expm", "random_params", "random_unitary"]
@@ -101,15 +101,11 @@ def expm(x: np.ndarray) -> np.ndarray:
        against m - 1 when summing term by term.
     4. Square s times.
 
-    x must be square with finite entries (ValueError otherwise).
+    x must be a non-empty square matrix with finite entries (ValueError
+    otherwise).
     """
-    x = np.asarray(x, dtype=np.complex128)
-    if x.ndim != 2 or x.shape[0] != x.shape[1]:
-        raise ValueError(f"expm requires a square matrix, got {x.shape}")
-    norm = frobenius_norm(x)
-    if not math.isfinite(norm):  # nan or inf entries, or a norm that overflows
-        if not np.isfinite(x).all():
-            raise ValueError("expm requires finite entries; x contains nan or inf")
+    x, norm = square_matrix(x, "expm")
+    if not math.isfinite(norm):
         raise ValueError(f"expm: the Frobenius norm of x overflows ({norm})")
     s = max(0, math.ceil(math.log2(norm / _EXPM_TARGET_NORM))) if norm > 0 else 0
     a = x / (2.0 ** s)

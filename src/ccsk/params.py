@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import anti_hermiticity_defect
+from .linalg import anti_hermiticity_defect, square_matrix
 
 __all__ = [
     "CcskParams",
@@ -52,18 +52,21 @@ def z_offset(j: int) -> int:
     return (j - 1) * (j - 2) // 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CcskParams:
     """Phases plus the packed columns z; column j (j = 2..n) has length j-1.
 
     z is either the packed complex vector (a 1-D numpy array of length
     n(n-1)/2) or a sequence of the n-1 columns z_2 ... z_n, which are
     concatenated.
+
+    Two parameter sets are equal when their thetas and z are equal entry by
+    entry. Like the arrays they hold, they are not hashable.
     """
 
     thetas: np.ndarray
     z: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.complex128))
-    z_columns: tuple = field(init=False, repr=False, compare=False)
+    z_columns: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         thetas = np.asarray(self.thetas, dtype=np.float64)
@@ -95,6 +98,11 @@ class CcskParams:
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "z_columns", tuple(
             z[z_offset(j):z_offset(j + 1)] for j in range(2, n + 1)))
+
+    def __eq__(self, other):
+        if not isinstance(other, CcskParams):
+            return NotImplemented
+        return np.array_equal(self.thetas, other.thetas) and np.array_equal(self.z, other.z)
 
     @property
     def n(self) -> int:
@@ -146,25 +154,15 @@ def assemble_generator(p: CcskParams) -> np.ndarray:
     return x
 
 
-def _check_generator(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.complex128)
-    if x.ndim != 2 or x.shape[0] != x.shape[1]:
-        raise ValueError(f"generator must be square, got shape {x.shape}")
-    if not np.isfinite(x).all():
-        raise ValueError("generator contains non-finite entries (nan or inf)")
+def params_from_generator(x) -> CcskParams:
+    """Read parameters off a generator: thetas from Im(diag), z from the upper triangle."""
+    x, _ = square_matrix(x, "params_from_generator")
     n = x.shape[0]
     defect = anti_hermiticity_defect(x)
     if not defect <= GENERATOR_DEFECT_TOL * n:
         raise ValueError(
             f"matrix is not anti-Hermitian: defect {defect:.3e} exceeds "
             f"{GENERATOR_DEFECT_TOL * n:.3e}")
-    return x
-
-
-def params_from_generator(x: np.ndarray) -> CcskParams:
-    """Read parameters off a generator: thetas from Im(diag), z from the upper triangle."""
-    x = _check_generator(x)
-    n = x.shape[0]
     diag = np.diag(x)
     if not np.all(np.abs(diag.real) <= _DIAG_REAL_TOL):
         worst = float(np.max(np.abs(diag.real)))

@@ -25,7 +25,7 @@ from itertools import chain
 
 import numpy as np
 
-from .linalg import as_cmatrix
+from .linalg import square_matrix
 from .params import CcskParams, z_offset
 
 __all__ = [
@@ -96,9 +96,7 @@ def _as_pairs(a: np.ndarray) -> list:
 
 
 def matrix_to_doc(m: np.ndarray) -> dict:
-    m = as_cmatrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError(f"matrix files hold square matrices, got {m.shape}")
+    m, _ = square_matrix(m, "matrix_to_doc")
     return {
         "type": "cmatrix",
         "n": m.shape[0],
@@ -114,7 +112,7 @@ def matrix_from_doc(doc) -> np.ndarray:
     if not isinstance(rows, list) or len(rows) != n:
         raise ParseError(f'field "rows" must be a list of {n} rows')
     flat = _read_pairs(rows, [n] * n, "rows", lambda i: f"row {i}: expected {n} entries")
-    return as_cmatrix(flat.reshape(n, n))
+    return square_matrix(flat.reshape(n, n), "matrix_from_doc")[0]
 
 
 def params_to_doc(p: CcskParams) -> dict:

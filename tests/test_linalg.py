@@ -1,18 +1,24 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
 
-from ccsk.linalg import (anti_hermiticity_defect, as_cmatrix, as_cvector,
-                         frobenius_norm, unitarity_defect)
+from ccsk.decompose import decompose, roundtrip_error
+from ccsk.linalg import (anti_hermiticity_defect, as_cvector, frobenius_norm,
+                         square_matrix, unitarity_defect)
+from ccsk.oracle import expm
+from ccsk.params import params_from_generator
+from ccsk.serialize import matrix_from_doc, matrix_to_doc
 
-from conftest import random_complex_matrix
+from conftest import NON_FINITE_MATRICES, random_complex_matrix, rejects_non_finite
 
 
 class TestValidation:
     def test_rejects_nan(self):
         with pytest.raises(ValueError, match="non-finite"):
-            as_cmatrix([[1.0, float("nan")], [0.0, 1.0]])
+            square_matrix([[1.0, float("nan")], [0.0, 1.0]], "test")
 
     def test_rejects_inf_vector(self):
         with pytest.raises(ValueError, match="non-finite"):
@@ -72,3 +78,78 @@ class TestDefects:
         assert unitarity_defect(u) <= 1e-14
         assert unitarity_defect(v) <= 1e-14
         assert unitarity_defect(u @ v) <= 1e-13
+
+
+# Every public entry point that takes a square matrix, with the name its
+# ValueError gives. roundtrip_error hands its input to decompose unchecked.
+SQUARE_ENTRY_POINTS = {
+    "decompose": ("decompose", decompose),
+    "roundtrip_error": ("decompose", roundtrip_error),
+    "expm": ("expm", expm),
+    "params_from_generator": ("params_from_generator", params_from_generator),
+    "matrix_to_doc": ("matrix_to_doc", matrix_to_doc),
+    "unitarity_defect": ("unitarity_defect", unitarity_defect),
+    "anti_hermiticity_defect": ("anti_hermiticity_defect", anti_hermiticity_defect),
+}
+
+BAD_SHAPES = {
+    "2x3": np.zeros((2, 3), dtype=complex),
+    "1-D": np.ones(3, dtype=complex),
+    "0x0": np.zeros((0, 0), dtype=complex),
+}
+
+
+def _doc(m: np.ndarray) -> dict:
+    """A cmatrix document holding m, nan and inf included (json.load reads them)."""
+    return {"type": "cmatrix", "n": m.shape[0],
+            "rows": np.stack([m.real, m.imag], -1).tolist()}
+
+
+def _same(a, b) -> bool:
+    return np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+
+
+class TestSquareMatrixBoundary:
+    @pytest.mark.parametrize("shape", sorted(BAD_SHAPES))
+    @pytest.mark.parametrize("entry", sorted(SQUARE_ENTRY_POINTS))
+    def test_refuses_shape(self, entry, shape):
+        name, f = SQUARE_ENTRY_POINTS[entry]
+        a = BAD_SHAPES[shape]
+        with rejects_non_finite(
+                re.escape(f"{name} requires a non-empty square matrix, got shape {a.shape}")):
+            f(a)
+
+    @pytest.mark.parametrize("matrix", sorted(NON_FINITE_MATRICES))
+    @pytest.mark.parametrize("entry", sorted(SQUARE_ENTRY_POINTS) + ["matrix_from_doc"])
+    def test_refuses_non_finite_naming_the_entry(self, entry, matrix):
+        a = NON_FINITE_MATRICES[matrix]
+        if entry == "matrix_from_doc":
+            name, f, arg = entry, matrix_from_doc, _doc(a)
+        else:
+            (name, f), arg = SQUARE_ENTRY_POINTS[entry], a
+        i, j = np.argwhere(~np.isfinite(a))[0]  # the first, in row-major order
+        with rejects_non_finite(
+                re.escape(f"{name} requires finite entries; entry ({i}, {j}) is non-finite (")):
+            f(arg)
+
+    @pytest.mark.parametrize("entry", sorted(SQUARE_ENTRY_POINTS))
+    def test_accepts_nested_list(self, entry):
+        _, f = SQUARE_ENTRY_POINTS[entry]
+        rows = [[1j, 0], [0, -1j]]  # unitary and anti-Hermitian
+        assert _same(f(rows), f(np.array(rows)))
+
+    def test_matrix_from_doc_accepts_its_rows(self):
+        m = np.array([[1j, 0], [0, -1j]])
+        np.testing.assert_array_equal(matrix_from_doc(_doc(m)), m)
+
+    def test_returns_the_norm(self):
+        m, norm = square_matrix([[3, 4j], [0, 0]], "test")
+        assert m.dtype == np.complex128 and norm == 5.0
+
+    def test_norm_overflow_is_left_to_the_caller(self):
+        # frobenius_norm sums unscaled squares: finite entries of 1e200 give
+        # a norm of inf, returned without a warning or an error.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            _, norm = square_matrix(np.full((2, 2), 1e200), "test")
+        assert norm == math.inf

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ccsk.linalg import anti_hermiticity_defect
-from ccsk.oracle import random_params
+from ccsk.oracle import RngState, random_params
 from ccsk.params import (CcskParams, _rho_in_chart, assemble_generator,
                          params_from_generator, z_offset)
 
@@ -12,6 +12,28 @@ from conftest import NON_FINITE_MATRICES, rejects_non_finite
 
 
 class TestCcskParams:
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_equal_seeds_compare_equal(self, n):
+        assert random_params(n, RngState(0)) == random_params(n, RngState(0))
+        assert not random_params(n, RngState(0)) != random_params(n, RngState(0))
+
+    @pytest.mark.parametrize("field", ["thetas", "z"])
+    def test_one_changed_entry_compares_unequal(self, field):
+        p = random_params(5, RngState(0))
+        arrays = {"thetas": p.thetas.copy(), "z": p.z.copy()}
+        arrays[field][-1] += 1e-9
+        q = CcskParams(arrays["thetas"], arrays["z"])
+        assert p != q and not p == q
+
+    def test_other_types_compare_unequal(self):
+        p = random_params(2, RngState(0))
+        assert p != 0 and p != p.thetas.tolist()
+        assert not p == (p.thetas, p.z)
+
+    def test_unhashable(self):
+        with pytest.raises(TypeError):
+            hash(random_params(2, RngState(0)))
+
     def test_shape_validation(self):
         with pytest.raises(ValueError, match="z columns"):
             CcskParams(np.zeros(3), (np.zeros(1, dtype=complex),))
@@ -175,6 +197,6 @@ class TestNonFiniteGenerator:
     # and CcskParams then blamed a "vector".
     @pytest.mark.parametrize("name", sorted(NON_FINITE_MATRICES))
     def test_params_from_generator_rejects(self, name):
-        with rejects_non_finite("generator contains non-finite entries"):
+        with rejects_non_finite("generator requires finite entries"):
             params_from_generator(NON_FINITE_MATRICES[name])
 
