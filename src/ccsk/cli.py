@@ -12,13 +12,11 @@ import math
 import sys
 
 from .blockexp import compose, exp_k, k_matrix
-from .decompose import (UNITARITY_TOL, DecomposeOptions, PeelConsistencyError, decompose,
-                        roundtrip_error)
+from .decompose import UNITARITY_TOL, DecomposeOptions, decompose, roundtrip_error
 from .linalg import frobenius_norm, unitarity_defect
 from .oracle import RngState, expm, random_params
 from .params import assemble_generator
-from .serialize import (ParseError, read_matrix, read_params, write_matrix,
-                        write_params)
+from .serialize import read_matrix, read_params, write_matrix, write_params
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -173,7 +171,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
-    except (ParseError, PeelConsistencyError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

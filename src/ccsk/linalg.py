@@ -47,12 +47,16 @@ def frobenius_norm(a: np.ndarray) -> float:
 def square_matrix(a, what: str) -> tuple[np.ndarray, float]:
     """``a`` as a non-empty square complex128 matrix, and its Frobenius norm.
 
-    The ValueError otherwise names ``what`` and the fault: the shape, or the
-    first nan or inf entry. ``isfinite`` runs only when the norm, one BLAS
-    call, is not finite. A norm that overflows with finite entries is
-    returned as inf, for the caller to judge.
+    The ValueError otherwise names ``what`` and the fault: entries that are
+    not numbers or rows of unequal length, the shape, or the first nan or inf
+    entry. ``isfinite`` runs only when the norm, one BLAS call, is not
+    finite. A norm that overflows with finite entries is returned as inf, for
+    the caller to judge.
     """
-    m = np.asarray(a, dtype=np.complex128)
+    try:
+        m = np.asarray(a, dtype=np.complex128)
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise ValueError(f"{what} requires a square matrix of numbers ({exc})") from exc
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
         raise ValueError(f"{what} requires a non-empty square matrix, got shape {m.shape}")
     norm = frobenius_norm(m)

@@ -259,3 +259,16 @@ class TestToleranceOption:
         if command == "decompose":
             argv += ["-o", tmp_path / "p.json"]
         assert run(*argv) == 0
+
+    # decompose and roundtrip accept what verify passes at the same --tol: a
+    # permutation has defect exactly 0, and the peel's rounding (about eps)
+    # is no reason to refuse it.
+    @pytest.mark.parametrize("command", ["verify", "decompose", "roundtrip"])
+    def test_permutation_passes_at_1e_20(self, tmp_path, capsys, command):
+        path = tmp_path / "u.json"
+        write_matrix(path, np.roll(np.eye(3, dtype=complex), 1, axis=0))
+        argv = [command, "-i", path, "--tol", "1e-20"]
+        if command == "decompose":
+            argv += ["-o", tmp_path / "p.json"]
+        assert run(*argv) == 0
+        assert capsys.readouterr().err == ""

@@ -92,10 +92,19 @@ SQUARE_ENTRY_POINTS = {
     "anti_hermiticity_defect": ("anti_hermiticity_defect", anti_hermiticity_defect),
 }
 
-BAD_SHAPES = {
-    "2x3": np.zeros((2, 3), dtype=complex),
-    "1-D": np.ones(3, dtype=complex),
-    "0x0": np.zeros((0, 0), dtype=complex),
+# Inputs that are not a non-empty square matrix of numbers, with the fault
+# the ValueError must give after "<function> requires ". numpy's own reason
+# follows _NOT_NUMBERS in parentheses; its wording is numpy's, so it is not
+# matched.
+_NOT_NUMBERS = "a square matrix of numbers ("
+NOT_SQUARE = {
+    "2x3": (np.zeros((2, 3), dtype=complex), "a non-empty square matrix, got shape (2, 3)"),
+    "1-D": (np.ones(3, dtype=complex), "a non-empty square matrix, got shape (3,)"),
+    "0x0": (np.zeros((0, 0), dtype=complex), "a non-empty square matrix, got shape (0, 0)"),
+    "ragged": ([[1, 2], [3]], _NOT_NUMBERS),
+    "malformed_string": ([["a", 1], [1, 1]], _NOT_NUMBERS),
+    "dict_entry": ([[{}, 1], [1, 1]], _NOT_NUMBERS),
+    "int_past_float": ([[10**400, 0], [0, 1]], _NOT_NUMBERS),
 }
 
 
@@ -110,13 +119,12 @@ def _same(a, b) -> bool:
 
 
 class TestSquareMatrixBoundary:
-    @pytest.mark.parametrize("shape", sorted(BAD_SHAPES))
+    @pytest.mark.parametrize("shape", sorted(NOT_SQUARE))
     @pytest.mark.parametrize("entry", sorted(SQUARE_ENTRY_POINTS))
     def test_refuses_shape(self, entry, shape):
         name, f = SQUARE_ENTRY_POINTS[entry]
-        a = BAD_SHAPES[shape]
-        with rejects_non_finite(
-                re.escape(f"{name} requires a non-empty square matrix, got shape {a.shape}")):
+        a, fault = NOT_SQUARE[shape]
+        with rejects_non_finite(re.escape(f"{name} requires {fault}")):
             f(a)
 
     @pytest.mark.parametrize("matrix", sorted(NON_FINITE_MATRICES))
