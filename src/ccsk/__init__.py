@@ -6,7 +6,7 @@ parameters, with an independent matrix-exponential oracle for verification.
 """
 
 from .blockexp import apply_factor, compose, exp_column_factor, exp_k, k_matrix
-from .decompose import DecomposeOptions, decompose, roundtrip_error
+from .decompose import decompose, roundtrip_error
 from .linalg import anti_hermiticity_defect, frobenius_norm, unitarity_defect
 from .oracle import RngState, expm, random_params, random_unitary
 from .params import CcskParams, assemble_generator, params_from_generator
@@ -14,7 +14,6 @@ from .special import Euler2Factors, ProjectorPair, euler2_factorize, projector_f
 
 __all__ = [
     "CcskParams",
-    "DecomposeOptions",
     "Euler2Factors",
     "ProjectorPair",
     "RngState",

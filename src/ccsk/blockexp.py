@@ -28,9 +28,9 @@ One factor at a time is matrix-vector work. At large n, k consecutive
 factors are combined into one update I + W T W^H, with W = [Z | E] the k z
 columns and the k unit vectors e_j, and T a 2k x 2k matrix (the compact WY
 form of Schreiber and Van Loan, SIAM J. Sci. Stat. Comput. 10, 1989, here
-for rank-2 factors). Applying it is two matrix-matrix products. ``compose``
-applies the first factors one at a time and the rest in blocks of _NB;
-``decompose`` peels in panels of _NB rows (see the constants below).
+for rank-2 factors). Applying it is two matrix-matrix products. ``_runs``
+splits F_2 ... F_n into the runs that ``compose`` and ``decompose`` share: a
+head taken one factor at a time, then blocks of _NB.
 """
 
 from __future__ import annotations
@@ -55,17 +55,13 @@ __all__ = [
 # instead of normalizing; removes the 0/0 in ztilde without a discontinuity.
 _RHO_TINY = 1e-14
 
-# compose applies F_2 ... F_b one at a time and the rest in blocks of _NB
-# consecutive factors, with b = _NX + (n - _NX) % _NB (b = n below
-# _NX + _NB); decompose peels panels of _NB rows while at least _NX_PEEL rows
-# remain above the panel. A block of _NB factors costs one fixed ~0.1 ms set-up
-# (its T matrix) and saves the per-factor calls, so compose gains from
-# n = 64 on. decompose still reads and peels each panel row on its own, so
-# only the flops move into the block: even near n = 96, a gain from about 128.
-# Measured at n = 32 ... 512 with one BLAS thread; see CHANGES.md.
+# _runs' block size and compose's head; decompose's head is _NX + _NB. A block
+# of _NB factors costs a fixed ~0.1 ms (its T matrix) and saves the per-factor
+# calls, so compose gains from n = 64 on. decompose still reads and peels each
+# panel row on its own, so only the flops move into the block: its panels gain
+# from about n = 128. Measured at n = 32 ... 512, one BLAS thread (CHANGES.md).
 _NB = 32
 _NX = 32
-_NX_PEEL = 64
 
 
 def k_matrix(z) -> np.ndarray:
@@ -205,14 +201,23 @@ def _apply_factors(a: np.ndarray, seg: np.ndarray, j0: int, *,
     e += y[:, k:]
 
 
+def _runs(n: int, head: int) -> list[tuple[int, int]]:
+    """The runs (j0, j1) of factors F_{j0} ... F_{j1} that make up F_2 ... F_n.
+
+    First the head F_2 ... F_b, b = min(n, head + (n - head) % _NB), taken one
+    factor at a time ((2, 1), empty, at n = 1), then blocks of _NB factors.
+    ``compose`` takes the head _NX, ``decompose`` _NX + _NB.
+    """
+    b = min(n, head + (n - head) % _NB)
+    return [(2, b)] + [(j0, j0 + _NB - 1) for j0 in range(b + 1, n + 1, _NB)]
+
+
 def compose(p: CcskParams) -> np.ndarray:
     """Ordered product: diagonal phases, then the column factors j = 2..n."""
     u = exp_diagonal(p.thetas)
-    n = p.n
-    b = min(n, _NX + (n - _NX) % _NB)
+    (_, b), *blocks = _runs(p.n, _NX)
     for j in range(2, b + 1):
         apply_factor(u, p.z_column(j), j)
-    for j0 in range(b + 1, n + 1, _NB):
-        j1 = j0 + _NB - 1
+    for j0, j1 in blocks:
         _apply_factors(u[:j1, :j1], p.z[z_offset(j0):z_offset(j1 + 1)], j0)
     return u

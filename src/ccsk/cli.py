@@ -12,7 +12,7 @@ import math
 import sys
 
 from .blockexp import compose, exp_k, k_matrix
-from .decompose import UNITARITY_TOL, DecomposeOptions, decompose, roundtrip_error
+from .decompose import UNITARITY_TOL, decompose, roundtrip_error
 from .linalg import frobenius_norm, unitarity_defect
 from .oracle import RngState, expm, random_params
 from .params import assemble_generator
@@ -44,6 +44,17 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for --n: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="ccsk",
                 description="Compose and decompose unitary matrices via "
@@ -66,7 +77,7 @@ def _build_parser() -> _Parser:
                     help="per-dimension pass threshold (default %(default)g)")
 
     sp = sub.add_parser("random", help="write a seeded random params/matrix file")
-    sp.add_argument("--n", type=int, required=True, help="dimension (>= 1)")
+    sp.add_argument("--n", type=_positive_int, required=True, help="dimension (>= 1)")
     sp.add_argument("--seed", type=int, default=0, help="64-bit RNG seed")
     sp.add_argument("--what", choices=("params", "unitary"), default="params")
     sp.add_argument("-o", "--output", required=True)
@@ -96,8 +107,7 @@ def _cmd_compose(args) -> int:
 
 def _cmd_decompose(args) -> int:
     u = read_matrix(args.input)
-    opts = DecomposeOptions(unitarity_tol=args.tol)
-    p = decompose(u, opts)
+    p = decompose(u, unitarity_tol=args.tol)
     write_params(args.output, p)
     err = frobenius_norm(compose(p) - u)
     print(f"roundtrip_error {err:.17e}")
@@ -117,9 +127,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_random(args) -> int:
-    if args.n < 1:
-        print("--n must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
     p = random_params(args.n, RngState(args.seed))
     if args.what == "params":
         write_params(args.output, p)
@@ -149,7 +156,7 @@ def _cmd_compare(args) -> int:
 
 def _cmd_roundtrip(args) -> int:
     u = read_matrix(args.input)
-    err = roundtrip_error(u, DecomposeOptions(unitarity_tol=args.tol))
+    err = roundtrip_error(u, unitarity_tol=args.tol)
     print(f"roundtrip_error {err:.17e}")
     if not err <= ROUNDTRIP_TOL * u.shape[0]:
         return EXIT_TOLERANCE

@@ -11,12 +11,12 @@ rho_j is read as atan2(||off-diagonal row||, |pivot|) and ztilde_j as the row
 over its own norm, so angles near 0 come back to full relative precision
 (acos of the pivot would lose every angle below about sqrt(eps)).
 
-Reading row j needs only row j itself to be up to date. So while at least
-blockexp._NX_PEEL rows remain above it, the peel works in a panel of
-blockexp._NB rows: each factor is applied at once to the panel rows alone,
-and the rows above the panel take all the panel's factors in one aggregated
-block, the adjoint of I + W T W^H (the compact WY form, see ``blockexp``),
-as matrix-matrix products. Otherwise the panel is the whole remaining block.
+Reading row j needs only row j itself to be up to date. So the peel walks
+the runs of ``blockexp._runs`` (head _NX + _NB) from the last, each as a
+panel: each factor of the run is applied at once to the panel's rows alone,
+and the rows above the panel take all its factors in one aggregated block,
+the adjoint of I + W T W^H (the compact WY form, see ``blockexp``), as
+matrix-matrix products. The head's panel is the whole remaining block.
 
 The unitarity gate (defect at most ``unitarity_tol * n``) is the one
 acceptance test, and it is decided after the peel, from what the peel leaves:
@@ -39,16 +39,14 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .blockexp import _NB, _NX_PEEL, _apply_factors, apply_factor, compose
+from .blockexp import _NB, _NX, _apply_factors, _runs, apply_factor, compose
 from .linalg import frobenius_norm, square_matrix, unitarity_defect
 from .params import CcskParams, z_offset
 
 __all__ = [
-    "DecomposeOptions",
     "decompose",
     "roundtrip_error",
 ]
@@ -68,16 +66,7 @@ _ROUNDING = 2.0 ** -52  # eps of float64
 UNITARITY_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class DecomposeOptions:
-    unitarity_tol: float = UNITARITY_TOL
-
-    def __post_init__(self):
-        if not 0.0 < self.unitarity_tol < 1.0:
-            raise ValueError(f"unitarity_tol must be in (0, 1), got {self.unitarity_tol}")
-
-
-def decompose(u: np.ndarray, opts: DecomposeOptions | None = None) -> CcskParams:
+def decompose(u: np.ndarray, *, unitarity_tol: float = UNITARITY_TOL) -> CcskParams:
     """Canonical parameters p with compose(p) == u (up to roundoff).
 
     Output ranges: theta in (-pi, pi], ||z_j|| in [0, pi/2]. When a pivot
@@ -87,16 +76,17 @@ def decompose(u: np.ndarray, opts: DecomposeOptions | None = None) -> CcskParams
     is one whose Frobenius norm overflows, as not unitary.
 
     There is one acceptance test: the defect ||u^H u - I||_F must be at most
-    ``opts.unitarity_tol * n``, or ValueError("input is not unitary: ...").
+    ``unitarity_tol * n``, or ValueError("input is not unitary: ..."), and
+    unitarity_tol must be in (0, 1), or ValueError.
     What that admits, the peel inverts: the residue R it leaves has ||R||_F
     <= defect / sqrt(2) to first order, plus rounding (see the module
     docstring), so no residue is checked on its own.
     """
-    if opts is None:
-        opts = DecomposeOptions()
+    if not 0.0 < unitarity_tol < 1.0:
+        raise ValueError(f"unitarity_tol must be in (0, 1), got {unitarity_tol}")
     u, norm = square_matrix(u, "decompose")
     n = u.shape[0]
-    gate = opts.unitarity_tol * n
+    gate = unitarity_tol * n
     if not math.isfinite(norm):
         # Finite entries whose squares sum past the float range. So does the
         # trace of u^H u, which that sum is: the defect overflows, and
@@ -107,13 +97,12 @@ def decompose(u: np.ndarray, opts: DecomposeOptions | None = None) -> CcskParams
     thetas = np.zeros(n)
     z_all = np.zeros(z_offset(n + 1), dtype=np.complex128)
     phases = []  # e^{i theta_j} for j = n, n-1, ..., 1
-    top = n  # rows and columns from index top on are peeled
-    while top > 1:
-        # The panel is rows lo..top-1. Each peel updates the panel rows at
+    for j0, j1 in reversed(_runs(n, _NX + _NB)):
+        # The panel is rows lo..j1-1. Each peel updates the panel rows at
         # once, so the next row is read in full; the rows above the panel
-        # take the panel's factors together, as one aggregated block.
-        lo = top - _NB if top - _NB >= _NX_PEEL else 0
-        for j in range(top, max(lo, 1), -1):
+        # take the run's factors together, as one aggregated block.
+        lo = j0 - 1 if j0 > 2 else 0
+        for j in range(j1, j0 - 1, -1):
             pivot = m[j - 1, j - 1]
             row = m[j - 1, : j - 1]
             c = abs(pivot)
@@ -130,9 +119,7 @@ def decompose(u: np.ndarray, opts: DecomposeOptions | None = None) -> CcskParams
             phases.append(phase)
             apply_factor(m[lo:j], z, j, inverse=True)
         if lo:
-            _apply_factors(m[:lo, :top], z_all[z_offset(lo + 1):z_offset(top + 1)], lo + 1,
-                           inverse=True)
-        top = lo
+            _apply_factors(m[:lo, :j1], z_all[z_offset(j0):z_offset(j1 + 1)], j0, inverse=True)
     theta = cmath.phase(m[0, 0])
     thetas[0] = _wrap_theta(theta)
     phases.append(cmath.exp(1j * theta))
@@ -155,9 +142,10 @@ def _not_unitary(defect: float, gate: float) -> ValueError:
     return ValueError(f"input is not unitary: defect {defect:.3e} exceeds {gate:.3e}")
 
 
-def roundtrip_error(u: np.ndarray, opts: DecomposeOptions | None = None) -> float:
+def roundtrip_error(u: np.ndarray, *, unitarity_tol: float = UNITARITY_TOL) -> float:
     """||compose(decompose(u)) - u||_F."""
-    return frobenius_norm(compose(decompose(u, opts)) - np.asarray(u, dtype=np.complex128))
+    return frobenius_norm(compose(decompose(u, unitarity_tol=unitarity_tol))
+                          - np.asarray(u, dtype=np.complex128))
 
 
 def _wrap_theta(t: float) -> float:

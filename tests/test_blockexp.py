@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from ccsk.blockexp import (_NB, _NX, _compact_form, apply_factor, compose,
+from ccsk.blockexp import (_NB, _NX, _compact_form, _runs, apply_factor, compose,
                            exp_column_factor, exp_diagonal, exp_k, k_matrix)
 from ccsk.linalg import frobenius_norm, unitarity_defect
 from ccsk.oracle import RngState, expm, random_params
@@ -166,18 +166,47 @@ class TestCompactForm:
         assert np.max(np.abs(np.eye(j1) + w @ t @ w.conj().T - want)) <= 1e-14
 
 
+class TestRuns:
+    # F_2 ... F_n as a head taken one factor at a time, then blocks of _NB:
+    # compose uses the head _NX = 32, decompose the head _NX + _NB = 64.
+    EXPECTED = {
+        1: ([(2, 1)], [(2, 1)]),
+        2: ([(2, 2)], [(2, 2)]),
+        32: ([(2, 32)], [(2, 32)]),
+        33: ([(2, 33)], [(2, 33)]),
+        63: ([(2, 63)], [(2, 63)]),
+        64: ([(2, 32), (33, 64)], [(2, 64)]),
+        65: ([(2, 33), (34, 65)], [(2, 65)]),
+        95: ([(2, 63), (64, 95)], [(2, 95)]),
+        96: ([(2, 32), (33, 64), (65, 96)], [(2, 64), (65, 96)]),
+        97: ([(2, 33), (34, 65), (66, 97)], [(2, 65), (66, 97)]),
+        128: ([(2, 32), (33, 64), (65, 96), (97, 128)], [(2, 64), (65, 96), (97, 128)]),
+    }
+
+    @pytest.mark.parametrize("n", sorted(EXPECTED))
+    def test_table(self, n):
+        assert (_NX, _NB) == (32, 32)
+        assert (_runs(n, _NX), _runs(n, _NX + _NB)) == self.EXPECTED[n]
+
+    @pytest.mark.parametrize("head", [_NX, _NX + _NB])
+    def test_partition(self, head):
+        # The runs cover 2..n in order, with no gap or overlap; the head ends
+        # at F_b with min(n, head) <= b < head + _NB, and every later run
+        # has _NB factors.
+        for n in range(1, 401):
+            runs = _runs(n, head)
+            assert runs[0][0] == 2 and runs[-1][1] == n
+            assert all(a[1] + 1 == b[0] for a, b in zip(runs, runs[1:]))
+            assert min(n, head) <= runs[0][1] < head + _NB
+            assert all(j1 - j0 + 1 == _NB for j0, j1 in runs[1:])
+
+
 def single_factor_compose(p: CcskParams) -> np.ndarray:
     """The ordered product with every factor applied on its own."""
     u = exp_diagonal(p.thetas)
     for j in range(2, p.n + 1):
         apply_factor(u, p.z_column(j), j)
     return u
-
-
-def compose_blocks(n: int) -> list:
-    """The (first, last) factor of each block compose aggregates."""
-    b = min(n, _NX + (n - _NX) % _NB)
-    return [(j1 - _NB + 1, j1) for j1 in range(b + _NB, n + 1, _NB)]
 
 
 def dense_compose(p: CcskParams) -> np.ndarray:
@@ -235,7 +264,7 @@ class TestCompose:
         # aggregated block, in turn.
         p = random_params(n, rng)
         cols = list(p.z_columns)
-        for j0, j1 in compose_blocks(n):
+        for j0, j1 in _runs(n, _NX)[1:]:
             for j, rho in zip((j0, (j0 + j1) // 2, j1), np.roll([0.0, 1e-12, math.pi / 2], shift)):
                 d = random_z(rng, j - 1)
                 cols[j - 2] = rho * d / np.linalg.norm(d)

@@ -112,6 +112,17 @@ class TestRandom:
             run("random", "--n", "eight", "-o", tmp_path / "x.json")
         assert exc.value.code == 64
 
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_non_positive_n_is_a_usage_error(self, tmp_path, capsys, n):
+        out = tmp_path / "x.json"
+        with pytest.raises(SystemExit) as exc:
+            run("random", "--n", n, "-o", out)
+        assert exc.value.code == 64
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ccsk random")
+        assert f"ccsk random: error: argument --n: must be an integer >= 1, got '{n}'" in err
+        assert not out.exists()
+
 
 class TestExpmCommand:
     def test_generator_exponential(self, tmp_path):
