@@ -24,17 +24,22 @@ phases and applies F_2 ... F_n, sum_j j^2 ~ n^3/3 work in all;
 build the factor matrices themselves, as references for tests and
 ``ccsk compare``.
 
-One factor at a time is matrix-vector work. At large n, k consecutive
-factors are combined into one update I + W T W^H, with W = [Z | E] the k z
-columns and the k unit vectors e_j, and T a 2k x 2k matrix (the compact WY
-form of Schreiber and Van Loan, SIAM J. Sci. Stat. Comput. 10, 1989, here
-for rank-2 factors). Applying it is two matrix-matrix products. ``_runs``
-splits F_2 ... F_n into the runs that ``compose`` and ``decompose`` share: a
-head taken one factor at a time, then blocks of _NB.
+One factor at a time is matrix-vector work. From about ten factors on, k
+consecutive factors are combined into one update I + W T W^H, with W = [Z |
+E] the k z columns and the k unit vectors e_j, and T a 2k x 2k matrix (the
+compact WY form of Schreiber and Van Loan, SIAM J. Sci. Stat. Comput. 10,
+1989, here for rank-2 factors). T is never formed: its blocks follow from
+the k x k inverse N = (I - P)^{-1} of a unit upper triangular matrix and the
+coupling matrix Q, so applying the block is two products with Z, two k x k
+products (with N and Q) and column scalings, 2 j1^2 k + 2 j1 k^2 complex
+multiply-adds on the leading j1 x j1 block. ``_runs`` splits F_2 ... F_n
+into the runs that ``compose`` and ``decompose`` share: a head, then blocks
+of _NB.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -55,13 +60,18 @@ __all__ = [
 # instead of normalizing; removes the 0/0 in ztilde without a discontinuity.
 _RHO_TINY = 1e-14
 
-# _runs' block size and compose's head; decompose's head is _NX + _NB. A block
-# of _NB factors costs a fixed ~0.1 ms (its T matrix) and saves the per-factor
-# calls, so compose gains from n = 64 on. decompose still reads and peels each
-# panel row on its own, so only the flops move into the block: its panels gain
-# from about n = 128. Measured at n = 32 ... 512, one BLAS thread (CHANGES.md).
+# _runs' block size. compose walks _runs(n, 1) and decompose _runs(n, 2 * _NB).
+# A block has a fixed cost (its N, Q and core scalars: some 35 numpy
+# operations, one an LU-based inverse) where a factor taken alone costs about
+# 10, so compose applies a run one factor at a time only when it holds fewer
+# than _MIN_BLOCK factors.
+# Measured with one BLAS thread: run alone, the block wins from 6 factors;
+# between decompose and expm calls, as compose is used, the fixed cost grows
+# from about 40 to 100 us, the two tie at 8 and 9 factors and the block wins
+# from 10. decompose still reads and peels each panel row on its own, so only
+# the flops move into the block: its panels gain from about n = 128.
 _NB = 32
-_NX = 32
+_MIN_BLOCK = 10
 
 
 def k_matrix(z) -> np.ndarray:
@@ -144,69 +154,109 @@ def apply_factor(u: np.ndarray, z: np.ndarray, j: int, *, inverse: bool = False)
     b += sigma * w
 
 
-def _compact_form(seg: np.ndarray, j0: int, j1: int) -> tuple[np.ndarray, np.ndarray]:
-    """F_{j0} ... F_{j1} = I + W T W^H on the leading j1 x j1 block.
+@functools.lru_cache(maxsize=64)
+def _masks(j0: int, j1: int) -> tuple[np.ndarray, np.ndarray]:
+    """The masks ``_compact_form`` uses for F_{j0} ... F_{j1}, built once.
+
+    Row i of the first (k x j1) holds True in its first j0 + i - 1 entries, so
+    Z^T[mask] walks the packed z_{j0} ... z_{j1}; the second (k x k) is the
+    strict upper triangle.
+    """
+    k = j1 - j0 + 1
+    masks = np.tri(k, j1, j0 - 2, dtype=bool), ~np.tri(k, dtype=bool)
+    for mask in masks:
+        mask.flags.writeable = False
+    return masks
+
+
+# Half-turns of rho in sigma = sinc(rho / pi) and 2 a = sinc(rho / (2 pi))^2.
+_HALF_TURNS = np.array([[1.0 / math.pi], [0.5 / math.pi]])
+
+
+def _compact_form(seg: np.ndarray, j0: int, j1: int) -> tuple[np.ndarray, ...]:
+    """F_{j0} ... F_{j1} = I + W T W^H on the leading j1 x j1 block, without T.
 
     seg holds the k = j1 - j0 + 1 consecutive columns z_{j0} ... z_{j1},
-    packed as in ``CcskParams.z``. W = [Z | E], where Z (returned, j1 x k)
-    holds the z columns padded with zeros and E the unit columns
-    e_{j0} ... e_{j1}, the last k of the block; T is 2k x 2k. This is
-    the compact WY form of Schreiber and Van Loan (SIAM J. Sci. Stat. Comput.
-    10, 1989) for rank-2 factors: F_i alone is I + [z_i e_i] C_i [z_i e_i]^H
-    with the core C_i = [[-a, sigma], [-sigma, cos(rho) - 1]] (a and sigma as
-    in ``apply_factor``), and T = (I - M L)^{-1} M, where M holds the cores
-    and L the inner products z_i^H z_l and e_i^H z_l that couple F_i to a
-    later F_l (z_i^H e_l and e_i^H e_l vanish). In the [Z | E] order I - M L
-    is block lower triangular with the unit upper triangular I - P on its
-    leading block, so one triangular solve gives T.
+    packed as in ``CcskParams.z``. W = [Z | E], where Z (j1 x k) holds the z
+    columns padded with zeros and E the unit columns e_{j0} ... e_{j1}, the
+    last k of the block. This is the compact WY form of Schreiber and Van
+    Loan (SIAM J. Sci. Stat. Comput. 10, 1989) for rank-2 factors: F_i alone
+    is I + [z_i e_i] C_i [z_i e_i]^H with the core C_i = [[-a, sigma],
+    [-sigma, cos(rho) - 1]] (a and sigma as in ``apply_factor``), and T = (I -
+    M L)^{-1} M, where M holds the cores and L the inner products z_i^H z_l
+    and e_i^H z_l that couple F_i to a later F_l (z_i^H e_l and e_i^H e_l
+    vanish). Row i of P and Q is C_i times the couplings of F_i, M L = [[P,
+    0], [Q, 0]], and with the unit upper triangular I - P and N = (I - P)^{-1}
+
+        T = [[N D_{-a},             N D_sigma            ],
+             [Q N D_{-a} - D_sigma, Q N D_sigma + D_{cm1}]],
+
+    D_x the diagonal of the vector x. So T is never formed: this returns Z,
+    N, Q and the vectors a, sigma and cm1 = cos(rho) - 1, and
+    ``_apply_factors`` applies T as two k x k products and column scalings.
     """
     k = j1 - j0 + 1
+    scatter, upper = _masks(j0, j1)
     z = np.zeros((j1, k), dtype=np.complex128)
-    # Row i of Z^T holds z_{j0+i} in its first j0 + i - 1 entries; the mask
-    # walks them row by row, which is the packed order.
-    z.T[np.tri(k, j1, j0 - 2, dtype=bool)] = seg
+    z.T[scatter] = seg
     g = z.conj().T @ z
     rho2 = g.diagonal().real
-    rho = np.sqrt(rho2)
-    sigma = np.sinc(rho / np.pi)
-    a = 0.5 * np.sinc(rho / (2.0 * np.pi)) ** 2
+    sigma, h = np.sinc(_HALF_TURNS * np.sqrt(rho2))
+    a = 0.5 * h * h
     cm1 = -a * rho2  # cos(rho) - 1 without the cancellation
-    lz = np.triu(g, 1)
-    le = np.triu(z[j1 - k:], 1)
-    # M L = [[P, 0], [Q, 0]]: row i of P and Q is the core C_i times the
-    # couplings (lz, le) of F_i.
-    p = -a[:, None] * lz + sigma[:, None] * le
-    q = -sigma[:, None] * lz + cm1[:, None] * le
-    top = np.linalg.solve(np.eye(k) - p, np.hstack((np.diag(-a), np.diag(sigma))))
-    t = np.vstack((top, q @ top + np.hstack((np.diag(-sigma), np.diag(cm1)))))
-    return z, t
+    # The couplings of F_i to a later F_l: z_i^H z_l, and e_i^H z_l in the
+    # last k rows of Z, which vanish for l <= i already. Row i of -P and of Q
+    # is the core row (a, -sigma) and (-sigma, cm1) of C_i (the first
+    # negated) against them.
+    lz = g * upper
+    le = z[-k:]
+    ns = -sigma[:, None]
+    ip = a[:, None] * lz + ns * le
+    q = ns * lz + cm1[:, None] * le
+    ip.ravel()[:: k + 1] = 1.0  # I - P: P vanishes on the diagonal
+    return z, np.linalg.inv(ip), q, a, sigma, cm1
 
 
-def _apply_factors(a: np.ndarray, seg: np.ndarray, j0: int, *,
+def _apply_factors(m: np.ndarray, seg: np.ndarray, j0: int, *,
                    inverse: bool = False) -> None:
-    """a <- a @ F_{j0} ... F_{j1} (or @ its adjoint with ``inverse``), in place.
+    """m <- m @ F_{j0} ... F_{j1} (or @ its adjoint with ``inverse``), in place.
 
-    a has j1 columns and seg holds z_{j0} ... z_{j1}, packed as in
-    ``CcskParams.z``. With Y = [a Z, a E] T, a += Y_Z Z^H and a E += Y_E:
-    two products of size rows x j1 x k, and the E half costs no flops.
+    m has j1 columns and seg holds z_{j0} ... z_{j1}, packed as in
+    ``CcskParams.z``. With Y = [m Z, m E] T (``_compact_form``), m += Y_Z Z^H
+    and m E += Y_E, where, from the blocks of T,
+
+        forward:  V = (m Z + m E Q) N,  Y_Z = -V D_a - m E D_sigma,
+                  Y_E = V D_sigma + m E D_cm1;
+        adjoint:  Y_Z = (-m Z D_a + m E D_sigma) N^H,
+                  Y_E = Y_Z Q^H - m Z D_sigma + m E D_cm1.
+
+    For r rows that is two products of size r x j1 x k (m Z and Y_Z Z^H) and
+    two of size r x k x k: 2 r j1 k + 2 r k^2 complex multiply-adds. The E
+    half of W costs none.
     """
-    j1 = a.shape[1]
+    j1 = m.shape[1]
     k = j1 - j0 + 1
-    z, t = _compact_form(seg, j0, j1)
+    z, n, q, a, sigma, cm1 = _compact_form(seg, j0, j1)
+    e = m[:, -k:]
+    mz = m @ z
     if inverse:
-        t = t.conj().T
-    e = a[:, -k:]
-    y = np.hstack((a @ z, e)) @ t
-    a += y[:, :k] @ z.conj().T
-    e += y[:, k:]
+        yz = (mz * a - e * sigma) @ n.conj().T  # -Y_Z
+        ye = e * cm1 - mz * sigma - yz @ q.conj().T
+    else:
+        v = (mz + e @ q) @ n
+        yz = v * a + e * sigma  # -Y_Z
+        ye = v * sigma + e * cm1
+    m -= yz @ z.conj().T
+    e += ye
 
 
 def _runs(n: int, head: int) -> list[tuple[int, int]]:
     """The runs (j0, j1) of factors F_{j0} ... F_{j1} that make up F_2 ... F_n.
 
-    First the head F_2 ... F_b, b = min(n, head + (n - head) % _NB), taken one
-    factor at a time ((2, 1), empty, at n = 1), then blocks of _NB factors.
-    ``compose`` takes the head _NX, ``decompose`` _NX + _NB.
+    First the head F_2 ... F_b, b = min(n, head + (n - head) % _NB) ((2, 1),
+    empty, when b = 1), then runs of _NB factors. ``compose`` takes the head
+    1 and applies each run of at least _MIN_BLOCK factors as one block;
+    ``decompose`` takes the head 2 * _NB and peels it one factor at a time.
     """
     b = min(n, head + (n - head) % _NB)
     return [(2, b)] + [(j0, j0 + _NB - 1) for j0 in range(b + 1, n + 1, _NB)]
@@ -215,9 +265,10 @@ def _runs(n: int, head: int) -> list[tuple[int, int]]:
 def compose(p: CcskParams) -> np.ndarray:
     """Ordered product: diagonal phases, then the column factors j = 2..n."""
     u = exp_diagonal(p.thetas)
-    (_, b), *blocks = _runs(p.n, _NX)
-    for j in range(2, b + 1):
-        apply_factor(u, p.z_column(j), j)
-    for j0, j1 in blocks:
-        _apply_factors(u[:j1, :j1], p.z[z_offset(j0):z_offset(j1 + 1)], j0)
+    for j0, j1 in _runs(p.n, 1):
+        if j1 - j0 + 1 < _MIN_BLOCK:
+            for j in range(j0, j1 + 1):
+                apply_factor(u, p.z_column(j), j)
+        else:
+            _apply_factors(u[:j1, :j1], p.z[z_offset(j0):z_offset(j1 + 1)], j0)
     return u

@@ -12,7 +12,7 @@ over its own norm, so angles near 0 come back to full relative precision
 (acos of the pivot would lose every angle below about sqrt(eps)).
 
 Reading row j needs only row j itself to be up to date. So the peel walks
-the runs of ``blockexp._runs`` (head _NX + _NB) from the last, each as a
+the runs of ``blockexp._runs`` (head 2 * _NB) from the last, each as a
 panel: each factor of the run is applied at once to the panel's rows alone,
 and the rows above the panel take all its factors in one aggregated block,
 the adjoint of I + W T W^H (the compact WY form, see ``blockexp``), as
@@ -42,8 +42,8 @@ import math
 
 import numpy as np
 
-from .blockexp import _NB, _NX, _apply_factors, _runs, apply_factor, compose
-from .linalg import frobenius_norm, square_matrix, unitarity_defect
+from .blockexp import _NB, _apply_factors, _runs, apply_factor, compose
+from .linalg import _unitarity_defect, frobenius_norm, square_matrix
 from .params import CcskParams, z_offset
 
 __all__ = [
@@ -97,7 +97,7 @@ def decompose(u: np.ndarray, *, unitarity_tol: float = UNITARITY_TOL) -> CcskPar
     thetas = np.zeros(n)
     z_all = np.zeros(z_offset(n + 1), dtype=np.complex128)
     phases = []  # e^{i theta_j} for j = n, n-1, ..., 1
-    for j0, j1 in reversed(_runs(n, _NX + _NB)):
+    for j0, j1 in reversed(_runs(n, 2 * _NB)):
         # The panel is rows lo..j1-1. Each peel updates the panel rows at
         # once, so the next row is read in full; the rows above the panel
         # take the run's factors together, as one aggregated block.
@@ -132,7 +132,7 @@ def decompose(u: np.ndarray, *, unitarity_tol: float = UNITARITY_TOL) -> CcskPar
     r = frobenius_norm(m)
     half = 0.5 * gate
     if not (2.0 * r + r * r <= half and _ROUNDING * n * math.sqrt(n) <= half):
-        defect = unitarity_defect(u)
+        defect = _unitarity_defect(u)
         if not defect <= gate:
             raise _not_unitary(defect, gate)
     return CcskParams(thetas, z_all)

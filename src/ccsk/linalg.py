@@ -3,7 +3,9 @@
 Matrices are numpy ``complex128`` arrays with row-major semantics. Each public
 function that takes a square matrix from outside checks it once, on entry,
 with ``square_matrix`` (vectors with ``as_cvector``); the kernels behind them
-assume checked input and stay branch-free.
+assume checked input and stay branch-free. Callers inside the package that
+already hold a checked matrix use the unchecked cores ``_unitarity_defect``
+and ``_anti_hermiticity_defect``.
 """
 
 from __future__ import annotations
@@ -72,11 +74,19 @@ def square_matrix(a, what: str) -> tuple[np.ndarray, float]:
 
 def unitarity_defect(u) -> float:
     """||u† u - I||_F; zero (to roundoff) iff u is unitary."""
-    u, _ = square_matrix(u, "unitarity_defect")
-    return frobenius_norm(u.conj().T @ u - np.eye(u.shape[0]))
+    return _unitarity_defect(square_matrix(u, "unitarity_defect")[0])
 
 
 def anti_hermiticity_defect(x) -> float:
     """||x† + x||_F; zero iff x is anti-Hermitian (a u(n) element)."""
-    x, _ = square_matrix(x, "anti_hermiticity_defect")
+    return _anti_hermiticity_defect(square_matrix(x, "anti_hermiticity_defect")[0])
+
+
+def _unitarity_defect(u: np.ndarray) -> float:
+    """``unitarity_defect`` unchecked, for a finite square complex128 matrix."""
+    return frobenius_norm(u.conj().T @ u - np.eye(u.shape[0]))
+
+
+def _anti_hermiticity_defect(x: np.ndarray) -> float:
+    """``anti_hermiticity_defect`` unchecked, for a finite square complex128 matrix."""
     return frobenius_norm(x.conj().T + x)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import anti_hermiticity_defect, square_matrix
+from .linalg import _anti_hermiticity_defect, square_matrix
 
 __all__ = [
     "CcskParams",
@@ -158,7 +158,7 @@ def params_from_generator(x) -> CcskParams:
     """Read parameters off a generator: thetas from Im(diag), z from the upper triangle."""
     x, _ = square_matrix(x, "params_from_generator")
     n = x.shape[0]
-    defect = anti_hermiticity_defect(x)
+    defect = _anti_hermiticity_defect(x)
     if not defect <= GENERATOR_DEFECT_TOL * n:
         raise ValueError(
             f"matrix is not anti-Hermitian: defect {defect:.3e} exceeds "

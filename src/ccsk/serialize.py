@@ -200,6 +200,8 @@ def _read(path) -> dict:
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
+    except RecursionError as exc:  # the decoder recurses once per nested array or object
+        raise ParseError(f"{path}: invalid JSON: nesting too deep") from exc
 
 
 def write_matrix(path, m: np.ndarray) -> None:

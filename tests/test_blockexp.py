@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from ccsk.blockexp import (_NB, _NX, _compact_form, _runs, apply_factor, compose,
-                           exp_column_factor, exp_diagonal, exp_k, k_matrix)
+from ccsk.blockexp import (_MIN_BLOCK, _NB, _apply_factors, _compact_form, _runs,
+                           apply_factor, compose, exp_column_factor, exp_diagonal, exp_k,
+                           k_matrix)
 from ccsk.linalg import frobenius_norm, unitarity_defect
 from ccsk.oracle import RngState, expm, random_params
 from ccsk.params import CcskParams, assemble_generator
@@ -147,8 +148,10 @@ class TestApplyFactor:
 
 
 class TestCompactForm:
-    # F_{j0} ... F_{j1} = I + W T W^H with W = [Z | E], E the last k unit columns.
-    @pytest.mark.parametrize("j0, j1", [(2, 2), (2, 6), (5, 5), (4, 9)])
+    # F_{j0} ... F_{j1} = I + W T W^H with W = [Z | E], E the last k unit
+    # columns; _apply_factors applies T from N, Q and the cores without
+    # forming it, forward and adjoint.
+    @pytest.mark.parametrize("j0, j1", [(2, 2), (2, 6), (5, 5), (4, 9), (2, 32), (97, 128)])
     def test_matches_dense_product(self, rng, j0, j1):
         zs = [random_z(rng, j - 1) for j in range(j0, j1 + 1)]
         if len(zs) >= 3:
@@ -157,38 +160,43 @@ class TestCompactForm:
         want = np.eye(j1, dtype=complex)
         for j, z in zip(range(j0, j1 + 1), zs):
             want = want @ exp_column_factor(z, j1, j)
-        z, t = _compact_form(np.concatenate(zs), j0, j1)
+        seg = np.concatenate(zs)
+        z = _compact_form(seg, j0, j1)[0]
         padded = np.zeros_like(z)
         for i, zi in enumerate(zs):
             padded[:zi.shape[0], i] = zi
         assert z.tobytes() == padded.tobytes()
-        w = np.hstack((z, np.eye(j1, dtype=complex)[:, j0 - 1:]))
-        assert np.max(np.abs(np.eye(j1) + w @ t @ w.conj().T - want)) <= 1e-14
+        for inverse, product in ((False, want), (True, want.conj().T)):
+            got = np.eye(j1, dtype=complex)
+            _apply_factors(got, seg, j0, inverse=inverse)
+            assert np.max(np.abs(got - product)) <= 1e-14
 
 
 class TestRuns:
-    # F_2 ... F_n as a head taken one factor at a time, then blocks of _NB:
-    # compose uses the head _NX = 32, decompose the head _NX + _NB = 64.
+    # F_2 ... F_n as a head, then runs of _NB: compose walks the runs of
+    # head 1, decompose those of head 2 * _NB = 64 and peels its head one
+    # factor at a time.
     EXPECTED = {
         1: ([(2, 1)], [(2, 1)]),
         2: ([(2, 2)], [(2, 2)]),
         32: ([(2, 32)], [(2, 32)]),
-        33: ([(2, 33)], [(2, 33)]),
-        63: ([(2, 63)], [(2, 63)]),
+        33: ([(2, 1), (2, 33)], [(2, 33)]),
+        34: ([(2, 2), (3, 34)], [(2, 34)]),
+        63: ([(2, 31), (32, 63)], [(2, 63)]),
         64: ([(2, 32), (33, 64)], [(2, 64)]),
-        65: ([(2, 33), (34, 65)], [(2, 65)]),
-        95: ([(2, 63), (64, 95)], [(2, 95)]),
+        65: ([(2, 1), (2, 33), (34, 65)], [(2, 65)]),
+        95: ([(2, 31), (32, 63), (64, 95)], [(2, 95)]),
         96: ([(2, 32), (33, 64), (65, 96)], [(2, 64), (65, 96)]),
-        97: ([(2, 33), (34, 65), (66, 97)], [(2, 65), (66, 97)]),
+        97: ([(2, 1), (2, 33), (34, 65), (66, 97)], [(2, 65), (66, 97)]),
         128: ([(2, 32), (33, 64), (65, 96), (97, 128)], [(2, 64), (65, 96), (97, 128)]),
     }
 
     @pytest.mark.parametrize("n", sorted(EXPECTED))
     def test_table(self, n):
-        assert (_NX, _NB) == (32, 32)
-        assert (_runs(n, _NX), _runs(n, _NX + _NB)) == self.EXPECTED[n]
+        assert _NB == 32
+        assert (_runs(n, 1), _runs(n, 2 * _NB)) == self.EXPECTED[n]
 
-    @pytest.mark.parametrize("head", [_NX, _NX + _NB])
+    @pytest.mark.parametrize("head", [1, 2 * _NB])
     def test_partition(self, head):
         # The runs cover 2..n in order, with no gap or overlap; the head ends
         # at F_b with min(n, head) <= b < head + _NB, and every later run
@@ -257,14 +265,18 @@ class TestCompose:
         assert frobenius_norm(compose(p) - dense_compose(p)) <= 1e-13 * n
 
     @pytest.mark.parametrize("shift", [0, 1, 2])
-    @pytest.mark.parametrize("n", [_NX + _NB - 1, _NX + _NB, _NX + _NB + 1,
-                                   _NX + 2 * _NB + 1, 200])
+    @pytest.mark.parametrize("n", [_MIN_BLOCK, _MIN_BLOCK + 1, _MIN_BLOCK + 2,
+                                   32, 33, 34, 63, 64, 65, 97, 200])
     def test_aggregated_blocks_match_single_factors(self, rng, n, shift):
-        # rho = 0, tiny and pi/2 at the first, middle and last factor of each
-        # aggregated block, in turn.
+        # compose's runs (head 1), the first included, with rho = 0, tiny and
+        # pi/2 at the first, middle and last factor of each, in turn. The
+        # first three n give a head of _MIN_BLOCK - 1 factors, taken one at a
+        # time, and of _MIN_BLOCK and _MIN_BLOCK + 1, each taken as one block.
         p = random_params(n, rng)
         cols = list(p.z_columns)
-        for j0, j1 in _runs(n, _NX)[1:]:
+        for j0, j1 in _runs(n, 1):
+            if j0 > j1:
+                continue
             for j, rho in zip((j0, (j0 + j1) // 2, j1), np.roll([0.0, 1e-12, math.pi / 2], shift)):
                 d = random_z(rng, j - 1)
                 cols[j - 2] = rho * d / np.linalg.norm(d)

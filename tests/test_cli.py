@@ -233,6 +233,20 @@ class TestNonFiniteEntries:
         assert not (tmp_path / "out.json").exists()
 
 
+class TestDeeplyNested:
+    # json.load recurses once per nesting level; a file nested past the
+    # interpreter's recursion limit must still give one error line, exit 1.
+    @pytest.mark.parametrize("command", ["verify", "compose"])
+    def test_exit_1_with_one_error_line(self, tmp_path, capsys, command):
+        path = tmp_path / "in.json"
+        path.write_text("[" * 200_000)
+        argv = [command, "-i", path] + (["-o", tmp_path / "out.json"] if command == "compose" else [])
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: invalid JSON: nesting too deep\n"
+        assert not (tmp_path / "out.json").exists()
+
+
 class TestUsageErrors:
     def test_unknown_command_exit_64(self):
         with pytest.raises(SystemExit) as exc:

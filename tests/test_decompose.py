@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccsk.blockexp import _NB, _NX, _runs, compose
+from ccsk.blockexp import _NB, _runs, compose
 from ccsk.decompose import UNITARITY_TOL, _wrap_theta, decompose, roundtrip_error
-from ccsk.linalg import frobenius_norm, unitarity_defect
+from ccsk.linalg import _unitarity_defect, frobenius_norm, unitarity_defect
 from ccsk.oracle import RngState, expm, random_params, random_unitary
 from ccsk.params import CcskParams, assemble_generator, params_from_generator
 
@@ -171,16 +171,16 @@ class TestChartEdges:
         assert params_close(p0, q0, 1e-13 * n)
 
     @pytest.mark.parametrize("first, last", [(math.pi / 2, 0.0), (0.0, math.pi / 2)])
-    @pytest.mark.parametrize("n", [_NX + 2 * _NB - 1, _NX + 2 * _NB, _NX + 2 * _NB + 1, 200])
+    @pytest.mark.parametrize("n", [3 * _NB - 1, 3 * _NB, 3 * _NB + 1, 200])
     def test_panel_edge_rows(self, n, first, last):
         # rho = pi/2 (theta_j := 0 fires) and rho = 0 (z_j := 0) on the first
         # and the last row peeled in each panel, the runs of _runs with
-        # decompose's head _NX + _NB; n is around the first size with a
+        # decompose's head 2 * _NB; n is around the first size with a
         # second run. theta_j is 0 wherever rho_j is pi/2, so every parameter
         # is defined and must come back.
         p = generic_params(n, n)
         thetas, cols = p.thetas.copy(), list(p.z_columns)
-        for j0, j1 in _runs(n, _NX + _NB):
+        for j0, j1 in _runs(n, 2 * _NB):
             for j, rho in ((j1, first), (j0, last)):
                 if rho:
                     cols[j - 2] *= rho / np.linalg.norm(cols[j - 2])
@@ -287,7 +287,7 @@ class TestOutsideTheGate:
 
 
 class TestPanels:
-    # decompose walks blockexp._runs(n, _NX + _NB) from the last run: each run
+    # decompose walks blockexp._runs(n, 2 * _NB) from the last run: each run
     # after the head is a panel whose rows above take one aggregated update.
     @pytest.mark.parametrize("n", [1, 2, 95, 96, 97, 128, 200])
     def test_aggregated_updates_follow_the_runs(self, n, monkeypatch):
@@ -301,7 +301,7 @@ class TestPanels:
         monkeypatch.setattr(decompose_module, "_apply_factors", recorded)
         u = compose(random_params(n, RngState(n)))
         assert frobenius_norm(compose(decompose(u)) - u) <= 1e-13 * n
-        assert calls == [(j0, j1, j0 - 1, True) for j0, j1 in reversed(_runs(n, _NX + _NB)[1:])]
+        assert calls == [(j0, j1, j0 - 1, True) for j0, j1 in reversed(_runs(n, 2 * _NB)[1:])]
 
 
 @pytest.fixture
@@ -311,9 +311,9 @@ def defect_calls(monkeypatch):
 
     def counted(u):
         calls.append(u.shape[0])
-        return unitarity_defect(u)
+        return _unitarity_defect(u)
 
-    monkeypatch.setattr(decompose_module, "unitarity_defect", counted)
+    monkeypatch.setattr(decompose_module, "_unitarity_defect", counted)
     return calls
 
 

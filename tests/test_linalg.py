@@ -161,3 +161,37 @@ class TestSquareMatrixBoundary:
             warnings.simplefilter("error", RuntimeWarning)
             _, norm = square_matrix(np.full((2, 2), 1e200), "test")
         assert norm == math.inf
+
+
+class TestCheckedOnce:
+    # Inside the package a matrix is checked once, where it comes in: the
+    # defects on internal paths are the unchecked cores, so the check that
+    # the public unitarity_defect and anti_hermiticity_defect add never runs.
+    def test_internal_paths_use_the_cores(self, monkeypatch, tmp_path):
+        from ccsk import linalg
+        from ccsk.cli import main
+        from ccsk.oracle import RngState, random_params
+        from ccsk.params import assemble_generator
+        from ccsk.serialize import write_matrix, write_params
+
+        calls = []
+        check = linalg.square_matrix
+
+        def counted(a, what):
+            calls.append(what)
+            return check(a, what)
+
+        monkeypatch.setattr(linalg, "square_matrix", counted)
+        p = random_params(8, RngState(8))
+        params_from_generator(assemble_generator(p))
+        # At --tol 1e-20 the exact defect decides the gate.
+        perm = np.roll(np.eye(8, dtype=complex), 1, axis=0)
+        decompose(perm, unitarity_tol=1e-20)
+        write_matrix(tmp_path / "u.json", perm)
+        write_params(tmp_path / "p.json", p)
+        assert main(["verify", "-i", str(tmp_path / "u.json")]) == 0
+        assert main(["compose", "-i", str(tmp_path / "p.json"), "-o", str(tmp_path / "c.json")]) == 0
+        assert calls == []
+        unitarity_defect(perm)
+        anti_hermiticity_defect(assemble_generator(p))
+        assert calls == ["unitarity_defect", "anti_hermiticity_defect"]
