@@ -10,16 +10,19 @@ and the ordered product  diag-phases * F_2 * ... * F_n  covers all of U(n).
 The product is NOT the exponential of the summed generator (the factors do
 not commute); see the oracle module for the generic exponential.
 
-F_j is the identity plus a rank-2 correction, so ``apply_factor`` multiplies
-it onto the leading j x j block of a matrix in place, in O(j^2), without
-forming it. In terms of z itself, with sigma = sin(rho)/rho and
-a = (1 - cos rho)/rho^2 = 2 sin^2(rho/2)/rho^2 (both finite at rho = 0),
-splitting the block as [A | b] with b its last column:
+F_j is the identity plus a rank-2 correction, so one kernel,
+``_apply_factor``, multiplies it onto the leading j x j block of a matrix in
+place, in O(j^2), without forming it. In terms of z itself, with sigma =
+sin(rho)/rho and a = (1 - cos rho)/rho^2 = 2 sin^2(rho/2)/rho^2 (both finite
+at rho = 0), splitting the block as [A | b] with b its last column:
 
     w = A z,   A -= (a w + sigma b) z^H,   b <- cos(rho) b + sigma w
 
-(the signs of the sigma terms flip for F_j^H). ``compose`` starts from the
-phases and applies F_2 ... F_n, sum_j j^2 ~ n^3/3 work in all;
+(the signs of the sigma terms flip for F_j^H). The kernel takes rho and z^H
+= c v from its caller: ``compose`` passes conj(z) and 1, ``decompose`` the
+row it read z from and a scale, so neither the norm nor the conjugate is
+taken twice. ``apply_factor`` is the public form. ``compose`` starts from
+the phases and applies F_2 ... F_n, sum_j j^2 ~ n^3/3 work in all;
 ``decompose`` peels with the adjoints. ``exp_k`` and ``exp_column_factor``
 build the factor matrices themselves, as references for tests and
 ``ccsk compare``.
@@ -44,7 +47,7 @@ import math
 
 import numpy as np
 
-from .linalg import as_cvector
+from .linalg import as_cvector, frobenius_norm
 from .params import CcskParams, z_offset
 
 __all__ = [
@@ -90,7 +93,10 @@ def k_matrix(z) -> np.ndarray:
 def exp_diagonal(thetas) -> np.ndarray:
     """diag(e^{i theta_1}, ..., e^{i theta_n})."""
     thetas = np.asarray(thetas, dtype=np.float64)
-    return np.diag(np.exp(1j * thetas))
+    n = thetas.shape[0]
+    out = np.zeros((n, n), dtype=np.complex128)
+    out.ravel()[:: n + 1] = np.exp(1j * thetas)  # np.diag's work, without its overhead
+    return out
 
 
 def exp_k(z) -> np.ndarray:
@@ -134,6 +140,27 @@ def _sinc(x: float) -> float:
     return math.sin(x) / x if x else 1.0
 
 
+def _apply_factor(x: np.ndarray, z: np.ndarray, v: np.ndarray, c: complex, rho: float,
+                  inverse: bool) -> None:
+    """x <- x @ F_j (or @ F_j^H with ``inverse``), in place: the one factor kernel.
+
+    x holds the rows to update, restricted to the leading j columns, and z is
+    z_j (length j - 1). The caller passes rho = ||z|| and conj(z) as c * v,
+    so no norm or conjugate is taken here: ``compose`` passes z.conj() and 1,
+    ``decompose`` the row it read z from and a scale.
+    """
+    sigma = _sinc(rho)
+    a = 0.5 * _sinc(0.5 * rho) ** 2
+    if inverse:
+        sigma = -sigma
+    block = x[:, :-1]
+    b = x[:, -1]
+    w = block @ z
+    block -= (a * c * w + sigma * c * b)[:, None] * v
+    b *= math.cos(rho)
+    b += sigma * w
+
+
 def apply_factor(u: np.ndarray, z: np.ndarray, j: int, *, inverse: bool = False) -> None:
     """u[:j, :j] <- u[:j, :j] @ F_j (or @ F_j^H with ``inverse``), in place.
 
@@ -141,17 +168,7 @@ def apply_factor(u: np.ndarray, z: np.ndarray, j: int, *, inverse: bool = False)
     of length j - 1, and F_j = ``exp_k(z)``. Entries of u outside the leading
     j x j block are left untouched. Costs O(j^2).
     """
-    rho = math.sqrt(np.vdot(z, z).real)
-    sigma = _sinc(rho)
-    a = 0.5 * _sinc(0.5 * rho) ** 2
-    if inverse:
-        sigma = -sigma
-    block = u[:j, :j - 1]
-    b = u[:j, j - 1]
-    w = block @ z
-    block -= (a * w + sigma * b)[:, None] * z.conj()
-    b *= math.cos(rho)
-    b += sigma * w
+    _apply_factor(u[:j, :j], z, z.conj(), 1.0, frobenius_norm(z), inverse)
 
 
 @functools.lru_cache(maxsize=64)
@@ -182,8 +199,8 @@ def _compact_form(seg: np.ndarray, j0: int, j1: int) -> tuple[np.ndarray, ...]:
     last k of the block. This is the compact WY form of Schreiber and Van
     Loan (SIAM J. Sci. Stat. Comput. 10, 1989) for rank-2 factors: F_i alone
     is I + [z_i e_i] C_i [z_i e_i]^H with the core C_i = [[-a, sigma],
-    [-sigma, cos(rho) - 1]] (a and sigma as in ``apply_factor``), and T = (I -
-    M L)^{-1} M, where M holds the cores and L the inner products z_i^H z_l
+    [-sigma, cos(rho) - 1]] (a and sigma as in ``_apply_factor``), and T =
+    (I - M L)^{-1} M, where M holds the cores and L the inner products z_i^H z_l
     and e_i^H z_l that couple F_i to a later F_l (z_i^H e_l and e_i^H e_l
     vanish). Row i of P and Q is C_i times the couplings of F_i, M L = [[P,
     0], [Q, 0]], and with the unit upper triangular I - P and N = (I - P)^{-1}
@@ -266,9 +283,12 @@ def compose(p: CcskParams) -> np.ndarray:
     """Ordered product: diagonal phases, then the column factors j = 2..n."""
     u = exp_diagonal(p.thetas)
     for j0, j1 in _runs(p.n, 1):
+        start = z_offset(j0)
         if j1 - j0 + 1 < _MIN_BLOCK:
             for j in range(j0, j1 + 1):
-                apply_factor(u, p.z_column(j), j)
+                z = p.z[start:start + j - 1]
+                start += j - 1
+                _apply_factor(u[:j, :j], z, z.conj(), 1.0, frobenius_norm(z), False)
         else:
-            _apply_factors(u[:j1, :j1], p.z[z_offset(j0):z_offset(j1 + 1)], j0)
+            _apply_factors(u[:j1, :j1], p.z[start:z_offset(j1 + 1)], j0)
     return u

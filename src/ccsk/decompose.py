@@ -4,7 +4,8 @@ The last row of the factor for column j is (-sin(rho) <ztilde|, cos(rho)), and
 every earlier factor leaves row/column j untouched apart from the phase
 e^{i theta_j}. So row j of the current leading block reads off theta_j, rho_j
 and ztilde_j directly; multiplying by the factor's adjoint (in place, with
-``apply_factor``) peels it away and the recursion continues on the leading
+the factor kernel ``blockexp._apply_factor``, given the rho and the row just
+read) peels it away and the recursion continues on the leading
 (j-1) x (j-1) block.
 
 rho_j is read as atan2(||off-diagonal row||, |pivot|) and ztilde_j as the row
@@ -42,7 +43,7 @@ import math
 
 import numpy as np
 
-from .blockexp import _NB, _apply_factors, _runs, apply_factor, compose
+from .blockexp import _NB, _apply_factor, _apply_factors, _runs, compose
 from .linalg import _unitarity_defect, frobenius_norm, square_matrix
 from .params import CcskParams, z_offset
 
@@ -97,29 +98,36 @@ def decompose(u: np.ndarray, *, unitarity_tol: float = UNITARITY_TOL) -> CcskPar
     thetas = np.zeros(n)
     z_all = np.zeros(z_offset(n + 1), dtype=np.complex128)
     phases = []  # e^{i theta_j} for j = n, n-1, ..., 1
+    end = z_all.shape[0]  # z_j is z_all[end - (j - 1):end], walked down from j = n
     for j0, j1 in reversed(_runs(n, 2 * _NB)):
         # The panel is rows lo..j1-1. Each peel updates the panel rows at
         # once, so the next row is read in full; the rows above the panel
         # take the run's factors together, as one aggregated block.
         lo = j0 - 1 if j0 > 2 else 0
+        top = end
         for j in range(j1, j0 - 1, -1):
-            pivot = m[j - 1, j - 1]
+            start = end - (j - 1)
+            pivot = m.item(j - 1, j - 1)
             row = m[j - 1, : j - 1]
             c = abs(pivot)
             s = frobenius_norm(row)
             rho = math.atan2(s, c)
             theta = cmath.phase(pivot) if c > ZERO_PIVOT_TOL else 0.0
             phase = cmath.exp(1j * theta)
-            z = z_all[z_offset(j):z_offset(j + 1)]
-            if s:
-                np.multiply(row.conj(), -phase * rho / s, out=z)
             # cmath.phase can return exactly -pi (e.g. a -0.0 imaginary part);
             # wrap onto the half-open interval so output is always canonical.
             thetas[j - 1] = _wrap_theta(theta)
             phases.append(phase)
-            apply_factor(m[lo:j], z, j, inverse=True)
+            if s:
+                # z_j = kappa conj(row), so conj(z_j) = conj(kappa) row: the
+                # kernel takes the row itself and the rho just read.
+                kappa = -phase * rho / s
+                z = z_all[start:end]
+                np.multiply(row.conj(), kappa, out=z)
+                _apply_factor(m[lo:j, :j], z, row, kappa.conjugate(), rho, True)
+            end = start
         if lo:
-            _apply_factors(m[:lo, :j1], z_all[z_offset(j0):z_offset(j1 + 1)], j0, inverse=True)
+            _apply_factors(m[:lo, :j1], z_all[end:top], j0, inverse=True)
     theta = cmath.phase(m[0, 0])
     thetas[0] = _wrap_theta(theta)
     phases.append(cmath.exp(1j * theta))

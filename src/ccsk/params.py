@@ -14,6 +14,7 @@ dtype=bool)]``. z_j starts at ``z_offset(j)``; ``z_column(j)`` is a view.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -66,7 +67,6 @@ class CcskParams:
 
     thetas: np.ndarray
     z: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.complex128))
-    z_columns: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         thetas = np.asarray(self.thetas, dtype=np.float64)
@@ -96,8 +96,6 @@ class CcskParams:
             raise ValueError("z contains non-finite values")
         object.__setattr__(self, "thetas", thetas)
         object.__setattr__(self, "z", z)
-        object.__setattr__(self, "z_columns", tuple(
-            z[z_offset(j):z_offset(j + 1)] for j in range(2, n + 1)))
 
     def __eq__(self, other):
         if not isinstance(other, CcskParams):
@@ -107,6 +105,12 @@ class CcskParams:
     @property
     def n(self) -> int:
         return self.thetas.shape[0]
+
+    @functools.cached_property
+    def z_columns(self) -> tuple:
+        """The n-1 columns z_2 ... z_n, views into z, built on first access."""
+        z = self.z
+        return tuple(z[z_offset(j):z_offset(j + 1)] for j in range(2, self.n + 1))
 
     def real_parameter_count(self) -> int:
         """n thetas + 2(j-1) reals per column; always n^2."""

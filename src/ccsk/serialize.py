@@ -202,6 +202,8 @@ def _read(path) -> dict:
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
     except RecursionError as exc:  # the decoder recurses once per nested array or object
         raise ParseError(f"{path}: invalid JSON: nesting too deep") from exc
+    except UnicodeDecodeError as exc:  # a ValueError, but its message names no file
+        raise ParseError(f"{path}: invalid JSON: not UTF-8 ({exc})") from exc
 
 
 def write_matrix(path, m: np.ndarray) -> None:

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from ccsk.blockexp import (_MIN_BLOCK, _NB, _apply_factors, _compact_form, _runs,
-                           apply_factor, compose, exp_column_factor, exp_diagonal, exp_k,
+from ccsk.blockexp import (_MIN_BLOCK, _NB, _apply_factor, _apply_factors, _compact_form,
+                           _runs, apply_factor, compose, exp_column_factor, exp_diagonal, exp_k,
                            k_matrix)
 from ccsk.linalg import frobenius_norm, unitarity_defect
 from ccsk.oracle import RngState, expm, random_params
@@ -145,6 +145,37 @@ class TestApplyFactor:
         apply_factor(got, z, 4)
         apply_factor(got, z, 4, inverse=True)
         assert np.max(np.abs(got - u)) <= 1e-13
+
+
+class TestFactorKernel:
+    # _apply_factor(x, z, v, c, rho, inverse) takes rho = ||z|| and conj(z) =
+    # c v from its caller: compose passes (z.conj(), 1), decompose the row it
+    # read z from, z = kappa conj(row), and c = conj(kappa).
+    @pytest.mark.parametrize("form", ["compose", "decompose"])
+    @pytest.mark.parametrize("inverse", [False, True])
+    @pytest.mark.parametrize("j", [2, 5, 9])
+    @pytest.mark.parametrize("rho", [0.0, 1e-300, 1e-8, 1.0, math.pi / 2])
+    def test_matches_dense_factor(self, rng, rho, j, inverse, form):
+        rows = j + 3  # more rows than the block has columns
+        u = random_complex_matrix(rng, rows, j + 2)
+        row = random_z(rng, j - 1)
+        s = math.sqrt(np.vdot(row, row).real)
+        if form == "compose":
+            z = rho * row / s
+            v, c = z.conj(), 1.0
+        else:
+            kappa = -cmath.exp(1j * rng.uniform() * 2 * math.pi) * rho / s
+            z = kappa * row.conj()
+            v, c = row, kappa.conjugate()
+        factor = exp_column_factor(z, j, j)
+        if inverse:
+            factor = factor.conj().T
+        want = u[:, :j] @ factor
+        got = u.copy()
+        _apply_factor(got[:, :j], z, v, c, rho, inverse)
+        assert np.max(np.abs(got[:, :j] - want)) <= 1e-14 * j
+        # The columns past the block are untouched, bit for bit.
+        assert got[:, j:].tobytes() == u[:, j:].tobytes()
 
 
 class TestCompactForm:

@@ -247,6 +247,21 @@ class TestDeeplyNested:
         assert not (tmp_path / "out.json").exists()
 
 
+class TestNotUtf8:
+    # Bytes that do not decode as UTF-8 must give one error line that names
+    # the file, exit 1, like the other decode failures.
+    @pytest.mark.parametrize("command", ["verify", "compose"])
+    def test_exit_1_with_one_error_line(self, tmp_path, capsys, command):
+        path = tmp_path / "in.json"
+        path.write_bytes(b"\xff\xfe{")
+        argv = [command, "-i", path] + (["-o", tmp_path / "out.json"] if command == "compose" else [])
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: invalid JSON: not UTF-8 (")
+        assert err.endswith(")\n") and err.count("\n") == 1
+        assert not (tmp_path / "out.json").exists()
+
+
 class TestUsageErrors:
     def test_unknown_command_exit_64(self):
         with pytest.raises(SystemExit) as exc:

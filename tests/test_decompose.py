@@ -304,6 +304,60 @@ class TestPanels:
         assert calls == [(j0, j1, j0 - 1, True) for j0, j1 in reversed(_runs(n, 2 * _NB)[1:])]
 
 
+def panel_rows(n: int) -> dict:
+    """The first row the peel of column j updates: its panel's, or 0 in the head."""
+    return {j: (j0 - 1 if j0 > 2 else 0)
+            for j0, j1 in _runs(n, 2 * _NB) for j in range(j0, j1 + 1)}
+
+
+class TestPeel:
+    # Each peel hands the factor kernel the rho it read and the row itself:
+    # z_j = kappa conj(row), so conj(z_j) = conj(kappa) row. A row that is
+    # zero off the diagonal gives z_j = 0 and no kernel call.
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        calls = []
+        kernel = decompose_module._apply_factor
+
+        def recorded(x, z, v, c, rho, inverse):
+            j = x.shape[1]
+            row, pivot = x[-1, :-1], x[-1, -1]
+            assert math.atan2(frobenius_norm(row), abs(pivot)) == rho  # the rho it read
+            assert np.shares_memory(v, row) and v.shape == row.shape
+            np.testing.assert_allclose(c * v, z.conj(), rtol=1e-15, atol=0)
+            assert abs(frobenius_norm(z) - rho) <= 4 * EPS * rho
+            calls.append((j, x.shape[0], inverse))
+            kernel(x, z, v, c, rho, inverse)
+
+        monkeypatch.setattr(decompose_module, "_apply_factor", recorded)
+        return calls
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 96, 128])
+    def test_one_call_per_nonzero_row(self, n, kernel_calls):
+        u = compose(random_params(n, RngState(n)))
+        q = decompose(u)
+        assert frobenius_norm(compose(q) - u) <= 1e-13 * n
+        lo = panel_rows(n)
+        assert kernel_calls == [(j, j - lo[j], True) for j in range(n, 1, -1)]
+
+    @pytest.mark.parametrize("n", [2, 8, 96, 128])
+    def test_zero_last_row_skips_its_column(self, n, kernel_calls):
+        # z_n = 0: row n of the composed matrix is exactly e^{i theta_n} e_n.
+        p = with_rho(random_params(n, RngState(n)), n, 0.0)
+        q = decompose(compose(p))
+        assert not q.z_column(n).any()
+        lo = panel_rows(n)
+        assert kernel_calls == [(j, j - lo[j], True) for j in range(n - 1, 1, -1)]
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 96, 128])
+    def test_identity_and_phases_call_nothing(self, n, kernel_calls):
+        phases = np.exp(1j * np.linspace(-3.0, 3.0, n))
+        for u in (np.eye(n, dtype=complex), np.diag(phases)):
+            q = decompose(u)
+            assert not q.z.any()
+        assert kernel_calls == []
+
+
 @pytest.fixture
 def defect_calls(monkeypatch):
     """Count decompose's calls of the exact unitarity defect."""

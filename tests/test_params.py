@@ -78,6 +78,19 @@ class TestPackedLayout:
             assert p.z_column(j).shape == (j - 1,)
             assert np.shares_memory(p.z, p.z_column(j))
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 64])
+    def test_columns_built_once_on_access(self, rng, n):
+        p = random_params(n, rng)
+        assert "z_columns" not in vars(p)  # construction builds no views
+        cols = p.z_columns
+        assert p.z_columns is cols and len(cols) == n - 1
+        for j, col in enumerate(cols, start=2):
+            assert col.shape == (j - 1,) and np.shares_memory(p.z, col)
+            assert p.z_column(j) is col
+        for j in (1, n + 1):
+            with pytest.raises(ValueError, match=r"j must be in \[2, "):
+                p.z_column(j)
+
     def test_rejects_wrong_column_count(self):
         with pytest.raises(ValueError, match="expected 2 z columns"):
             CcskParams(np.zeros(3), (np.zeros(1, dtype=complex),) * 3)
