@@ -2,13 +2,17 @@
 
 ``expm`` is a generic matrix exponential used to cross-check the closed-form
 factors; it shares no code with them. It scales x by 2^-s until
-||a||_F <= 0.5, evaluates a Taylor polynomial of e^a whose degree m is fixed
-in advance by a tail bound (relative truncation error at most 1e-18 in the
-Frobenius norm), and squares s times. The polynomial is evaluated by the
-Paterson-Stockmeyer scheme (SIAM J. Comput. 2, 1973), about 2 sqrt(m)
-matrix products instead of the m - 1 of a term-by-term sum; Higham
-(Functions of Matrices, SIAM 2008, sec. 4.2) shows it is as accurate as
-Horner's rule for ||a|| <= 1.
+||b||_F <= 0.5, evaluates a Taylor polynomial of e^a, a = 2^d b, whose degree
+m is fixed in advance by a tail bound (relative truncation error at most
+1e-18 in the Frobenius norm), and squares s - d times. From n = 16, d takes
+back the halvings that the spectrum does not need: the tail bound holds with
+max(||b^3||_F^(1/3), ||b^4||_F^(1/4)) in place of ||b||_F (Al-Mohy and
+Higham, SIAM J. Matrix Anal. Appl. 31, 2009), so a generator whose
+Frobenius norm far exceeds its spectral radius takes fewer squarings. The
+polynomial is evaluated by the Paterson-Stockmeyer scheme (SIAM J. Comput. 2,
+1973) in the powers of b, about 2 sqrt(m) matrix products instead of the
+m - 1 of a term-by-term sum; Higham (Functions of Matrices, SIAM 2008,
+sec. 4.2) shows it is as accurate as Horner's rule for ||b|| <= 1.
 
 The RNG is splitmix64: a tiny, platform-independent 64-bit generator
 (state advances by the golden-gamma constant, output is a bijective mix).
@@ -16,18 +20,20 @@ Reference test vectors for seed 0 are frozen in the test suite.
 
 ``uniform`` and ``gaussian`` define the samples one draw at a time.
 ``random_params`` draws its whole stream with one ``next_u64_array`` call and
-gives the same bits: the uniforms are exact in numpy, and Box-Muller stays in
-``math`` on Python floats.
+gives the same bits: the uniforms are exact in numpy, Box-Muller takes its
+log and cos from ``math``, one Python float at a time, and its correctly
+rounded products and sqrt from numpy.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 from .blockexp import compose
-from .linalg import square_matrix
+from .linalg import frobenius_norm, square_matrix
 from .params import CcskParams, z_offset
 
 __all__ = ["RngState", "expm", "random_params", "random_unitary"]
@@ -41,6 +47,18 @@ _GAMMA = 0x9E3779B97F4A7C15
 _EXPM_TARGET_NORM = 0.5
 _EXPM_TERM_CAP = 40
 _EXPM_REL_TOL = 1e-18
+# From this n on, expm takes back the halvings of x that ||b^k||_F^(1/k)
+# shows are not needed. Below it, the two norms cost more than the squarings
+# they save: on random generators, with one BLAS thread on a 2-core VM, the
+# rescaled path took 1.4% longer at n = 8, tied at n = 12 and was 1.2%
+# faster at n = 16 and 4% at n = 32.
+_EXPM_RESCALE_MIN_N = 16
+# It takes back halvings only while ||a||_F stays at most this. That keeps
+# the coefficients 2^(dk)/k! finite (x = 1e150 E_01 has alpha = 0, and taking
+# back all s = 500 halvings overflows) and bounds every term ||a^k||_F / k!
+# by 4^4/4! < 11, also for non-normal x. As ||b||_F > 0.25 whenever s >= 1,
+# it allows d <= 3; random generators take d = 3 at n = 256.
+_EXPM_RESCALE_NORM_CAP = 4.0
 _INV_FACTORIAL = np.array([1.0 / math.factorial(k) for k in range(_EXPM_TERM_CAP + 1)])
 
 
@@ -90,16 +108,24 @@ class RngState:
 def expm(x: np.ndarray) -> np.ndarray:
     """Matrix exponential by a scaled Taylor polynomial plus repeated squaring.
 
-    1. Scale: a = x / 2^s with s = ceil(log2(||x||_F / 0.5)), so ||a||_F <= 0.5.
-    2. Pick the degree m before evaluating (``_taylor_degree``): the smallest
-       m whose tail bound guarantees relative truncation error at most
-       ``_EXPM_REL_TOL`` in the Frobenius norm.
-    3. Evaluate the degree-m Taylor polynomial by Paterson-Stockmeyer: form
-       a^2 ... a^q with q = ceil(sqrt(m)), then run Horner in a^q over blocks
-       of q coefficients. That costs (q - 1) + floor(m / q) - [q divides m]
-       matrix products, e.g. 4 for m = 9, 5 for m = 12, 6 for m = 13 ... 16,
-       against m - 1 when summing term by term.
-    4. Square s times.
+    1. Scale: b = x / 2^s with s = ceil(log2(||x||_F / 0.5)), so ||b||_F <= 0.5.
+    2. Plan (``_expm_plan``): take back d of the s halvings, a = 2^d b, and
+       pick the degree m before evaluating. Where s = 0 or n is below
+       ``_EXPM_RESCALE_MIN_N``, d = 0 and m is the smallest degree whose tail
+       bound in t = ||a||_F guarantees relative truncation error at most
+       ``_EXPM_REL_TOL`` in the Frobenius norm (``_taylor_degree``).
+       Otherwise b^2, b^3 and b^4 are formed first, and
+       alpha = max(||b^3||_F^(1/3), ||b^4||_F^(1/4)) bounds ||b^k||_F^(1/k)
+       for every k >= 6. d is the largest with 2^d alpha <= 0.5 and
+       ||a||_F <= ``_EXPM_RESCALE_NORM_CAP``, and m comes from the same tail
+       bound in t = 2^d alpha (``_spectral_degree``).
+    3. Evaluate the degree-m Taylor polynomial of e^a by Paterson-Stockmeyer
+       in the powers of b, with the coefficients 2^(dk)/k!: form b^2 ... b^q,
+       then run Horner in b^q over blocks of q coefficients. That costs
+       (q - 1) + floor(m / q) - [q divides m] matrix products, e.g. 4 for
+       m = 9, 5 for m = 12, 6 for m = 13 ... 16, against m - 1 when summing
+       term by term. q = ceil(sqrt(m)), or 4 where step 2 formed b^4.
+    4. Square s - d times.
 
     x must be a non-empty square matrix with finite entries (ValueError
     otherwise).
@@ -107,40 +133,85 @@ def expm(x: np.ndarray) -> np.ndarray:
     x, norm = square_matrix(x, "expm")
     if not math.isfinite(norm):
         raise ValueError(f"expm: the Frobenius norm of x overflows ({norm})")
-    s = max(0, math.ceil(math.log2(norm / _EXPM_TARGET_NORM))) if norm > 0 else 0
-    a = x / (2.0 ** s)
-    n = x.shape[0]
-    m = _taylor_degree(norm / 2.0 ** s, n)
-    q = max(1, math.ceil(math.sqrt(m)))
-    r = m // q
-    # powers[j] = a^j for j < q; a^q is kept apart as the Horner variable.
-    powers = np.empty((q, n, n), dtype=np.complex128)
-    powers[0] = np.eye(n)
-    if q > 1:
-        powers[1] = a
-    for j in range(2, q):
-        np.matmul(powers[j - 1], a, out=powers[j])
-    # blocks[i] = sum_j a^j / (iq + j)! over j < q, all r + 1 in one product.
-    coeffs = np.zeros((r + 1) * q)
-    coeffs[: m + 1] = _INV_FACTORIAL[: m + 1]
-    blocks = (coeffs.reshape(r + 1, q) @ powers.reshape(q, n * n)).reshape(r + 1, n, n)
+    squarings, d, _, m, powers, bq = _expm_plan(x, norm)
+    q, n = powers.shape[0], powers.shape[1]
+    coeffs = _ps_coefficients(m, q, d)
+    r = coeffs.shape[0] - 1
+    # blocks[i] = sum_j c_(iq + j) b^j over j < q, all r + 1 in one product.
+    blocks = (coeffs @ powers.reshape(q, n * n)).reshape(r + 1, n, n)
     if r == 0:
         result = blocks[0]
     else:
-        aq = powers[q - 1] @ a if q > 1 else a
-        # When q divides m the top block is the scalar 1/m!, so its step
-        # needs no product.
+        # When q divides m the top block is the scalar c_m, so its step
+        # needs no product; a real scalar scales each part of b^q alone.
         if m % q:
-            result = blocks[r] @ aq
+            result = blocks[r] @ bq
         else:
-            result = aq * _INV_FACTORIAL[m]
+            result = bq * coeffs[r, 0].real
         result += blocks[r - 1]
         for i in range(r - 2, -1, -1):
-            result = result @ aq
+            result = result @ bq
             result += blocks[i]
-    for _ in range(s):
+    for _ in range(squarings):
         result = result @ result
     return result
+
+
+def _expm_plan(x: np.ndarray,
+               norm: float) -> tuple[int, int, float, int, np.ndarray, np.ndarray]:
+    """How ``expm`` evaluates e^x, ||x||_F = norm (finite): the tuple
+    (squarings, d, t, m, powers, b^q).
+
+    e^x is the degree-m Taylor polynomial of a = x / 2^squarings = 2^d b,
+    squared ``squarings`` times; t bounds ||a^k||_F^(1/k) for every k > m and
+    the spectral radius of a. powers stacks b^0 ... b^(q-1), so the q - 1
+    products that form b^2 ... b^q are already spent.
+
+    alpha bounds ||b^k||_F^(1/k) for every k >= 6 (Al-Mohy and Higham, SIAM
+    J. Matrix Anal. Appl. 31, 2009, Lemma 4.1 with p = 3), and the spectral
+    radius of b, which is at most ||b^3||_F^(1/3).
+    """
+    n = x.shape[0]
+    s = max(0, math.ceil(math.log2(norm / _EXPM_TARGET_NORM))) if norm > 0 else 0
+    b = x / (2.0 ** s)
+    t = norm / 2.0 ** s
+    if s == 0 or n < _EXPM_RESCALE_MIN_N:
+        m = _taylor_degree(t, n)
+        return (s, 0, t, m) + _powers(b, max(1, math.ceil(math.sqrt(m))))
+    powers, b4 = _powers(b, 4)
+    alpha = max(frobenius_norm(powers[3]) ** (1.0 / 3.0), frobenius_norm(b4) ** 0.25)
+    d = 0
+    while (d < s and 2.0 ** (d + 1) * alpha <= _EXPM_TARGET_NORM
+           and 2.0 ** (d + 1) * t <= _EXPM_RESCALE_NORM_CAP):
+        d += 1
+    t = 2.0 ** d * alpha
+    return s - d, d, t, _spectral_degree(t, n), powers, b4
+
+
+def _powers(b: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """b^0 ... b^(q-1) stacked in one (q, n, n) array, and b^q."""
+    n = b.shape[0]
+    powers = np.empty((q, n, n), dtype=np.complex128)
+    powers[0] = np.eye(n)
+    if q == 1:
+        return powers, b
+    powers[1] = b
+    for j in range(2, q):
+        np.matmul(powers[j - 1], b, out=powers[j])
+    return powers, powers[q - 1] @ b
+
+
+@functools.lru_cache(maxsize=None)
+def _ps_coefficients(m: int, q: int, d: int) -> np.ndarray:
+    """The Taylor coefficients 2^(dk)/k!, k <= m, as r + 1 = floor(m/q) + 1
+    rows of q, padded with zeros past m; complex, as the powers they meet,
+    and read-only, shared by every call."""
+    r = m // q
+    coeffs = np.zeros((r + 1) * q, dtype=np.complex128)
+    coeffs[: m + 1] = np.ldexp(_INV_FACTORIAL[: m + 1], d * np.arange(m + 1))
+    coeffs = coeffs.reshape(r + 1, q)
+    coeffs.flags.writeable = False
+    return coeffs
 
 
 def _taylor_degree(t: float, n: int) -> int:
@@ -153,9 +224,24 @@ def _taylor_degree(t: float, n: int) -> int:
     that lower bound, capped at ``_EXPM_TERM_CAP``: 16 at t = 0.5 for n = 1,
     fewer for larger n or smaller t, and 0 for t = 0.
     """
-    target = _EXPM_REL_TOL * (math.sqrt(n) - math.expm1(t))
-    m = 0
-    tail_term = t  # t^(m+1) / (m+1)!
+    return _tail_degree(t, _EXPM_REL_TOL * (math.sqrt(n) - math.expm1(t)), 0)
+
+
+def _spectral_degree(t: float, n: int) -> int:
+    """Smallest Taylor degree m >= 5 for exp(a), n x n, where t bounds both
+    ||a^k||_F^(1/k) for k >= 6 and the spectral radius of a.
+
+    The tail past m >= 5 has the bound of ``_taylor_degree``. Every
+    eigenvalue of exp(a) has modulus at least e^-t, and ||M||_F^2 is at least
+    the sum of |lambda_i(M)|^2, so ||exp(a)||_F >= sqrt(n) e^-t.
+    """
+    return _tail_degree(t, _EXPM_REL_TOL * math.sqrt(n) * math.exp(-t), 5)
+
+
+def _tail_degree(t: float, target: float, m: int) -> int:
+    """Smallest degree from m on, capped at ``_EXPM_TERM_CAP``, whose tail
+    bound t^(m+1)/(m+1)! / (1 - t/(m+2)) is at most target."""
+    tail_term = t ** (m + 1) / math.factorial(m + 1)
     while m < _EXPM_TERM_CAP and not tail_term / (1.0 - t / (m + 2)) <= target:
         m += 1
         tail_term *= t / (m + 1)
@@ -183,9 +269,13 @@ def random_params(n: int, rng: RngState) -> CcskParams:
     rhos = ((math.pi / 2.0) * (column_words[is_rho] * 2.0 ** -53)).tolist()
     pairs = column_words[~is_rho].reshape(-1, 2)
     u1 = ((pairs[:, 0] + np.uint64(1)) * 2.0 ** -53).tolist()  # in (0, 1]
-    u2 = (pairs[:, 1] * 2.0 ** -53).tolist()
-    gauss = np.array([math.sqrt(-2.0 * math.log(a)) * math.cos(2.0 * math.pi * b)
-                      for a, b in zip(u1, u2)])
+    u2 = pairs[:, 1] * 2.0 ** -53
+    # Box-Muller as ``gaussian`` takes it: log and cos from math, 2 pi u2 as
+    # (2 pi) u2, and the products and sqrt, correctly rounded, in numpy.
+    lg = np.fromiter(map(math.log, u1), dtype=np.float64, count=len(u1))
+    cs = np.fromiter(map(math.cos, ((2.0 * math.pi) * u2).tolist()), dtype=np.float64,
+                     count=len(u1))
+    gauss = np.sqrt(-2.0 * lg) * cs
     z = np.empty(z_offset(n + 1), dtype=np.complex128)
     for k, rho in enumerate(rhos, start=1):  # k = j - 1 entries, from gauss[k(k-1):]
         re = gauss[k * (k - 1): k * k]

@@ -7,7 +7,8 @@ import pytest
 from ccsk.blockexp import compose
 from ccsk.decompose import roundtrip_error
 from ccsk.linalg import frobenius_norm, unitarity_defect
-from ccsk.oracle import RngState, _taylor_degree, expm, random_params, random_unitary
+from ccsk.oracle import (_EXPM_RESCALE_MIN_N, RngState, _expm_plan, _taylor_degree, expm,
+                         random_params, random_unitary)
 from ccsk.params import CcskParams, assemble_generator
 
 from conftest import (NON_FINITE_MATRICES, complex_gaussian_vector,
@@ -228,6 +229,66 @@ class TestTaylorDegree:
         assert _taylor_degree(0.5, 256) <= 16
 
 
+def oracle_inputs(n: int, norm: float) -> list[np.ndarray]:
+    """The inputs of TestExpmAgainstReference at (n, norm): ten anti-Hermitian
+    generators and the shifted Gaussian matrix."""
+    xs = [with_norm(assemble_generator(random_params(n, RngState(seed))), norm)
+          for seed in range(10)]
+    g = random_complex_matrix(RngState(1000 + n), n, n)
+    g -= np.linalg.eigvals(g).real.max() * np.eye(n)
+    return xs + [with_norm(g, norm)]
+
+
+def plan_products(x: np.ndarray) -> int:
+    """The matrix products of expm(x): b^2 ... b^q, Horner, and squarings."""
+    squarings, _, _, m, powers, _ = _expm_plan(x, frobenius_norm(x))
+    q = powers.shape[0]
+    return (q - 1) + m // q - (m % q == 0) + squarings
+
+
+class TestExpmScaling:
+    # Taking back all s halvings of x = beta E_01 (b^3 = b^4 = 0, so alpha
+    # = 0) would put 2^(sk)/k! in the coefficients, inf at beta = 1e150.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("beta", [1e3, 1e150])
+    def test_nilpotent_is_exact(self, beta):
+        x = np.zeros((16, 16), dtype=complex)
+        x[0, 1] = beta
+        np.testing.assert_array_equal(expm(x), np.eye(16) + x)
+
+    @pytest.mark.parametrize("norm", ORACLE_NORMS)
+    @pytest.mark.parametrize("n", ORACLE_DIMS)
+    def test_the_degree_bound_holds(self, n, norm):
+        # t bounds ||a^k||_F^(1/k) past the degree and the spectral radius of
+        # a; the slack is the rounding of the k products (about 3 ulps seen
+        # at n = 1, where ||a^k||_F = t^k).
+        for x in oracle_inputs(n, norm):
+            squarings, d, t, m, _, _ = _expm_plan(x, frobenius_norm(x))
+            assert m >= (5 if d else 0)
+            a = x / 2.0 ** squarings
+            ak = np.linalg.matrix_power(a, 5)
+            for k in range(6, m + 9):
+                ak = ak @ a
+                assert frobenius_norm(ak) <= t ** k * (1 + 1e-13)
+            assert np.abs(np.linalg.eigvals(a)).max() <= t * (1 + 1e-13)
+
+    @pytest.mark.parametrize("norm", ORACLE_NORMS)
+    @pytest.mark.parametrize("n", [n for n in ORACLE_DIMS if n < _EXPM_RESCALE_MIN_N])
+    def test_below_the_crossover_the_plan_is_the_norm_one(self, n, norm):
+        for x in oracle_inputs(n, norm):
+            squarings, d, t, m, _, _ = _expm_plan(x, frobenius_norm(x))
+            assert d == 0
+            assert t == frobenius_norm(x) / 2.0 ** squarings
+            assert m == _taylor_degree(t, n)
+
+    # Scaling by ||x||_F took 6 (n = 128) and 7 (n = 256) squarings, 12
+    # products in all.
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("n", [128, 256])
+    def test_ten_products_on_random_generators(self, n, seed):
+        assert plan_products(assemble_generator(random_params(n, RngState(seed)))) == 10
+
+
 class TestRandomParams:
     def test_n1(self):
         p = random_params(1, RngState(5))
@@ -253,7 +314,7 @@ class TestRandomParams:
             random_params(0, RngState(1))
 
     @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
-    @pytest.mark.parametrize("n", [1, 2, 5, 128])
+    @pytest.mark.parametrize("n", [1, 2, 5, 128, 200, 1024])
     def test_bulk_stream_matches_scalar_draws(self, seed, n):
         p = random_params(n, RngState(seed))
         q = scalar_random_params(n, RngState(seed))
