@@ -34,11 +34,16 @@ rounding, so m is the Cholesky-type factor of I + E and, to first order,
 ||R||_F = ||m - D||_F <= defect / sqrt(2) plus rounding (Higham, Accuracy and
 Stability of Numerical Algorithms, ch. 10). Every residue a peeled row and
 column keeps is at most ||R||_F.
+
+Only the input is checked. The panel plan ``_panels(n)`` is built once per n,
+and the result is built with ``CcskParams._unchecked`` from the arrays the
+peel filled, whose shapes and finiteness follow from the checked input.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -99,24 +104,24 @@ def decompose(u: np.ndarray, *, unitarity_tol: float = UNITARITY_TOL) -> CcskPar
     z_all = np.zeros(z_offset(n + 1), dtype=np.complex128)
     phases = []  # e^{i theta_j} for j = n, n-1, ..., 1
     end = z_all.shape[0]  # z_j is z_all[end - (j - 1):end], walked down from j = n
-    for j0, j1 in reversed(_runs(n, 2 * _NB)):
+    for lo, j0, j1 in _panels(n):
         # The panel is rows lo..j1-1. Each peel updates the panel rows at
         # once, so the next row is read in full; the rows above the panel
         # take the run's factors together, as one aggregated block.
-        lo = j0 - 1 if j0 > 2 else 0
         top = end
         for j in range(j1, j0 - 1, -1):
             start = end - (j - 1)
             pivot = m.item(j - 1, j - 1)
             row = m[j - 1, : j - 1]
             c = abs(pivot)
-            s = frobenius_norm(row)
+            s = math.sqrt(np.vdot(row, row).real)  # frobenius_norm(row), inline
             rho = math.atan2(s, c)
             theta = cmath.phase(pivot) if c > ZERO_PIVOT_TOL else 0.0
             phase = cmath.exp(1j * theta)
-            # cmath.phase can return exactly -pi (e.g. a -0.0 imaginary part);
-            # wrap onto the half-open interval so output is always canonical.
-            thetas[j - 1] = _wrap_theta(theta)
+            # _wrap_theta(theta), inline: cmath.phase is in [-pi, pi], and -pi
+            # (e.g. a negative real part with a -0.0 imaginary part) is the
+            # one angle to wrap, so that output is always canonical.
+            thetas[j - 1] = theta if theta > -math.pi else math.pi
             phases.append(phase)
             if s:
                 # z_j = kappa conj(row), so conj(z_j) = conj(kappa) row: the
@@ -143,7 +148,19 @@ def decompose(u: np.ndarray, *, unitarity_tol: float = UNITARITY_TOL) -> CcskPar
         defect = _unitarity_defect(u)
         if not defect <= gate:
             raise _not_unitary(defect, gate)
-    return CcskParams(thetas, z_all)
+    # Both arrays have the shapes allocated above and finite entries: m
+    # starts finite and the peel multiplies it by unitary factors, each theta
+    # is a phase, and each z entry is at most rho_j <= pi/2 in modulus, as
+    # no entry of a row exceeds its norm s. So the result is not re-checked.
+    return CcskParams._unchecked(thetas, z_all)
+
+
+@functools.lru_cache(maxsize=64)
+def _panels(n: int) -> tuple[tuple[int, int, int], ...]:
+    """The peel plan for dimension n, built once: the runs (j0, j1) of
+    ``_runs(n, 2 * _NB)`` from the last, each with the first row lo of its
+    panel (0 for the head, whose panel is the whole remaining block)."""
+    return tuple((j0 - 1 if j0 > 2 else 0, j0, j1) for j0, j1 in reversed(_runs(n, 2 * _NB)))
 
 
 def _not_unitary(defect: float, gate: float) -> ValueError:

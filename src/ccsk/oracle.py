@@ -12,7 +12,8 @@ Frobenius norm far exceeds its spectral radius takes fewer squarings. The
 polynomial is evaluated by the Paterson-Stockmeyer scheme (SIAM J. Comput. 2,
 1973) in the powers of b, about 2 sqrt(m) matrix products instead of the
 m - 1 of a term-by-term sum; Higham (Functions of Matrices, SIAM 2008,
-sec. 4.2) shows it is as accurate as Horner's rule for ||b|| <= 1.
+sec. 4.2) shows it is as accurate as Horner's rule for ||b|| <= 1. An x whose
+spectral bound is past 2^32 is refused (``_EXPM_SPECTRAL_CAP``).
 
 The RNG is splitmix64: a tiny, platform-independent 64-bit generator
 (state advances by the golden-gamma constant, output is a bijective mix).
@@ -27,8 +28,10 @@ rounded products and sqrt from numpy.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
+import struct
 
 import numpy as np
 
@@ -59,6 +62,15 @@ _EXPM_RESCALE_MIN_N = 16
 # by 4^4/4! < 11, also for non-normal x. As ||b||_F > 0.25 whenever s >= 1,
 # it allows d <= 3; random generators take d = 3 at n = 256.
 _EXPM_RESCALE_NORM_CAP = 4.0
+# expm refuses x whose spectral bound, 2^s alpha with alpha as above, exceeds
+# this. Rounding x's entries to doubles alone moves e^x's eigenvalues by
+# about eps times that bound, 1e-6 at 2^32, and each of the s - d squarings
+# doubles the rounding of the result. With J = [[0, 1], [-1, 0]], 1e12 J
+# would come out with a unitarity defect of 1.4e-3 after 42 squarings, 1e20 J
+# would overflow in them, and 1e150 J would give the zero matrix after 500.
+# As alpha <= ||b||_F <= 0.5, no x with s <= 32 has a bound above 2^31, so
+# below _EXPM_RESCALE_MIN_N alpha is formed only for s > 32.
+_EXPM_SPECTRAL_CAP = 2.0 ** 32
 _INV_FACTORIAL = np.array([1.0 / math.factorial(k) for k in range(_EXPM_TERM_CAP + 1)])
 
 
@@ -110,8 +122,8 @@ def expm(x: np.ndarray) -> np.ndarray:
 
     1. Scale: b = x / 2^s with s = ceil(log2(||x||_F / 0.5)), so ||b||_F <= 0.5.
     2. Plan (``_expm_plan``): take back d of the s halvings, a = 2^d b, and
-       pick the degree m before evaluating. Where s = 0 or n is below
-       ``_EXPM_RESCALE_MIN_N``, d = 0 and m is the smallest degree whose tail
+       pick the degree m before evaluating. Where s = 0, or n is below
+       ``_EXPM_RESCALE_MIN_N`` and s <= 32, d = 0 and m is the smallest degree whose tail
        bound in t = ||a||_F guarantees relative truncation error at most
        ``_EXPM_REL_TOL`` in the Frobenius norm (``_taylor_degree``).
        Otherwise b^2, b^3 and b^4 are formed first, and
@@ -128,7 +140,10 @@ def expm(x: np.ndarray) -> np.ndarray:
     4. Square s - d times.
 
     x must be a non-empty square matrix with finite entries (ValueError
-    otherwise).
+    otherwise). When s > 32, alpha is formed at any n, and x is refused
+    (ValueError naming s and the bound) when its spectral bound 2^s alpha
+    exceeds ``_EXPM_SPECTRAL_CAP`` = 2^32; an x it admits takes the alpha
+    path of step 2 also below ``_EXPM_RESCALE_MIN_N``.
     """
     x, norm = square_matrix(x, "expm")
     if not math.isfinite(norm):
@@ -175,11 +190,16 @@ def _expm_plan(x: np.ndarray,
     s = max(0, math.ceil(math.log2(norm / _EXPM_TARGET_NORM))) if norm > 0 else 0
     b = x / (2.0 ** s)
     t = norm / 2.0 ** s
-    if s == 0 or n < _EXPM_RESCALE_MIN_N:
+    if s == 0 or (n < _EXPM_RESCALE_MIN_N and 2.0 ** s <= _EXPM_SPECTRAL_CAP):
         m = _taylor_degree(t, n)
         return (s, 0, t, m) + _powers(b, max(1, math.ceil(math.sqrt(m))))
     powers, b4 = _powers(b, 4)
     alpha = max(frobenius_norm(powers[3]) ** (1.0 / 3.0), frobenius_norm(b4) ** 0.25)
+    if 2.0 ** s * alpha > _EXPM_SPECTRAL_CAP:
+        raise ValueError(
+            f"expm: x is out of range: scaling its norm takes s = {s} halvings, and "
+            f"its spectral bound max(||x^3||_F^(1/3), ||x^4||_F^(1/4)) = {2.0 ** s * alpha:.3e} "
+            f"exceeds 2^32")
     d = 0
     while (d < s and 2.0 ** (d + 1) * alpha <= _EXPM_TARGET_NORM
            and 2.0 ** (d + 1) * t <= _EXPM_RESCALE_NORM_CAP):
@@ -223,8 +243,78 @@ def _taylor_degree(t: float, n: int) -> int:
     m is the smallest degree whose tail is at most ``_EXPM_REL_TOL`` times
     that lower bound, capped at ``_EXPM_TERM_CAP``: 16 at t = 0.5 for n = 1,
     fewer for larger n or smaller t, and 0 for t = 0.
+
+    Up to t = 0.5 the degree is the count of the thresholds of
+    ``_degree_thresholds(n)`` below t; above it (t can exceed 0.5 by the
+    rounding of the scaling) the search runs in full.
     """
+    if t <= _EXPM_TARGET_NORM:
+        return bisect.bisect_left(_degree_thresholds(n), t)
+    return _norm_degree(t, n)
+
+
+def _norm_degree(t: float, n: int) -> int:
+    """``_taylor_degree`` by the search over the degrees."""
     return _tail_degree(t, _EXPM_REL_TOL * (math.sqrt(n) - math.expm1(t)), 0)
+
+
+def _float_bits(t: float) -> int:
+    return struct.unpack("<q", struct.pack("<d", t))[0]
+
+
+def _bits_float(k: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", k))[0]
+
+
+@functools.lru_cache(maxsize=64)
+def _degree_thresholds(n: int) -> tuple[float, ...]:
+    """For each degree m below _norm_degree(0.5, n), the largest t in
+    [0, 0.5] with _norm_degree(t, n) <= m, built once per n.
+
+    Each is found over the floats (a non-negative float's bits, read as an
+    integer, order it) with the search itself as the test: from the real
+    root of the tail bound (``_tail_root``), which lies within a few ulps,
+    step out by doubling until the threshold is bracketed, then bisect. So
+    the degree the thresholds give is the search's at every float of
+    [0, 0.5] as long as the search is monotone in t; the tests check it on
+    either side of every threshold. About 0.5 ms for each n.
+    """
+    def fits(k: int, m: int) -> bool:
+        return _norm_degree(_bits_float(k), n) <= m
+
+    thresholds = []
+    # For every m below: fits(floor, m) (degree(0) = 0, then the last
+    # threshold's degree is below m) and not fits(top, m).
+    floor, top = 0, _float_bits(_EXPM_TARGET_NORM)
+    for m in range(_norm_degree(_EXPM_TARGET_NORM, n)):
+        lo = hi = min(max(_float_bits(_tail_root(m, n)), floor), top)
+        step = 1
+        while fits(hi, m):
+            lo, hi, step = hi, min(hi + step, top), 2 * step
+        while not fits(lo, m):
+            lo, hi, step = max(lo - step, floor), lo, 2 * step
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if fits(mid, m):
+                lo = mid
+            else:
+                hi = mid
+        thresholds.append(_bits_float(lo))
+        floor = lo
+    return tuple(thresholds)
+
+
+def _tail_root(m: int, n: int) -> float:
+    """The t at which the tail bound past degree m, t^(m+1)/(m+1)! /
+    (1 - t/(m+2)), meets _EXPM_REL_TOL (sqrt(n) - expm1(t)), in real
+    arithmetic, by fixed-point iteration on
+    t = ((m+1)! target(t) (1 - t/(m+2)))^(1/(m+1)), which contracts by a
+    factor of at most about 0.15 for t <= 0.5."""
+    scale = math.factorial(m + 1) * _EXPM_REL_TOL
+    t = 0.0
+    for _ in range(30):
+        t = (scale * (math.sqrt(n) - math.expm1(t)) * (1.0 - t / (m + 2))) ** (1.0 / (m + 1))
+    return t
 
 
 def _spectral_degree(t: float, n: int) -> int:
@@ -255,6 +345,8 @@ def random_params(n: int, rng: RngState) -> CcskParams:
     The stream is n ``uniform`` draws for the thetas, then per column
     j = 2..n one ``uniform`` for rho and 2(j-1) ``gaussian`` draws (real
     parts, then imaginary parts), all taken from one ``next_u64_array`` call.
+    Both arrays are finite and of the right shapes by construction, so the
+    result is built unchecked (``CcskParams._unchecked``).
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -284,7 +376,7 @@ def random_params(n: int, rng: RngState) -> CcskParams:
         norm = np.linalg.norm(g)
         direction = g / norm if norm > 0 else np.eye(k, dtype=np.complex128)[0]
         z[z_offset(k + 1):z_offset(k + 2)] = rho * direction
-    return CcskParams(thetas, z)
+    return CcskParams._unchecked(thetas, z)
 
 
 def random_unitary(n: int, rng: RngState) -> np.ndarray:

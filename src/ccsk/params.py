@@ -63,6 +63,11 @@ class CcskParams:
 
     Two parameter sets are equal when their thetas and z are equal entry by
     entry. Like the arrays they hold, they are not hashable.
+
+    The constructor checks shapes and finiteness. The package builds its own
+    results with ``_unchecked`` instead, from arrays that come out of checked
+    input: ``decompose`` once its gate has passed, ``random_params`` and
+    ``params_from_generator``.
     """
 
     thetas: np.ndarray
@@ -96,6 +101,16 @@ class CcskParams:
             raise ValueError("z contains non-finite values")
         object.__setattr__(self, "thetas", thetas)
         object.__setattr__(self, "z", z)
+
+    @classmethod
+    def _unchecked(cls, thetas: np.ndarray, z: np.ndarray) -> "CcskParams":
+        """The parameter set of thetas (1-D float64, length n >= 1) and the
+        packed z (1-D complex128, length n(n-1)/2), both finite, taken as
+        they are: no conversion, copy or check."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "thetas", thetas)
+        object.__setattr__(p, "z", z)
+        return p
 
     def __eq__(self, other):
         if not isinstance(other, CcskParams):
@@ -159,7 +174,12 @@ def assemble_generator(p: CcskParams) -> np.ndarray:
 
 
 def params_from_generator(x) -> CcskParams:
-    """Read parameters off a generator: thetas from Im(diag), z from the upper triangle."""
+    """Read parameters off a generator: thetas from Im(diag), z from the upper triangle.
+
+    x is checked on entry (``square_matrix``: finite entries), so the two
+    arrays read off it are finite and of the right shapes, and the result is
+    built unchecked.
+    """
     x, _ = square_matrix(x, "params_from_generator")
     n = x.shape[0]
     defect = _anti_hermiticity_defect(x)
@@ -172,5 +192,4 @@ def params_from_generator(x) -> CcskParams:
         worst = float(np.max(np.abs(diag.real)))
         raise ValueError(
             f"generator diagonal has real part up to {worst:.3e}; not in u(n)")
-    thetas = diag.imag.copy()
-    return CcskParams(thetas, x.T[_strictly_lower(n)])
+    return CcskParams._unchecked(diag.imag.copy(), x.T[_strictly_lower(n)])

@@ -13,7 +13,7 @@ from ccsk.decompose import decompose
 from ccsk.linalg import frobenius_norm
 from ccsk.oracle import RngState, random_params
 from ccsk.params import CcskParams
-from ccsk.serialize import read_matrix, read_params, write_matrix, write_params
+from ccsk.serialize import ParseError, read_matrix, read_params, write_matrix, write_params
 
 
 def run(*argv):
@@ -133,6 +133,17 @@ class TestExpmCommand:
         assert run("expm", "-i", xin, "-o", uout) == 0
         assert run("verify", "-i", uout) == 0
 
+    def test_refuses_a_spectral_bound_past_2_to_32(self, tmp_path, capsys):
+        xin, uout = tmp_path / "x.json", tmp_path / "u.json"
+        write_matrix(xin, np.array([[0, 1e150], [-1e150, 0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run("expm", "-i", xin, "-o", uout) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: expm: x is out of range: ") and err.count("\n") == 1
+        assert "s = 500 halvings" in err and "exceeds 2^32" in err
+        assert not uout.exists()
+
 
 class TestCompare:
     def test_zero_params_all_zero(self, tmp_path, capsys):
@@ -231,6 +242,43 @@ class TestNonFiniteEntries:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "non-finite" in err
         assert not (tmp_path / "out.json").exists()
+
+
+# Params documents with a NaN, Infinity or -Infinity (which json.load reads)
+# in one theta or one z entry.
+NON_FINITE_PARAMS = {
+    (field, literal): ('{"type": "ccsk_params", "n": 2, "thetas": [0.5, %s], "z": [[[0.1, 0.2]]]}'
+                       % literal if field == "thetas" else
+                       '{"type": "ccsk_params", "n": 2, "thetas": [0.5, 0.25], "z": [[[0.1, %s]]]}'
+                       % literal)
+    for field in ("thetas", "z") for literal in ("NaN", "Infinity", "-Infinity")
+}
+
+
+class TestNonFiniteParams:
+    # The params file reader keeps the constructor's checks: compose and
+    # compare refuse a non-finite theta or z entry with one error line.
+    @pytest.mark.parametrize("key", sorted(NON_FINITE_PARAMS))
+    @pytest.mark.parametrize("command", ["compose", "compare"])
+    def test_exit_1_with_one_error_line(self, tmp_path, capsys, command, key):
+        path, out = tmp_path / "in.json", tmp_path / "out.json"
+        path.write_text(NON_FINITE_PARAMS[key])
+        argv = [command, "-i", path] + (["-o", out] if command == "compose" else [])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(*argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "non-finite values" in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", sorted(NON_FINITE_PARAMS))
+    def test_read_params_raises_parse_error(self, tmp_path, key):
+        path = tmp_path / "in.json"
+        path.write_text(NON_FINITE_PARAMS[key])
+        with pytest.raises(ParseError, match="non-finite values"):
+            read_params(path)
 
 
 class TestDeeplyNested:

@@ -7,8 +7,8 @@ import pytest
 from ccsk.blockexp import compose
 from ccsk.decompose import roundtrip_error
 from ccsk.linalg import frobenius_norm, unitarity_defect
-from ccsk.oracle import (_EXPM_RESCALE_MIN_N, RngState, _expm_plan, _taylor_degree, expm,
-                         random_params, random_unitary)
+from ccsk.oracle import (_EXPM_RESCALE_MIN_N, RngState, _degree_thresholds, _expm_plan,
+                         _norm_degree, _taylor_degree, expm, random_params, random_unitary)
 from ccsk.params import CcskParams, assemble_generator
 
 from conftest import (NON_FINITE_MATRICES, complex_gaussian_vector,
@@ -98,6 +98,27 @@ class TestExpm:
     def test_rejects_a_norm_that_overflows(self):
         with rejects_non_finite("overflows"):
             expm(np.full((2, 2), 1e200, dtype=complex))
+
+    # beta J, J = [[0, 1], [-1, 0]], in the leading block: its spectral bound
+    # is about beta, past 2^32, where the squarings lost every digit
+    # (1e150), overflowed (1e20) or left a unitarity defect of 1.4e-3 (1e12).
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("beta", [1e12, 1e20, 1e150])
+    @pytest.mark.parametrize("n", [2, 16])
+    def test_refuses_a_spectral_bound_past_2_to_32(self, n, beta):
+        x = np.zeros((n, n), dtype=complex)
+        x[0, 1], x[1, 0] = beta, -beta
+        with pytest.raises(ValueError, match=r"s = \d+ halvings, .* exceeds 2\^32$"):
+            expm(x)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("n", [2, 16])
+    def test_just_inside_2_to_32(self, n):
+        # 1e9 J takes s = 32 halvings, the most for which no alpha is formed
+        # below n = 16, and a spectral bound below 2^32: it is admitted.
+        x = np.zeros((n, n), dtype=complex)
+        x[0, 1], x[1, 0] = 1e9, -1e9
+        assert unitarity_defect(expm(x)) <= 1e-5
 
 
 def reference_expm(x: np.ndarray) -> np.ndarray:
@@ -222,6 +243,21 @@ class TestTaylorDegree:
         assert tail_bound(t, m) <= target
         assert m == 0 or tail_bound(t, m - 1) > target
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 15])
+    def test_thresholds_give_the_searched_degree(self, n):
+        # The degrees read off the per-n thresholds are the search's, on a
+        # dense grid of [0, 0.5], on either side of every threshold and just
+        # past 0.5, where the search runs in full.
+        ts = np.linspace(0.0, 0.5, 20001).tolist() + np.logspace(-20, -0.302, 2001).tolist()
+        for threshold in _degree_thresholds(n):
+            below, above = threshold, threshold
+            for _ in range(3):
+                below, above = math.nextafter(below, 0.0), math.nextafter(above, 1.0)
+                ts += [below, above]
+            ts.append(threshold)
+        ts += [math.nextafter(0.5, 1.0), 0.5 + 1e-15]
+        assert [_taylor_degree(t, n) for t in ts] == [_norm_degree(t, n) for t in ts]
+
     def test_known_degrees(self):
         assert _taylor_degree(0.0, 1) == 0
         assert _taylor_degree(1e-12, 1) == 1
@@ -255,6 +291,16 @@ class TestExpmScaling:
         x = np.zeros((16, 16), dtype=complex)
         x[0, 1] = beta
         np.testing.assert_array_equal(expm(x), np.eye(16) + x)
+
+    # Below _EXPM_RESCALE_MIN_N, alpha is formed only past s = 32 halvings;
+    # for a nilpotent x it is 0, so x is not refused and comes out exact.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("n", [2, 8])
+    def test_small_nilpotent_past_32_halvings_is_exact(self, n):
+        x = np.zeros((n, n), dtype=complex)
+        x[0, 1] = 1e150
+        assert _expm_plan(x, frobenius_norm(x))[1] == 3
+        np.testing.assert_array_equal(expm(x), np.eye(n) + x)
 
     @pytest.mark.parametrize("norm", ORACLE_NORMS)
     @pytest.mark.parametrize("n", ORACLE_DIMS)

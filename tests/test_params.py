@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from ccsk.blockexp import compose
+from ccsk.decompose import decompose
 from ccsk.linalg import anti_hermiticity_defect
 from ccsk.oracle import RngState, random_params
 from ccsk.params import (CcskParams, _rho_in_chart, assemble_generator,
                          params_from_generator, z_offset)
+from ccsk.serialize import params_from_doc, params_to_doc
 
 from conftest import NON_FINITE_MATRICES, rejects_non_finite
 
@@ -116,6 +119,46 @@ class TestPackedLayout:
             CcskParams(np.zeros(3), z)
         with pytest.raises(ValueError, match="non-finite"):
             CcskParams(np.zeros(3), (z[:1], z[1:]))
+
+
+# The package's own results skip the constructor's checks
+# (CcskParams._unchecked): they are built from arrays that come out of
+# checked input.
+UNCHECKED_RESULTS = {
+    "decompose": lambda n: decompose(compose(random_params(n, RngState(n)))),
+    "random_params": lambda n: random_params(n, RngState(n)),
+    "params_from_generator":
+        lambda n: params_from_generator(assemble_generator(random_params(n, RngState(n)))),
+}
+
+
+class ConstructorCheckRan(Exception):
+    pass
+
+
+class TestUncheckedResults:
+    @pytest.mark.parametrize("make", sorted(UNCHECKED_RESULTS))
+    @pytest.mark.parametrize("n", [1, 2, 3, 33, 65, 128])
+    def test_well_formed(self, n, make):
+        p = UNCHECKED_RESULTS[make](n)
+        assert p == CcskParams(p.thetas, p.z)
+        assert p.thetas.dtype == np.float64 and p.thetas.shape == (n,)
+        assert p.z.dtype == np.complex128 and p.z.shape == (n * (n - 1) // 2,)
+        assert [c.shape for c in p.z_columns] == [(j - 1,) for j in range(2, n + 1)]
+        assert np.isfinite(p.thetas).all() and np.isfinite(p.z).all()
+
+    def test_the_checks_run_only_at_the_boundary(self, monkeypatch):
+        # With the constructor's checks made to fail, every result the
+        # package builds itself still comes back; a params document, read
+        # from outside, still goes through them.
+        def check(self):
+            raise ConstructorCheckRan
+
+        monkeypatch.setattr(CcskParams, "__post_init__", check)
+        results = {name: make(8) for name, make in UNCHECKED_RESULTS.items()}
+        assert results["decompose"].n == 8
+        with pytest.raises(ConstructorCheckRan):
+            params_from_doc(params_to_doc(results["random_params"]))
 
 
 def column_at(rho: float, length: int, seed: int) -> np.ndarray:
