@@ -5,7 +5,7 @@ exponentials, and decompose arbitrary unitaries back into canonical
 parameters, with an independent matrix-exponential oracle for verification.
 """
 
-from .blockexp import apply_factor, compose, exp_column_factor, exp_k, k_matrix
+from .blockexp import compose, exp_column_factor, exp_k, k_matrix
 from .decompose import decompose, roundtrip_error
 from .linalg import anti_hermiticity_defect, frobenius_norm, unitarity_defect
 from .oracle import RngState, expm, random_params, random_unitary
@@ -18,7 +18,6 @@ __all__ = [
     "ProjectorPair",
     "RngState",
     "anti_hermiticity_defect",
-    "apply_factor",
     "assemble_generator",
     "compose",
     "decompose",

@@ -21,11 +21,11 @@ at rho = 0), splitting the block as [A | b] with b its last column:
 (the signs of the sigma terms flip for F_j^H). The kernel takes rho and z^H
 = c v from its caller: ``compose`` passes conj(z) and 1, ``decompose`` the
 row it read z from and a scale, so neither the norm nor the conjugate is
-taken twice. ``apply_factor`` is the public form. ``compose`` starts from
-the phases and applies F_2 ... F_n, sum_j j^2 ~ n^3/3 work in all;
-``decompose`` peels with the adjoints. ``exp_k`` and ``exp_column_factor``
-build the factor matrices themselves, as references for tests and
-``ccsk compare``.
+taken twice. ``compose`` starts from the phases and applies F_2 ... F_n,
+sum_j j^2 ~ n^3/3 work in all; ``decompose`` peels with the adjoints.
+``exp_k`` and ``exp_column_factor`` build the factor matrices themselves:
+``exp_k`` serves ``ccsk compare``, and ``exp_column_factor``, its n x n
+embedding, is the reference form for the tests.
 
 One factor at a time is matrix-vector work. From about ten factors on, k
 consecutive factors are combined into one update I + W T W^H, with W = [Z |
@@ -55,7 +55,6 @@ __all__ = [
     "exp_diagonal",
     "exp_k",
     "exp_column_factor",
-    "apply_factor",
     "compose",
 ]
 
@@ -159,16 +158,6 @@ def _apply_factor(x: np.ndarray, z: np.ndarray, v: np.ndarray, c: complex, rho: 
     block -= (a * c * w + sigma * c * b)[:, None] * v
     b *= math.cos(rho)
     b += sigma * w
-
-
-def apply_factor(u: np.ndarray, z: np.ndarray, j: int, *, inverse: bool = False) -> None:
-    """u[:j, :j] <- u[:j, :j] @ F_j (or @ F_j^H with ``inverse``), in place.
-
-    u is a complex array with at least j rows and columns, z a complex vector
-    of length j - 1, and F_j = ``exp_k(z)``. Entries of u outside the leading
-    j x j block are left untouched. Costs O(j^2).
-    """
-    _apply_factor(u[:j, :j], z, z.conj(), 1.0, frobenius_norm(z), inverse)
 
 
 @functools.lru_cache(maxsize=64)

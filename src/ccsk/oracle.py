@@ -31,7 +31,6 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-import struct
 
 import numpy as np
 
@@ -45,8 +44,8 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 _GAMMA = 0x9E3779B97F4A7C15
 
 # expm scales its input to Frobenius norm at most _EXPM_TARGET_NORM, then
-# picks the smallest Taylor degree, up to _EXPM_TERM_CAP, whose truncation
-# error is at most _EXPM_REL_TOL relative to ||e^a||_F.
+# picks a Taylor degree, up to _EXPM_TERM_CAP, whose truncation error is at
+# most _EXPM_REL_TOL relative to ||e^a||_F.
 _EXPM_TARGET_NORM = 0.5
 _EXPM_TERM_CAP = 40
 _EXPM_REL_TOL = 1e-18
@@ -123,9 +122,10 @@ def expm(x: np.ndarray) -> np.ndarray:
     1. Scale: b = x / 2^s with s = ceil(log2(||x||_F / 0.5)), so ||b||_F <= 0.5.
     2. Plan (``_expm_plan``): take back d of the s halvings, a = 2^d b, and
        pick the degree m before evaluating. Where s = 0, or n is below
-       ``_EXPM_RESCALE_MIN_N`` and s <= 32, d = 0 and m is the smallest degree whose tail
-       bound in t = ||a||_F guarantees relative truncation error at most
-       ``_EXPM_REL_TOL`` in the Frobenius norm (``_taylor_degree``).
+       ``_EXPM_RESCALE_MIN_N`` and s <= 32, d = 0 and m is read off one
+       table: the smallest degree whose tail bound in t = ||a||_F guarantees
+       relative truncation error at most ``_EXPM_REL_TOL`` in the Frobenius
+       norm at n = 1, and so at every n (``_taylor_degree``).
        Otherwise b^2, b^3 and b^4 are formed first, and
        alpha = max(||b^3||_F^(1/3), ||b^4||_F^(1/4)) bounds ||b^k||_F^(1/k)
        for every k >= 6. d is the largest with 2^d alpha <= 0.5 and
@@ -191,7 +191,7 @@ def _expm_plan(x: np.ndarray,
     b = x / (2.0 ** s)
     t = norm / 2.0 ** s
     if s == 0 or (n < _EXPM_RESCALE_MIN_N and 2.0 ** s <= _EXPM_SPECTRAL_CAP):
-        m = _taylor_degree(t, n)
+        m = _taylor_degree(t)
         return (s, 0, t, m) + _powers(b, max(1, math.ceil(math.sqrt(m))))
     powers, b4 = _powers(b, 4)
     alpha = max(frobenius_norm(powers[3]) ** (1.0 / 3.0), frobenius_norm(b4) ** 0.25)
@@ -234,87 +234,27 @@ def _ps_coefficients(m: int, q: int, d: int) -> np.ndarray:
     return coeffs
 
 
-def _taylor_degree(t: float, n: int) -> int:
-    """Smallest Taylor degree m for exp(a) with ||a||_F = t <= 0.5, n x n.
+# Entry m is the largest float t at which degree m meets ``_taylor_degree``'s n = 1 bound.
+_DEGREE_THRESHOLDS = (
+    1e-18, 1.4142135610397619e-09, 1.8171192170286194e-06, 6.999124049661844e-05,
+    0.0006542894367173023, 0.0029920849016530082, 0.009054259575098745, 0.021105330952313272,
+    0.04125489942903871, 0.07118130812540457, 0.11202083834529417, 0.164353569275378,
+    0.2282163141531291, 0.303078034618753, 0.38768534776596225, 0.479545040997999)
+
+
+def _taylor_degree(t: float) -> int:
+    """Taylor degree m for exp(a), ||a||_F = t <= 0.5, at any n.
 
     The tail past degree m is at most t^(m+1)/(m+1)! / (1 - t/(m+2)) in the
     Frobenius norm (a geometric bound on the ratio of its terms), and
     ||exp(a)||_F >= sqrt(n) - expm1(t), since ||exp(a) - I||_F <= e^t - 1.
     m is the smallest degree whose tail is at most ``_EXPM_REL_TOL`` times
-    that lower bound, capped at ``_EXPM_TERM_CAP``: 16 at t = 0.5 for n = 1,
-    fewer for larger n or smaller t, and 0 for t = 0.
-
-    Up to t = 0.5 the degree is the count of the thresholds of
-    ``_degree_thresholds(n)`` below t; above it (t can exceed 0.5 by the
-    rounding of the scaling) the search runs in full.
+    that lower bound at n = 1, the count of ``_DEGREE_THRESHOLDS`` below t:
+    0 at t = 0, 16 at 0.5. The bound grows with n, so m meets it at every n;
+    and 16 meets it up to t = 0.57, past the few ulps by which the scaling's
+    rounding can leave t above 0.5.
     """
-    if t <= _EXPM_TARGET_NORM:
-        return bisect.bisect_left(_degree_thresholds(n), t)
-    return _norm_degree(t, n)
-
-
-def _norm_degree(t: float, n: int) -> int:
-    """``_taylor_degree`` by the search over the degrees."""
-    return _tail_degree(t, _EXPM_REL_TOL * (math.sqrt(n) - math.expm1(t)), 0)
-
-
-def _float_bits(t: float) -> int:
-    return struct.unpack("<q", struct.pack("<d", t))[0]
-
-
-def _bits_float(k: int) -> float:
-    return struct.unpack("<d", struct.pack("<q", k))[0]
-
-
-@functools.lru_cache(maxsize=64)
-def _degree_thresholds(n: int) -> tuple[float, ...]:
-    """For each degree m below _norm_degree(0.5, n), the largest t in
-    [0, 0.5] with _norm_degree(t, n) <= m, built once per n.
-
-    Each is found over the floats (a non-negative float's bits, read as an
-    integer, order it) with the search itself as the test: from the real
-    root of the tail bound (``_tail_root``), which lies within a few ulps,
-    step out by doubling until the threshold is bracketed, then bisect. So
-    the degree the thresholds give is the search's at every float of
-    [0, 0.5] as long as the search is monotone in t; the tests check it on
-    either side of every threshold. About 0.5 ms for each n.
-    """
-    def fits(k: int, m: int) -> bool:
-        return _norm_degree(_bits_float(k), n) <= m
-
-    thresholds = []
-    # For every m below: fits(floor, m) (degree(0) = 0, then the last
-    # threshold's degree is below m) and not fits(top, m).
-    floor, top = 0, _float_bits(_EXPM_TARGET_NORM)
-    for m in range(_norm_degree(_EXPM_TARGET_NORM, n)):
-        lo = hi = min(max(_float_bits(_tail_root(m, n)), floor), top)
-        step = 1
-        while fits(hi, m):
-            lo, hi, step = hi, min(hi + step, top), 2 * step
-        while not fits(lo, m):
-            lo, hi, step = max(lo - step, floor), lo, 2 * step
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if fits(mid, m):
-                lo = mid
-            else:
-                hi = mid
-        thresholds.append(_bits_float(lo))
-        floor = lo
-    return tuple(thresholds)
-
-
-def _tail_root(m: int, n: int) -> float:
-    """The t at which the tail bound past degree m, t^(m+1)/(m+1)! /
-    (1 - t/(m+2)), meets _EXPM_REL_TOL (sqrt(n) - expm1(t)), in real
-    arithmetic, by fixed-point iteration on
-    t = ((m+1)! target(t) (1 - t/(m+2)))^(1/(m+1)), which contracts by a
-    factor of at most about 0.15 for t <= 0.5."""
-    scale = math.factorial(m + 1) * _EXPM_REL_TOL
-    t = 0.0
-    for _ in range(30):
-        t = (scale * (math.sqrt(n) - math.expm1(t)) * (1.0 - t / (m + 2))) ** (1.0 / (m + 1))
-    return t
+    return bisect.bisect_left(_DEGREE_THRESHOLDS, t)
 
 
 def _spectral_degree(t: float, n: int) -> int:

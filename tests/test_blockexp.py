@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from ccsk.blockexp import (_MIN_BLOCK, _NB, _apply_factor, _apply_factors, _compact_form,
-                           _runs, apply_factor, compose, exp_column_factor, exp_diagonal, exp_k,
-                           k_matrix)
+                           _runs, compose, exp_column_factor, exp_diagonal, exp_k, k_matrix)
 from ccsk.linalg import frobenius_norm, unitarity_defect
 from ccsk.oracle import RngState, expm, random_params
 from ccsk.params import CcskParams, assemble_generator
@@ -117,6 +116,8 @@ class TestExpColumnFactor:
 
 
 class TestApplyFactor:
+    # The kernel on the leading j x j block of a larger matrix, as compose
+    # calls it: _apply_factor(u[:j, :j], z, conj(z), 1, ||z||, inverse).
     N = 7
 
     @pytest.mark.parametrize("inverse", [False, True])
@@ -131,20 +132,12 @@ class TestApplyFactor:
             factor = factor.conj().T
         want = u[:j, :j] @ factor
         got = u.copy()
-        apply_factor(got, z, j, inverse=inverse)
+        _apply_factor(got[:j, :j], z, z.conj(), 1.0, frobenius_norm(z), inverse)
         assert np.max(np.abs(got[:j, :j] - want)) <= 1e-13
         # Everything outside the leading j x j block is untouched, bit for bit.
         outside = np.ones_like(u, dtype=bool)
         outside[:j, :j] = False
         np.testing.assert_array_equal(got[outside], u[outside])
-
-    def test_inverse_undoes_forward(self, rng):
-        u = random_complex_matrix(rng, 5, 5)
-        z = random_z(rng, 3)
-        got = u.copy()
-        apply_factor(got, z, 4)
-        apply_factor(got, z, 4, inverse=True)
-        assert np.max(np.abs(got - u)) <= 1e-13
 
 
 class TestFactorKernel:
@@ -176,6 +169,15 @@ class TestFactorKernel:
         assert np.max(np.abs(got[:, :j] - want)) <= 1e-14 * j
         # The columns past the block are untouched, bit for bit.
         assert got[:, j:].tobytes() == u[:, j:].tobytes()
+
+    def test_inverse_undoes_forward(self, rng):
+        u = random_complex_matrix(rng, 5, 5)
+        z = random_z(rng, 3)
+        rho = frobenius_norm(z)
+        got = u.copy()
+        _apply_factor(got[:, :4], z, z.conj(), 1.0, rho, False)
+        _apply_factor(got[:, :4], z, z.conj(), 1.0, rho, True)
+        assert np.max(np.abs(got - u)) <= 1e-13
 
 
 class TestCompactForm:
@@ -244,7 +246,8 @@ def single_factor_compose(p: CcskParams) -> np.ndarray:
     """The ordered product with every factor applied on its own."""
     u = exp_diagonal(p.thetas)
     for j in range(2, p.n + 1):
-        apply_factor(u, p.z_column(j), j)
+        z = p.z_column(j)
+        _apply_factor(u[:j, :j], z, z.conj(), 1.0, frobenius_norm(z), False)
     return u
 
 

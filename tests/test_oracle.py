@@ -7,8 +7,8 @@ import pytest
 from ccsk.blockexp import compose
 from ccsk.decompose import roundtrip_error
 from ccsk.linalg import frobenius_norm, unitarity_defect
-from ccsk.oracle import (_EXPM_RESCALE_MIN_N, RngState, _degree_thresholds, _expm_plan,
-                         _norm_degree, _taylor_degree, expm, random_params, random_unitary)
+from ccsk.oracle import (_DEGREE_THRESHOLDS, _EXPM_RESCALE_MIN_N, RngState, _expm_plan,
+                         _tail_degree, _taylor_degree, expm, random_params, random_unitary)
 from ccsk.params import CcskParams, assemble_generator
 
 from conftest import (NON_FINITE_MATRICES, complex_gaussian_vector,
@@ -234,35 +234,55 @@ def tail_bound(t: float, m: int) -> float:
     return t ** (m + 1) / math.factorial(m + 1) / (1 - t / (m + 2))
 
 
+def n1_degree(t: float) -> int:
+    """The smallest degree meeting the tail bound at n = 1, by the search."""
+    return _tail_degree(t, 1e-18 * (1 - math.expm1(t)), 0)
+
+
 class TestTaylorDegree:
+    # The degree read off the n = 1 table meets the bound at every n, and is
+    # the smallest that does at n = 1.
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 33, 128, 10 ** 6])
     @pytest.mark.parametrize("t", [0.0, 1e-300, 1e-12, 1e-3, 0.1, 0.25, 0.3, 0.49, 0.5])
     def test_smallest_degree_meeting_the_bound(self, t, n):
         target = 1e-18 * (math.sqrt(n) - math.expm1(t))
-        m = _taylor_degree(t, n)
+        m = _taylor_degree(t)
         assert tail_bound(t, m) <= target
-        assert m == 0 or tail_bound(t, m - 1) > target
+        if n == 1:
+            assert m == 0 or tail_bound(t, m - 1) > target
+
+    def test_thresholds_are_regenerated_by_the_search(self):
+        # Threshold m is the last float at which the n = 1 search gives at
+        # most degree m; degree 16 covers the rest of [0, 0.5].
+        assert len(_DEGREE_THRESHOLDS) == n1_degree(0.5) == 16
+        for m, threshold in enumerate(_DEGREE_THRESHOLDS):
+            assert n1_degree(threshold) <= m
+            assert n1_degree(math.nextafter(threshold, 1.0)) > m
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 15])
     def test_thresholds_give_the_searched_degree(self, n):
-        # The degrees read off the per-n thresholds are the search's, on a
-        # dense grid of [0, 0.5], on either side of every threshold and just
-        # past 0.5, where the search runs in full.
+        # On a dense grid of [0, 0.5] and on either side of every threshold,
+        # the table gives the n = 1 search's degree, which meets the bound at n.
         ts = np.linspace(0.0, 0.5, 20001).tolist() + np.logspace(-20, -0.302, 2001).tolist()
-        for threshold in _degree_thresholds(n):
+        for threshold in _DEGREE_THRESHOLDS:
             below, above = threshold, threshold
             for _ in range(3):
                 below, above = math.nextafter(below, 0.0), math.nextafter(above, 1.0)
-                ts += [below, above]
-            ts.append(threshold)
-        ts += [math.nextafter(0.5, 1.0), 0.5 + 1e-15]
-        assert [_taylor_degree(t, n) for t in ts] == [_norm_degree(t, n) for t in ts]
+                ts += [below, threshold, above]
+        degrees = [_taylor_degree(t) for t in ts]
+        assert degrees == [n1_degree(t) for t in ts]
+        assert all(tail_bound(t, m) <= 1e-18 * (math.sqrt(n) - math.expm1(t))
+                   for t, m in zip(ts, degrees))
 
     def test_known_degrees(self):
-        assert _taylor_degree(0.0, 1) == 0
-        assert _taylor_degree(1e-12, 1) == 1
-        assert _taylor_degree(0.5, 1) == 16
-        assert _taylor_degree(0.5, 256) <= 16
+        assert _taylor_degree(0.0) == 0
+        assert _taylor_degree(1e-12) == 1
+        assert _taylor_degree(0.5) == 16
+        # The scaling's rounding can leave t a few ulps above 0.5; the last
+        # degree meets the n = 1 bound well beyond.
+        for t in (0.5 * (1 + 4 * np.finfo(float).eps), 0.57):
+            assert _taylor_degree(t) == 16
+            assert tail_bound(t, 16) <= 1e-18 * (1 - math.expm1(t))
 
 
 def oracle_inputs(n: int, norm: float) -> list[np.ndarray]:
@@ -325,7 +345,7 @@ class TestExpmScaling:
             squarings, d, t, m, _, _ = _expm_plan(x, frobenius_norm(x))
             assert d == 0
             assert t == frobenius_norm(x) / 2.0 ** squarings
-            assert m == _taylor_degree(t, n)
+            assert m == _taylor_degree(t)
 
     # Scaling by ||x||_F took 6 (n = 128) and 7 (n = 256) squarings, 12
     # products in all.
