@@ -33,11 +33,17 @@ E] the k z columns and the k unit vectors e_j, and T a 2k x 2k matrix (the
 compact WY form of Schreiber and Van Loan, SIAM J. Sci. Stat. Comput. 10,
 1989, here for rank-2 factors). T is never formed: its blocks follow from
 the k x k inverse N = (I - P)^{-1} of a unit upper triangular matrix and the
-coupling matrix Q, so applying the block is two products with Z, two k x k
-products (with N and Q) and column scalings, 2 j1^2 k + 2 j1 k^2 complex
-multiply-adds on the leading j1 x j1 block. ``_runs`` splits F_2 ... F_n
-into the runs that ``compose`` and ``decompose`` share: a head, then blocks
-of _NB.
+coupling matrix Q. ``_runs`` splits F_2 ... F_n into the runs that
+``compose`` and ``decompose`` share: a head, then blocks of _NB.
+
+``compose`` grows its product run by run. Before the run F_{j0} ... F_{j1},
+the product is blockdiag(A, D): A the r x r product so far (r = j0 - 1) and
+D the run's k phases, as no earlier factor touches the last k rows and
+columns. ``_grow`` applies the block to that form, so the one square product
+is A Z_top (r^2 k) and E's coupling Q is a row scaling: r^2 k + j1^2 k + j1
+k^2 complex multiply-adds a run, where the block on the whole leading j1 x
+j1 matrix takes 2 j1^2 k + 2 j1 k^2. ``decompose``'s panels apply the
+adjoint with ``_apply_factors``, to the rows above the panel.
 """
 
 from __future__ import annotations
@@ -65,13 +71,16 @@ _RHO_TINY = 1e-14
 # _runs' block size. compose walks _runs(n, 1) and decompose _runs(n, 2 * _NB).
 # A block has a fixed cost (its N, Q and core scalars: some 35 numpy
 # operations, one an LU-based inverse) where a factor taken alone costs about
-# 10, so compose applies a run one factor at a time only when it holds fewer
-# than _MIN_BLOCK factors.
+# 10, so compose applies its head one factor at a time when it holds fewer
+# than _MIN_BLOCK factors; every later run holds _NB.
 # Measured with one BLAS thread: run alone, the block wins from 6 factors;
 # between decompose and expm calls, as compose is used, the fixed cost grows
-# from about 40 to 100 us, the two tie at 8 and 9 factors and the block wins
-# from 10. decompose still reads and peels each panel row on its own, so only
-# the flops move into the block: its panels gain from about n = 128.
+# from about 40 to 100 us. There a block of 6 factors (n = 7) takes 1.09x the
+# time of single factors, of 7 (n = 8) 0.90-0.97x and of 8 and 9 0.69-0.87x.
+# n = 8 is the one such size perfbench's small-n workload runs, so
+# _MIN_BLOCK stays 10 and n <= 10 keeps the single-factor path and its bits.
+# decompose still reads and peels each panel row on its own, so only the
+# flops move into the block: its panels gain from about n = 128.
 _NB = 32
 _MIN_BLOCK = 10
 
@@ -198,8 +207,9 @@ def _compact_form(seg: np.ndarray, j0: int, j1: int) -> tuple[np.ndarray, ...]:
              [Q N D_{-a} - D_sigma, Q N D_sigma + D_{cm1}]],
 
     D_x the diagonal of the vector x. So T is never formed: this returns Z,
-    N, Q and the vectors a, sigma and cm1 = cos(rho) - 1, and
-    ``_apply_factors`` applies T as two k x k products and column scalings.
+    N, Q and the vectors a, sigma and cm1 = cos(rho) - 1, and ``_grow``
+    (forward) and ``_apply_factors`` (adjoint) apply T from them with k x k
+    products and column scalings.
     """
     k = j1 - j0 + 1
     scatter, upper = _masks(j0, j1)
@@ -223,18 +233,15 @@ def _compact_form(seg: np.ndarray, j0: int, j1: int) -> tuple[np.ndarray, ...]:
     return z, np.linalg.inv(ip), q, a, sigma, cm1
 
 
-def _apply_factors(m: np.ndarray, seg: np.ndarray, j0: int, *,
-                   inverse: bool = False) -> None:
-    """m <- m @ F_{j0} ... F_{j1} (or @ its adjoint with ``inverse``), in place.
+def _apply_factors(m: np.ndarray, seg: np.ndarray, j0: int) -> None:
+    """m <- m @ (F_{j0} ... F_{j1})^H, in place: ``decompose``'s block update.
 
     m has j1 columns and seg holds z_{j0} ... z_{j1}, packed as in
-    ``CcskParams.z``. With Y = [m Z, m E] T (``_compact_form``), m += Y_Z Z^H
-    and m E += Y_E, where, from the blocks of T,
+    ``CcskParams.z``. With Y = [m Z, m E] T^H (``_compact_form``), m += Y_Z
+    Z^H and m E += Y_E, where, from the blocks of T,
 
-        forward:  V = (m Z + m E Q) N,  Y_Z = -V D_a - m E D_sigma,
-                  Y_E = V D_sigma + m E D_cm1;
-        adjoint:  Y_Z = (-m Z D_a + m E D_sigma) N^H,
-                  Y_E = Y_Z Q^H - m Z D_sigma + m E D_cm1.
+        Y_Z = (-m Z D_a + m E D_sigma) N^H,
+        Y_E = Y_Z Q^H - m Z D_sigma + m E D_cm1.
 
     For r rows that is two products of size r x j1 x k (m Z and Y_Z Z^H) and
     two of size r x k x k: 2 r j1 k + 2 r k^2 complex multiply-adds. The E
@@ -245,15 +252,42 @@ def _apply_factors(m: np.ndarray, seg: np.ndarray, j0: int, *,
     z, n, q, a, sigma, cm1 = _compact_form(seg, j0, j1)
     e = m[:, -k:]
     mz = m @ z
-    if inverse:
-        yz = (mz * a - e * sigma) @ n.conj().T  # -Y_Z
-        ye = e * cm1 - mz * sigma - yz @ q.conj().T
-    else:
-        v = (mz + e @ q) @ n
-        yz = v * a + e * sigma  # -Y_Z
-        ye = v * sigma + e * cm1
+    yz = (mz * a - e * sigma) @ n.conj().T  # -Y_Z
+    ye = e * cm1 - mz * sigma - yz @ q.conj().T
     m -= yz @ z.conj().T
     e += ye
+
+
+def _grow(a: np.ndarray, d: np.ndarray, seg: np.ndarray, j0: int, j1: int) -> np.ndarray:
+    """blockdiag(a, diag(d)) @ F_{j0} ... F_{j1}, as a new j1 x j1 array.
+
+    a is the r x r product so far (r = j0 - 1), d holds the phases e^{i
+    theta_j} of j = j0 ... j1, and seg z_{j0} ... z_{j1}, packed as in
+    ``CcskParams.z``. This is the forward form of the compact WY update on m
+    = blockdiag(a, D_d), whose last k columns E are zero above D_d: with Y =
+    [m Z, m E] T, the product is m + Y_Z Z^H with Y_E added to its last k
+    columns, and as m Z = [a Z_top; d Z_bot] and m E Q = [0; d Q],
+
+        V = [a Z_top; d (Z_bot + Q)] N,
+        Y_Z = -V D_a - [0; D_{d sigma}],  Y_E = V D_sigma + [0; D_{d cm1}].
+
+    The one square product is a Z_top, r^2 k complex multiply-adds; with V N
+    and Y_Z Z^H, r^2 k + j1^2 k + j1 k^2 in all, where the same update on the
+    whole of m, with m Z and m E Q, takes 2 j1^2 k + 2 j1 k^2.
+    """
+    r = j0 - 1
+    k = j1 - r
+    z, n, q, ca, sigma, cm1 = _compact_form(seg, j0, j1)
+    v = np.concatenate((a @ z[:r], d[:, None] * (z[r:] + q))) @ n
+    yz = v * -ca  # Y_Z
+    ye = v * sigma
+    diagonal = slice(r * k, None, k + 1)  # that of the last k rows, raveled
+    yz.ravel()[diagonal] -= d * sigma
+    ye.ravel()[diagonal] += d * (1.0 + cm1)  # E's D_d, added here
+    out = yz @ z.conj().T
+    out[:r, :r] += a
+    out[:, r:] += ye
+    return out
 
 
 def _runs(n: int, head: int) -> list[tuple[int, int]]:
@@ -269,15 +303,24 @@ def _runs(n: int, head: int) -> list[tuple[int, int]]:
 
 
 def compose(p: CcskParams) -> np.ndarray:
-    """Ordered product: diagonal phases, then the column factors j = 2..n."""
-    u = exp_diagonal(p.thetas)
-    for j0, j1 in _runs(p.n, 1):
-        start = z_offset(j0)
-        if j1 - j0 + 1 < _MIN_BLOCK:
-            for j in range(j0, j1 + 1):
-                z = p.z[start:start + j - 1]
-                start += j - 1
-                _apply_factor(u[:j, :j], z, z.conj(), 1.0, frobenius_norm(z), False)
-        else:
-            _apply_factors(u[:j1, :j1], p.z[start:z_offset(j1 + 1)], j0)
+    """Ordered product: diagonal phases, then the column factors j = 2..n.
+
+    A head of fewer than _MIN_BLOCK factors is applied one factor at a time;
+    every other run grows the product by its j1 - j0 + 1 rows and columns.
+    """
+    runs = _runs(p.n, 1)
+    j0, b = runs[0]
+    if b - j0 + 1 < _MIN_BLOCK:
+        u = exp_diagonal(p.thetas[:b])
+        start = 0
+        for j in range(j0, b + 1):
+            z = p.z[start:start + j - 1]
+            start += j - 1
+            _apply_factor(u[:j, :j], z, z.conj(), 1.0, frobenius_norm(z), False)
+    else:
+        d = np.exp(1j * p.thetas[:b])
+        u = _grow(d[:1, None], d[1:], p.z[:z_offset(b + 1)], j0, b)
+    for j0, j1 in runs[1:]:
+        d = np.exp(1j * p.thetas[j0 - 1:j1])
+        u = _grow(u, d, p.z[z_offset(j0):z_offset(j1 + 1)], j0, j1)
     return u

@@ -132,7 +132,7 @@ def decompose(u: np.ndarray, *, unitarity_tol: float = UNITARITY_TOL) -> CcskPar
                 _apply_factor(m[lo:j, :j], z, row, kappa.conjugate(), rho, True)
             end = start
         if lo:
-            _apply_factors(m[:lo, :j1], z_all[end:top], j0, inverse=True)
+            _apply_factors(m[:lo, :j1], z_all[end:top], j0)
     theta = cmath.phase(m[0, 0])
     thetas[0] = _wrap_theta(theta)
     phases.append(cmath.exp(1j * theta))

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from ccsk.blockexp import (_MIN_BLOCK, _NB, _apply_factor, _apply_factors, _compact_form,
-                           _runs, compose, exp_column_factor, exp_diagonal, exp_k, k_matrix)
+                           _grow, _runs, compose, exp_column_factor, exp_diagonal, exp_k,
+                           k_matrix)
 from ccsk.linalg import frobenius_norm, unitarity_defect
-from ccsk.oracle import RngState, expm, random_params
+from ccsk.oracle import RngState, expm, random_params, random_unitary
 from ccsk.params import CcskParams, assemble_generator
 
 from conftest import complex_gaussian_vector, random_complex_matrix
@@ -182,8 +183,8 @@ class TestFactorKernel:
 
 class TestCompactForm:
     # F_{j0} ... F_{j1} = I + W T W^H with W = [Z | E], E the last k unit
-    # columns; _apply_factors applies T from N, Q and the cores without
-    # forming it, forward and adjoint.
+    # columns, applied from N, Q and the cores without forming T: forward by
+    # _grow (here from blockdiag(I, I)), adjoint by _apply_factors.
     @pytest.mark.parametrize("j0, j1", [(2, 2), (2, 6), (5, 5), (4, 9), (2, 32), (97, 128)])
     def test_matches_dense_product(self, rng, j0, j1):
         zs = [random_z(rng, j - 1) for j in range(j0, j1 + 1)]
@@ -199,10 +200,34 @@ class TestCompactForm:
         for i, zi in enumerate(zs):
             padded[:zi.shape[0], i] = zi
         assert z.tobytes() == padded.tobytes()
-        for inverse, product in ((False, want), (True, want.conj().T)):
-            got = np.eye(j1, dtype=complex)
-            _apply_factors(got, seg, j0, inverse=inverse)
-            assert np.max(np.abs(got - product)) <= 1e-14
+        got = _grow(np.eye(j0 - 1, dtype=complex), np.ones(len(zs), dtype=complex), seg, j0, j1)
+        assert np.max(np.abs(got - want)) <= 1e-14
+        got = np.eye(j1, dtype=complex)
+        _apply_factors(got, seg, j0)
+        assert np.max(np.abs(got - want.conj().T)) <= 1e-14
+
+
+class TestGrow:
+    # _grow(a, d, seg, j0, j1) = blockdiag(a, diag(d)) F_{j0} ... F_{j1}, with
+    # rho = 0, tiny and pi/2 at the first, middle and last factor, a a
+    # random unitary and d random phases.
+    @pytest.mark.parametrize("j0, j1", [(2, 2), (2, 6), (4, 9), (2, 32), (33, 64), (97, 128)])
+    def test_matches_dense_product(self, rng, j0, j1):
+        r, k = j0 - 1, j1 - j0 + 1
+        a = random_unitary(r, rng)
+        d = np.exp(1j * np.array([rng.uniform() * 2 * math.pi for _ in range(k)]))
+        zs = [random_z(rng, j - 1) for j in range(j0, j1 + 1)]
+        # dict(): where k < 3 puts two of them on one factor, the later wins.
+        for i, rho in dict(zip((0, k // 2, k - 1), (0.0, 1e-12, math.pi / 2))).items():
+            zs[i] *= rho / np.linalg.norm(zs[i])
+        want = np.zeros((j1, j1), dtype=complex)
+        want[:r, :r] = a
+        want[r:, r:] = np.diag(d)
+        for j, z in zip(range(j0, j1 + 1), zs):
+            want = want @ exp_column_factor(z, j1, j)
+        got = _grow(a, d, np.concatenate(zs), j0, j1)
+        assert got.shape == (j1, j1)
+        assert np.max(np.abs(got - want)) <= 1e-14 * j1
 
 
 class TestRuns:

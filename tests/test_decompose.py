@@ -294,14 +294,14 @@ class TestPanels:
         calls = []
         apply_factors = decompose_module._apply_factors
 
-        def recorded(a, seg, j0, *, inverse=False):
-            calls.append((j0, a.shape[1], a.shape[0], inverse))
-            apply_factors(a, seg, j0, inverse=inverse)
+        def recorded(a, seg, j0):
+            calls.append((j0, a.shape[1], a.shape[0]))
+            apply_factors(a, seg, j0)
 
         monkeypatch.setattr(decompose_module, "_apply_factors", recorded)
         u = compose(random_params(n, RngState(n)))
         assert frobenius_norm(compose(decompose(u)) - u) <= 1e-13 * n
-        assert calls == [(j0, j1, j0 - 1, True) for j0, j1 in reversed(_runs(n, 2 * _NB)[1:])]
+        assert calls == [(j0, j1, j0 - 1) for j0, j1 in reversed(_runs(n, 2 * _NB)[1:])]
 
 
 def panel_rows(n: int) -> dict:
