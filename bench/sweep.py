@@ -18,10 +18,10 @@ how many calls a sample times (enough for ``MIN_SAMPLE_S``). Then every
 repeat times one sample of each layer in turn, the order rotating from one
 repeat to the next, so that a drift of the host's speed reaches every layer
 alike. A row reports, per layer, the median and quartiles of the seconds per
-call over the repeats, the ratios decompose/compose and compose/expm of the
-medians, and the accuracy of that n's input in units of eps * n: the
-unitarity defect of compose(p) and the roundtrip error of
-compose(decompose(u)) against u.
+call over the repeats, the ratios decompose/compose, compose/expm and
+random_params/compose of the medians, and the accuracy of that n's input in
+units of eps * n: the unitarity defect of compose(p) and the roundtrip
+error of compose(decompose(u)) against u.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ import numpy as np  # noqa: E402
 
 import ccsk  # noqa: E402
 
-NS = (2, 8, 16, 32, 64, 128, 256, 512)
+NS = (2, 3, 4, 8, 16, 32, 64, 128, 256, 512)
 LAYERS = ("compose", "decompose", "expm", "random_params")
 REPEATS = 21
 MIN_SAMPLE_S = 2e-3
@@ -112,7 +112,8 @@ def row(n: int, repeats: int) -> dict:
         "n": n,
         "layers": layers,
         "ratios": {"decompose_over_compose": med["decompose"] / med["compose"],
-                   "compose_over_expm": med["compose"] / med["expm"]},
+                   "compose_over_expm": med["compose"] / med["expm"],
+                   "rng_over_compose": med["random_params"] / med["compose"]},
         "accuracy": {"defect_eps_n": ccsk.unitarity_defect(u) / (EPS * n),
                      "roundtrip_eps_n": ccsk.roundtrip_error(u) / (EPS * n)},
     }
@@ -146,7 +147,8 @@ def main(argv=None) -> int:
                        for layer in LAYERS)
         print(f"n={r['n']:4d}  {ms} ms  decompose/compose "
               f"{r['ratios']['decompose_over_compose']:.2f}  compose/expm "
-              f"{r['ratios']['compose_over_expm']:.2f}")
+              f"{r['ratios']['compose_over_expm']:.2f}  rng/compose "
+              f"{r['ratios']['rng_over_compose']:.2f}")
     print(f"wrote {path}")
     return 0
 

@@ -75,14 +75,15 @@ _RHO_TINY = 1e-14
 # than _MIN_BLOCK factors; every later run holds _NB.
 # Measured with one BLAS thread: run alone, the block wins from 6 factors;
 # between decompose and expm calls, as compose is used, the fixed cost grows
-# from about 40 to 100 us. There a block of 6 factors (n = 7) takes 1.09x the
-# time of single factors, of 7 (n = 8) 0.90-0.97x and of 8 and 9 0.69-0.87x.
-# n = 8 is the one such size perfbench's small-n workload runs, so
-# _MIN_BLOCK stays 10 and n <= 10 keeps the single-factor path and its bits.
+# from about 40 to 100 us. There, over three probes, a block of 6 factors
+# (n = 7) takes 0.92-1.09x the time of single factors, of 7 (n = 8)
+# 0.88-1.00x with a wide spread, of 8 (n = 9) 0.73-0.84x and of 9 (n = 10)
+# 0.71-0.78x; behind a full run (n = 41, 42) 8 and 9 take 0.89-0.93x. So
+# _MIN_BLOCK is 8, and n <= 8 keeps the single-factor path and its bits.
 # decompose still reads and peels each panel row on its own, so only the
 # flops move into the block: its panels gain from about n = 128.
 _NB = 32
-_MIN_BLOCK = 10
+_MIN_BLOCK = 8
 
 
 def k_matrix(z) -> np.ndarray:

@@ -82,7 +82,8 @@ def decompose(u: np.ndarray, *, unitarity_tol: float = UNITARITY_TOL) -> CcskPar
     is one whose Frobenius norm overflows, as not unitary.
 
     There is one acceptance test: the defect ||u^H u - I||_F must be at most
-    ``unitarity_tol * n``, or ValueError("input is not unitary: ..."), and
+    ``unitarity_tol * n``, or ValueError("input is not unitary: ...", naming
+    the defect, or the norm that overflowed, and the bound), and
     unitarity_tol must be in (0, 1), or ValueError.
     What that admits, the peel inverts: the residue R it leaves has ||R||_F
     <= defect / sqrt(2) to first order, plus rounding (see the module
@@ -97,7 +98,8 @@ def decompose(u: np.ndarray, *, unitarity_tol: float = UNITARITY_TOL) -> CcskPar
         # Finite entries whose squares sum past the float range. So does the
         # trace of u^H u, which that sum is: the defect overflows, and
         # forming u^H u would only add an overflow warning.
-        raise _not_unitary(math.inf, gate)
+        raise _not_unitary(
+            "the Frobenius norm of u overflows, so the defect ||u^H u - I||_F = inf", gate)
 
     m = u.copy()
     thetas = np.zeros(n)
@@ -147,7 +149,7 @@ def decompose(u: np.ndarray, *, unitarity_tol: float = UNITARITY_TOL) -> CcskPar
     if not (2.0 * r + r * r <= half and _ROUNDING * n * math.sqrt(n) <= half):
         defect = _unitarity_defect(u)
         if not defect <= gate:
-            raise _not_unitary(defect, gate)
+            raise _not_unitary(f"the defect ||u^H u - I||_F = {defect:.3e}", gate)
     # Both arrays have the shapes allocated above and finite entries: m
     # starts finite and the peel multiplies it by unitary factors, each theta
     # is a phase, and each z entry is at most rho_j <= pi/2 in modulus, as
@@ -163,8 +165,9 @@ def _panels(n: int) -> tuple[tuple[int, int, int], ...]:
     return tuple((j0 - 1 if j0 > 2 else 0, j0, j1) for j0, j1 in reversed(_runs(n, 2 * _NB)))
 
 
-def _not_unitary(defect: float, gate: float) -> ValueError:
-    return ValueError(f"input is not unitary: defect {defect:.3e} exceeds {gate:.3e}")
+def _not_unitary(test: str, gate: float) -> ValueError:
+    """The gate's refusal, naming the test that decided it and both numbers."""
+    return ValueError(f"input is not unitary: {test} exceeds unitarity_tol * n = {gate:.3e}")
 
 
 def roundtrip_error(u: np.ndarray, *, unitarity_tol: float = UNITARITY_TOL) -> float:

@@ -324,13 +324,16 @@ class TestCompose:
         assert frobenius_norm(compose(p) - dense_compose(p)) <= 1e-13 * n
 
     @pytest.mark.parametrize("shift", [0, 1, 2])
-    @pytest.mark.parametrize("n", [_MIN_BLOCK, _MIN_BLOCK + 1, _MIN_BLOCK + 2,
-                                   32, 33, 34, 63, 64, 65, 97, 200])
+    @pytest.mark.parametrize("n", [_MIN_BLOCK, _MIN_BLOCK + 1, _MIN_BLOCK + 2, 11, 12,
+                                   32, 33, 34, _NB + _MIN_BLOCK + 1, _NB + _MIN_BLOCK + 2,
+                                   63, 64, 65, 97, 200])
     def test_aggregated_blocks_match_single_factors(self, rng, n, shift):
         # compose's runs (head 1), the first included, with rho = 0, tiny and
         # pi/2 at the first, middle and last factor of each, in turn. The
         # first three n give a head of _MIN_BLOCK - 1 factors, taken one at a
-        # time, and of _MIN_BLOCK and _MIN_BLOCK + 1, each taken as one block.
+        # time, and of _MIN_BLOCK and _MIN_BLOCK + 1, each taken as one block;
+        # 11 and 12 give larger blocked heads. _NB + _MIN_BLOCK + 1 and + 2
+        # give the smallest blocked heads followed by a full run.
         p = random_params(n, rng)
         cols = list(p.z_columns)
         for j0, j1 in _runs(n, 1):

@@ -285,6 +285,20 @@ class TestOutsideTheGate:
             with pytest.raises(ValueError, match="input is not unitary"):
                 decompose(FAR_FROM_UNITARY[name])
 
+    # The refusal names the test that decided it and both of its numbers:
+    # the exact defect, ||(2 I)^H (2 I) - I||_F = 3 sqrt(3) at n = 3, or the
+    # norm that overflowed, against the gate 1e-10 * 3.
+    @pytest.mark.parametrize("name, test", [
+        ("two_identity_3", "the defect ||u^H u - I||_F = 5.196e+00"),
+        ("entries_1e200",
+         "the Frobenius norm of u overflows, so the defect ||u^H u - I||_F = inf"),
+    ])
+    def test_message_names_the_deciding_test(self, name, test):
+        with pytest.raises(ValueError) as exc:
+            decompose(FAR_FROM_UNITARY[name])
+        assert str(exc.value) == (f"input is not unitary: {test} exceeds "
+                                  f"unitarity_tol * n = 3.000e-10")
+
 
 class TestPanels:
     # decompose walks blockexp._runs(n, 2 * _NB) from the last run: each run

@@ -46,7 +46,8 @@ class TestSweep:
                 assert set(timing) == {"median_s", "q1_s", "q3_s", "calls_per_sample"}
                 assert 0 < timing["q1_s"] <= timing["median_s"] <= timing["q3_s"]
                 assert timing["calls_per_sample"] >= 1
-            assert set(r["ratios"]) == {"decompose_over_compose", "compose_over_expm"}
+            assert set(r["ratios"]) == {"decompose_over_compose", "compose_over_expm",
+                                        "rng_over_compose"}
             assert set(r["accuracy"]) == {"defect_eps_n", "roundtrip_eps_n"}
             # A composed unitary and its roundtrip stay within a few eps n.
             assert 0 <= r["accuracy"]["defect_eps_n"] < 100
