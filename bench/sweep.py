@@ -22,6 +22,13 @@ call over the repeats, the ratios decompose/compose, compose/expm and
 random_params/compose of the medians, and the accuracy of that n's input in
 units of eps * n: the unitarity defect of compose(p) and the roundtrip
 error of compose(decompose(u)) against u.
+
+Yardstick. Every repeat also times a fixed numpy workload that does not
+depend on n or on ccsk (``yardstick_workload``), in the same rotation. A row
+records its median and each layer's median over it. A host whose speed
+changes between rows (a 2-core VM ran some whole rows about 1.8x faster than
+the rest) moves the yardstick with the layers, so rows and records that ran
+at different speeds compare by these ratios rather than by seconds.
 """
 
 from __future__ import annotations
@@ -48,6 +55,30 @@ LAYERS = ("compose", "decompose", "expm", "random_params")
 REPEATS = 21
 MIN_SAMPLE_S = 2e-3
 EPS = float(np.finfo(np.float64).eps)
+YARDSTICK = ("eight 4 x 4 complex products and sums, then one 32 x 32 complex "
+             "product, on fixed matrices")
+
+
+def yardstick_workload():
+    """The yardstick's call, the same in every row and every record: per-call
+    overhead (eight small products and sums), as in the small-n layers, and
+    one BLAS product, as in the large-n ones. Over 90 s of interleaved
+    samples on a 2-core VM it tracked the host's speed better than either
+    half alone: the spread of log(layer / yardstick) was 0.12-0.15 for
+    compose, decompose and expm at n = 8 and 128, against 0.17-0.19 with the
+    32 x 32 product alone and 0.20-0.29 for the raw times."""
+    a = np.cos(np.arange(32 * 32, dtype=np.float64)).reshape(32, 32) * (1 + 0.5j)
+    b = a.T.copy()
+    s = a[:4, :4].copy()
+
+    def call():
+        y = s
+        for _ in range(8):
+            y = np.dot(y, s) * 0.5
+            y += s
+        return np.dot(a, b)
+
+    return call
 
 
 def environment() -> dict:
@@ -92,25 +123,30 @@ def row(n: int, repeats: int) -> dict:
         "decompose": lambda: ccsk.decompose(u),
         "expm": lambda: ccsk.expm(x),
         "random_params": lambda: ccsk.random_params(n, ccsk.RngState(n)),
+        "yardstick": yardstick_workload(),
     }
+    order = list(fs)
     calls = {}
     for layer, f in fs.items():
         f()  # warm-up, discarded
         calls[layer] = max(1, int(MIN_SAMPLE_S / max(_sample(f, 1), 1e-9)))
-    times = {layer: [] for layer in LAYERS}
+    times = {layer: [] for layer in order}
     for r in range(repeats):
-        for i in range(len(LAYERS)):
-            layer = LAYERS[(i + r) % len(LAYERS)]
+        for i in range(len(order)):
+            layer = order[(i + r) % len(order)]
             times[layer].append(_sample(fs[layer], calls[layer]))
     layers = {}
     for layer, ts in times.items():
         q1, med, q3 = np.percentile(ts, [25, 50, 75])
         layers[layer] = {"median_s": float(med), "q1_s": float(q1), "q3_s": float(q3),
                          "calls_per_sample": calls[layer]}
+    yardstick = layers.pop("yardstick")
     med = {layer: layers[layer]["median_s"] for layer in LAYERS}
     return {
         "n": n,
         "layers": layers,
+        "yardstick": yardstick,
+        "over_yardstick": {layer: med[layer] / yardstick["median_s"] for layer in LAYERS},
         "ratios": {"decompose_over_compose": med["decompose"] / med["compose"],
                    "compose_over_expm": med["compose"] / med["expm"],
                    "rng_over_compose": med["random_params"] / med["compose"]},
@@ -126,7 +162,8 @@ def sweep(ns=NS, repeats: int = REPEATS, label: str = "") -> dict:
         "created": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "method": {"repeats": repeats, "warmup_calls": 1, "min_sample_s": MIN_SAMPLE_S,
                    "statistic": "median and quartiles of seconds per call over the "
-                                "repeats; layers interleaved within each repeat"},
+                                "repeats; layers interleaved within each repeat",
+                   "yardstick": YARDSTICK + ", timed in every repeat"},
         "environment": environment(),
         "rows": [row(n, repeats) for n in ns],
     }
@@ -145,7 +182,8 @@ def main(argv=None) -> int:
     for r in record["rows"]:
         ms = "  ".join(f"{layer} {r['layers'][layer]['median_s'] * 1e3:.3f}"
                        for layer in LAYERS)
-        print(f"n={r['n']:4d}  {ms} ms  decompose/compose "
+        print(f"n={r['n']:4d}  {ms} ms  yardstick "
+              f"{r['yardstick']['median_s'] * 1e6:.2f} us  decompose/compose "
               f"{r['ratios']['decompose_over_compose']:.2f}  compose/expm "
               f"{r['ratios']['compose_over_expm']:.2f}  rng/compose "
               f"{r['ratios']['rng_over_compose']:.2f}")

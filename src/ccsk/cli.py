@@ -119,7 +119,8 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_verify(args) -> int:
     u = read_matrix(args.input)
-    defect = _unitarity_defect(u)
+    # As in linalg.unitarity_defect: a norm that overflows makes the defect inf.
+    defect = _unitarity_defect(u) if math.isfinite(frobenius_norm(u)) else math.inf
     print(f"unitarity_defect {defect:.17e}")
     if not defect <= args.tol * u.shape[0]:
         return EXIT_TOLERANCE
@@ -178,7 +179,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
-    except (ValueError, OSError) as exc:  # ParseError is a ValueError
+    # ParseError is a ValueError; numpy refuses an array too large to
+    # allocate, such as random's stream at --n 100000000, with a MemoryError.
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -73,8 +73,14 @@ def square_matrix(a, what: str) -> tuple[np.ndarray, float]:
 
 
 def unitarity_defect(u) -> float:
-    """||u† u - I||_F; zero (to roundoff) iff u is unitary."""
-    return _unitarity_defect(square_matrix(u, "unitarity_defect")[0])
+    """||u† u - I||_F; zero (to roundoff) iff u is unitary.
+
+    inf when ||u||_F overflows, as at ``decompose``'s gate: the defect is at
+    least ||u||_F^2 / sqrt(n) - sqrt(n), past any tolerance, and forming u† u
+    would overflow with a warning.
+    """
+    m, norm = square_matrix(u, "unitarity_defect")
+    return _unitarity_defect(m) if math.isfinite(norm) else math.inf
 
 
 def anti_hermiticity_defect(x) -> float:

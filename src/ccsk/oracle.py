@@ -43,12 +43,8 @@ __all__ = ["RngState", "expm", "random_params", "random_unitary"]
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _GAMMA = 0x9E3779B97F4A7C15
 
-# expm scales its input to Frobenius norm at most _EXPM_TARGET_NORM, then
-# picks a Taylor degree, up to _EXPM_TERM_CAP, whose truncation error is at
-# most _EXPM_REL_TOL relative to ||e^a||_F.
+# expm scales its input to Frobenius norm at most this.
 _EXPM_TARGET_NORM = 0.5
-_EXPM_TERM_CAP = 40
-_EXPM_REL_TOL = 1e-18
 # From this n on, expm takes back the halvings of x that ||b^k||_F^(1/k)
 # shows are not needed. Below it, the two norms cost more than the squarings
 # they save: on random generators, with one BLAS thread on a 2-core VM, the
@@ -70,7 +66,6 @@ _EXPM_RESCALE_NORM_CAP = 4.0
 # As alpha <= ||b||_F <= 0.5, no x with s <= 32 has a bound above 2^31, so
 # below _EXPM_RESCALE_MIN_N alpha is formed only for s > 32.
 _EXPM_SPECTRAL_CAP = 2.0 ** 32
-_INV_FACTORIAL = np.array([1.0 / math.factorial(k) for k in range(_EXPM_TERM_CAP + 1)])
 
 
 class RngState:
@@ -121,16 +116,16 @@ def expm(x: np.ndarray) -> np.ndarray:
 
     1. Scale: b = x / 2^s with s = ceil(log2(||x||_F / 0.5)), so ||b||_F <= 0.5.
     2. Plan (``_expm_plan``): take back d of the s halvings, a = 2^d b, and
-       pick the degree m before evaluating. Where s = 0, or n is below
-       ``_EXPM_RESCALE_MIN_N`` and s <= 32, d = 0 and m is read off one
-       table: the smallest degree whose tail bound in t = ||a||_F guarantees
-       relative truncation error at most ``_EXPM_REL_TOL`` in the Frobenius
-       norm at n = 1, and so at every n (``_taylor_degree``).
+       pick the degree m before evaluating. m is read off one table
+       (``_taylor_degree``): the smallest degree whose tail bound in t
+       guarantees relative truncation error at most 1e-18 in the Frobenius
+       norm at n = 1, and so at every n. Where s = 0, or n is below
+       ``_EXPM_RESCALE_MIN_N`` and s <= 32, d = 0 and t = ||a||_F.
        Otherwise b^2, b^3 and b^4 are formed first, and
        alpha = max(||b^3||_F^(1/3), ||b^4||_F^(1/4)) bounds ||b^k||_F^(1/k)
        for every k >= 6. d is the largest with 2^d alpha <= 0.5 and
-       ||a||_F <= ``_EXPM_RESCALE_NORM_CAP``, and m comes from the same tail
-       bound in t = 2^d alpha (``_spectral_degree``).
+       ||a||_F <= ``_EXPM_RESCALE_NORM_CAP``, t = 2^d alpha, and m is at
+       least 5.
     3. Evaluate the degree-m Taylor polynomial of e^a by Paterson-Stockmeyer
        in the powers of b, with the coefficients 2^(dk)/k!: form b^2 ... b^q,
        then run Horner in b^q over blocks of q coefficients. That costs
@@ -188,7 +183,11 @@ def _expm_plan(x: np.ndarray,
 
     alpha bounds ||b^k||_F^(1/k) for every k >= 6 (Al-Mohy and Higham, SIAM
     J. Matrix Anal. Appl. 31, 2009, Lemma 4.1 with p = 3), and the spectral
-    radius of b, which is at most ||b^3||_F^(1/3).
+    radius of b, which is at most ||b^3||_F^(1/3). So on that path the tail
+    bound of ``_taylor_degree`` holds from m = 5 on, and every eigenvalue of
+    e^a has modulus at least e^-t, so ||e^a||_F >= sqrt(n) e^-t. The table's
+    target 1e-18 (2 - e^t) is at most 1e-18 sqrt(n) e^-t for t >= 0, so
+    max(5, ``_taylor_degree(t)``) meets that bound too.
     """
     n = x.shape[0]
     s = max(0, math.ceil(math.log2(norm / _EXPM_TARGET_NORM))) if norm > 0 else 0
@@ -208,7 +207,7 @@ def _expm_plan(x: np.ndarray,
            and 2.0 ** (d + 1) * t <= _EXPM_RESCALE_NORM_CAP):
         d += 1
     t = 2.0 ** d * alpha
-    return s - d, d, t, _spectral_degree(t, n), powers, b4
+    return s - d, d, t, max(5, _taylor_degree(t)), powers, b4
 
 
 def _powers(x: np.ndarray, s: int, q: int) -> tuple[np.ndarray, np.ndarray]:
@@ -247,6 +246,7 @@ _DEGREE_THRESHOLDS = (
     0.0006542894367173023, 0.0029920849016530082, 0.009054259575098745, 0.021105330952313272,
     0.04125489942903871, 0.07118130812540457, 0.11202083834529417, 0.164353569275378,
     0.2282163141531291, 0.303078034618753, 0.38768534776596225, 0.479545040997999)
+_INV_FACTORIAL = np.array([1.0 / math.factorial(k) for k in range(len(_DEGREE_THRESHOLDS) + 1)])
 
 
 def _taylor_degree(t: float) -> int:
@@ -255,34 +255,13 @@ def _taylor_degree(t: float) -> int:
     The tail past degree m is at most t^(m+1)/(m+1)! / (1 - t/(m+2)) in the
     Frobenius norm (a geometric bound on the ratio of its terms), and
     ||exp(a)||_F >= sqrt(n) - expm1(t), since ||exp(a) - I||_F <= e^t - 1.
-    m is the smallest degree whose tail is at most ``_EXPM_REL_TOL`` times
-    that lower bound at n = 1, the count of ``_DEGREE_THRESHOLDS`` below t:
+    m is the smallest degree whose tail is at most 1e-18 times that lower
+    bound at n = 1, the count of ``_DEGREE_THRESHOLDS`` below t:
     0 at t = 0, 16 at 0.5. The bound grows with n, so m meets it at every n;
     and 16 meets it up to t = 0.57, past the few ulps by which the scaling's
     rounding can leave t above 0.5.
     """
     return bisect.bisect_left(_DEGREE_THRESHOLDS, t)
-
-
-def _spectral_degree(t: float, n: int) -> int:
-    """Smallest Taylor degree m >= 5 for exp(a), n x n, where t bounds both
-    ||a^k||_F^(1/k) for k >= 6 and the spectral radius of a.
-
-    The tail past m >= 5 has the bound of ``_taylor_degree``. Every
-    eigenvalue of exp(a) has modulus at least e^-t, and ||M||_F^2 is at least
-    the sum of |lambda_i(M)|^2, so ||exp(a)||_F >= sqrt(n) e^-t.
-    """
-    return _tail_degree(t, _EXPM_REL_TOL * math.sqrt(n) * math.exp(-t), 5)
-
-
-def _tail_degree(t: float, target: float, m: int) -> int:
-    """Smallest degree from m on, capped at ``_EXPM_TERM_CAP``, whose tail
-    bound t^(m+1)/(m+1)! / (1 - t/(m+2)) is at most target."""
-    tail_term = t ** (m + 1) / math.factorial(m + 1)
-    while m < _EXPM_TERM_CAP and not tail_term / (1.0 - t / (m + 2)) <= target:
-        m += 1
-        tail_term *= t / (m + 1)
-    return m
 
 
 def random_params(n: int, rng: RngState) -> CcskParams:

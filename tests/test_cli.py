@@ -81,6 +81,17 @@ class TestVerify:
         min_.write_text("[]")
         assert run("verify", "-i", min_) == 1
 
+    def test_norm_overflow_is_an_infinite_defect_exit_2(self, tmp_path, capsys):
+        # A finite entry of 1e300: forming u^H u would overflow with a warning.
+        min_ = tmp_path / "m.json"
+        write_matrix(min_, np.array([[1, 1e300], [0, 1]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run("verify", "-i", min_) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "unitarity_defect inf\n"
+        assert captured.err == ""
+
     def test_integer_out_of_float_range_exit_1(self, tmp_path, capsys):
         min_ = tmp_path / "m.json"
         min_.write_text('{"type": "cmatrix", "n": 1, "rows": [[[1%s, 0]]]}' % ("0" * 400))
@@ -111,6 +122,15 @@ class TestRandom:
         with pytest.raises(SystemExit) as exc:
             run("random", "--n", "eight", "-o", tmp_path / "x.json")
         assert exc.value.code == 64
+
+    def test_n_past_memory_is_one_error_line(self, tmp_path, capsys):
+        # The stream at n = 10^8 is 2e16 words (142 PiB): numpy refuses it
+        # with a MemoryError before allocating anything.
+        out = tmp_path / "x.json"
+        assert run("random", "--n", 100000000, "-o", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("n", ["0", "-3"])
     def test_non_positive_n_is_a_usage_error(self, tmp_path, capsys, n):

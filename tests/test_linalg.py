@@ -60,6 +60,16 @@ class TestDefects:
         # (2I)†(2I) - I = 3I, norm 3*sqrt(2)
         assert unitarity_defect(2 * np.eye(2, dtype=complex)) == pytest.approx(3 * math.sqrt(2))
 
+    # Finite entries whose squares sum past the float range: the defect is
+    # inf, as at decompose's gate, with no overflow warning from u^H u.
+    @pytest.mark.parametrize("big", [1e155, 1e300])
+    def test_norm_overflow_gives_an_infinite_defect(self, big):
+        u = np.eye(2, dtype=complex)
+        u[0, 1] = big
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert unitarity_defect(u) == math.inf
+
     def test_unitarity_requires_square(self):
         with pytest.raises(ValueError, match="square"):
             unitarity_defect(np.zeros((2, 3), dtype=complex))

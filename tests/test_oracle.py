@@ -8,7 +8,7 @@ from ccsk.blockexp import compose
 from ccsk.decompose import roundtrip_error
 from ccsk.linalg import frobenius_norm, unitarity_defect
 from ccsk.oracle import (_DEGREE_THRESHOLDS, _EXPM_RESCALE_MIN_N, RngState, _expm_plan,
-                         _tail_degree, _taylor_degree, expm, random_params, random_unitary)
+                         _taylor_degree, expm, random_params, random_unitary)
 from ccsk.params import CcskParams, assemble_generator
 
 from conftest import (NON_FINITE_MATRICES, complex_gaussian_vector,
@@ -234,9 +234,19 @@ def tail_bound(t: float, m: int) -> float:
     return t ** (m + 1) / math.factorial(m + 1) / (1 - t / (m + 2))
 
 
+def tail_degree(t: float, target: float, m: int) -> int:
+    """The reference search: the smallest degree from m on, capped at 40,
+    whose tail bound t^(m+1)/(m+1)! / (1 - t/(m+2)) is at most target."""
+    tail_term = t ** (m + 1) / math.factorial(m + 1)
+    while m < 40 and not tail_term / (1.0 - t / (m + 2)) <= target:
+        m += 1
+        tail_term *= t / (m + 1)
+    return m
+
+
 def n1_degree(t: float) -> int:
     """The smallest degree meeting the tail bound at n = 1, by the search."""
-    return _tail_degree(t, 1e-18 * (1 - math.expm1(t)), 0)
+    return tail_degree(t, 1e-18 * (1 - math.expm1(t)), 0)
 
 
 class TestTaylorDegree:
@@ -273,6 +283,17 @@ class TestTaylorDegree:
         assert degrees == [n1_degree(t) for t in ts]
         assert all(tail_bound(t, m) <= 1e-18 * (math.sqrt(n) - math.expm1(t))
                    for t, m in zip(ts, degrees))
+
+    # On the spectral plan t bounds ||a^k||_F^(1/k) only for k >= 6, and the
+    # lower bound on ||e^a||_F is sqrt(n) e^-t: max(5, the table's degree)
+    # meets that bound, and is never below the search's smallest degree.
+    @pytest.mark.parametrize("n", [16, 64, 256, 4096])
+    def test_table_meets_the_spectral_bound(self, n):
+        for t in np.linspace(0.0, 0.5, 5001).tolist() + list(_DEGREE_THRESHOLDS[:-1]):
+            target = 1e-18 * math.sqrt(n) * math.exp(-t)
+            m = max(5, _taylor_degree(t))
+            assert tail_bound(t, m) <= target
+            assert m >= tail_degree(t, target, 5)
 
     def test_known_degrees(self):
         assert _taylor_degree(0.0) == 0

@@ -36,6 +36,7 @@ class TestSweep:
         record = json.loads((tmp_path / "BENCH_t.json").read_text(encoding="utf-8"))
         assert record["label"] == "t"
         assert record["method"]["repeats"] == 1
+        assert "yardstick" in record["method"]
         env = record["environment"]
         assert {"python", "numpy", "blas", "threads", "cpu"} <= set(env)
         assert set(env["threads"]) == set(sweep.THREAD_VARS)
@@ -46,6 +47,12 @@ class TestSweep:
                 assert set(timing) == {"median_s", "q1_s", "q3_s", "calls_per_sample"}
                 assert 0 < timing["q1_s"] <= timing["median_s"] <= timing["q3_s"]
                 assert timing["calls_per_sample"] >= 1
+            # The fixed workload timed in every repeat, and each layer over it.
+            assert set(r["yardstick"]) == {"median_s", "q1_s", "q3_s", "calls_per_sample"}
+            assert 0 < r["yardstick"]["median_s"]
+            assert set(r["over_yardstick"]) == set(sweep.LAYERS)
+            for layer, ratio in r["over_yardstick"].items():
+                assert ratio == r["layers"][layer]["median_s"] / r["yardstick"]["median_s"]
             assert set(r["ratios"]) == {"decompose_over_compose", "compose_over_expm",
                                         "rng_over_compose"}
             assert set(r["accuracy"]) == {"defect_eps_n", "roundtrip_eps_n"}
