@@ -1,6 +1,6 @@
 """Per-layer timing sweep of ccsk: compose, decompose, expm and random_params
-over n, with the accuracy of each row and the environment, written to
-``BENCH_<label>.json``.
+over n, and the JSON writers and readers up to ``JSON_MAX_N``, with the
+accuracy of each row and the environment, written to ``BENCH_<label>.json``.
 
 Usage, from the root of a checkout::
 
@@ -21,7 +21,9 @@ alike. A row reports, per layer, the median and quartiles of the seconds per
 call over the repeats, the ratios decompose/compose, compose/expm and
 random_params/compose of the medians, and the accuracy of that n's input in
 units of eps * n: the unitarity defect of compose(p) and the roundtrip
-error of compose(decompose(u)) against u.
+error of compose(decompose(u)) against u. The JSON layers write u and p to
+files of one temporary directory, and read back files written there once
+before the warm-up.
 
 Yardstick. Every repeat also times a fixed numpy workload that does not
 depend on n or on ccsk (``yardstick_workload``), in the same rotation. A row
@@ -38,6 +40,7 @@ import json
 import os
 import platform
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -49,9 +52,12 @@ if __name__ == "__main__":
 import numpy as np  # noqa: E402
 
 import ccsk  # noqa: E402
+from ccsk.serialize import read_matrix, read_params, write_matrix, write_params  # noqa: E402
 
 NS = (2, 3, 4, 8, 16, 32, 64, 128, 256, 512)
 LAYERS = ("compose", "decompose", "expm", "random_params")
+JSON_LAYERS = ("write_matrix", "read_matrix", "write_params", "read_params")
+JSON_MAX_N = 256
 REPEATS = 21
 MIN_SAMPLE_S = 2e-3
 EPS = float(np.finfo(np.float64).eps)
@@ -113,8 +119,9 @@ def _sample(f, calls: int) -> float:
     return (time.perf_counter() - t0) / calls
 
 
-def row(n: int, repeats: int) -> dict:
-    """One n: the timings of every layer, their ratios and the accuracy."""
+def row(n: int, repeats: int, tmp: str) -> dict:
+    """One n: the timings of every layer, their ratios and the accuracy. The
+    JSON layers, at n <= JSON_MAX_N, use files in the directory tmp."""
     p = ccsk.random_params(n, ccsk.RngState(n))
     u = ccsk.compose(p)
     x = ccsk.assemble_generator(p)
@@ -125,6 +132,15 @@ def row(n: int, repeats: int) -> dict:
         "random_params": lambda: ccsk.random_params(n, ccsk.RngState(n)),
         "yardstick": yardstick_workload(),
     }
+    if n <= JSON_MAX_N:
+        out_m, out_p, in_m, in_p = (os.path.join(tmp, name) for name in
+                                    ("out_m.json", "out_p.json", "in_m.json", "in_p.json"))
+        write_matrix(in_m, u)
+        write_params(in_p, p)
+        fs.update({"write_matrix": lambda: write_matrix(out_m, u),
+                   "read_matrix": lambda: read_matrix(in_m),
+                   "write_params": lambda: write_params(out_p, p),
+                   "read_params": lambda: read_params(in_p)})
     order = list(fs)
     calls = {}
     for layer, f in fs.items():
@@ -146,7 +162,8 @@ def row(n: int, repeats: int) -> dict:
         "n": n,
         "layers": layers,
         "yardstick": yardstick,
-        "over_yardstick": {layer: med[layer] / yardstick["median_s"] for layer in LAYERS},
+        "over_yardstick": {layer: t["median_s"] / yardstick["median_s"]
+                           for layer, t in layers.items()},
         "ratios": {"decompose_over_compose": med["decompose"] / med["compose"],
                    "compose_over_expm": med["compose"] / med["expm"],
                    "rng_over_compose": med["random_params"] / med["compose"]},
@@ -157,15 +174,19 @@ def row(n: int, repeats: int) -> dict:
 
 def sweep(ns=NS, repeats: int = REPEATS, label: str = "") -> dict:
     """The whole record: its label, method, environment and one row per n."""
+    created = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+    with tempfile.TemporaryDirectory() as tmp:
+        rows = [row(n, repeats, tmp) for n in ns]
     return {
         "label": label,
-        "created": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        "created": created,
         "method": {"repeats": repeats, "warmup_calls": 1, "min_sample_s": MIN_SAMPLE_S,
                    "statistic": "median and quartiles of seconds per call over the "
                                 "repeats; layers interleaved within each repeat",
-                   "yardstick": YARDSTICK + ", timed in every repeat"},
+                   "yardstick": YARDSTICK + ", timed in every repeat",
+                   "json_max_n": JSON_MAX_N},
         "environment": environment(),
-        "rows": [row(n, repeats) for n in ns],
+        "rows": rows,
     }
 
 
@@ -180,8 +201,7 @@ def main(argv=None) -> int:
     path = Path(args.out) / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     for r in record["rows"]:
-        ms = "  ".join(f"{layer} {r['layers'][layer]['median_s'] * 1e3:.3f}"
-                       for layer in LAYERS)
+        ms = "  ".join(f"{layer} {t['median_s'] * 1e3:.3f}" for layer, t in r["layers"].items())
         print(f"n={r['n']:4d}  {ms} ms  yardstick "
               f"{r['yardstick']['median_s'] * 1e6:.2f} us  decompose/compose "
               f"{r['ratios']['decompose_over_compose']:.2f}  compose/expm "

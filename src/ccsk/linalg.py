@@ -73,14 +73,9 @@ def square_matrix(a, what: str) -> tuple[np.ndarray, float]:
 
 
 def unitarity_defect(u) -> float:
-    """||u† u - I||_F; zero (to roundoff) iff u is unitary.
-
-    inf when ||u||_F overflows, as at ``decompose``'s gate: the defect is at
-    least ||u||_F^2 / sqrt(n) - sqrt(n), past any tolerance, and forming u† u
-    would overflow with a warning.
-    """
-    m, norm = square_matrix(u, "unitarity_defect")
-    return _unitarity_defect(m) if math.isfinite(norm) else math.inf
+    """||u† u - I||_F; zero (to roundoff) iff u is unitary. inf when ||u||_F
+    overflows (see ``_unitarity_defect``)."""
+    return _unitarity_defect(*square_matrix(u, "unitarity_defect"))
 
 
 def anti_hermiticity_defect(x) -> float:
@@ -88,8 +83,16 @@ def anti_hermiticity_defect(x) -> float:
     return _anti_hermiticity_defect(square_matrix(x, "anti_hermiticity_defect")[0])
 
 
-def _unitarity_defect(u: np.ndarray) -> float:
-    """``unitarity_defect`` unchecked, for a finite square complex128 matrix."""
+def _unitarity_defect(u: np.ndarray, norm: float | None = None) -> float:
+    """``unitarity_defect`` unchecked, for a finite square complex128 matrix
+    and its Frobenius norm (taken here if not given).
+
+    inf when that norm overflows, as at ``decompose``'s gate: the defect is at
+    least ||u||_F^2 / sqrt(n) - sqrt(n), past any tolerance, and forming u† u
+    would overflow with a warning.
+    """
+    if not math.isfinite(frobenius_norm(u) if norm is None else norm):
+        return math.inf
     return frobenius_norm(u.conj().T @ u - np.eye(u.shape[0]))
 
 

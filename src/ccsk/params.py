@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import _anti_hermiticity_defect, square_matrix
+from .linalg import _anti_hermiticity_defect, frobenius_norm, square_matrix
 
 __all__ = [
     "CcskParams",
@@ -64,10 +64,10 @@ class CcskParams:
     Two parameter sets are equal when their thetas and z are equal entry by
     entry. Like the arrays they hold, they are not hashable.
 
-    The constructor checks shapes and finiteness. The package builds its own
-    results with ``_unchecked`` instead, from arrays that come out of checked
-    input: ``decompose`` once its gate has passed, ``random_params`` and
-    ``params_from_generator``.
+    The constructor checks shapes, finiteness and that no column's norm
+    overflows. The package builds its own results with ``_unchecked``
+    instead, from arrays that come out of checked input: ``decompose`` once
+    its gate has passed, ``random_params`` and ``params_from_generator``.
     """
 
     thetas: np.ndarray
@@ -97,8 +97,15 @@ class CcskParams:
                     raise ValueError(
                         f"z column for j={j} must have length {j - 1}, got shape {c.shape}")
             z = np.concatenate(cols) if cols else np.zeros(0, dtype=np.complex128)
-        if not np.isfinite(z).all():
-            raise ValueError("z contains non-finite values")
+        # compose takes each column's norm unscaled (linalg.frobenius_norm), so
+        # a finite column whose norm overflows is refused too. Entries and
+        # columns are looked at only when the norm of all of z is not finite.
+        if not math.isfinite(frobenius_norm(z)):
+            if not np.isfinite(z).all():
+                raise ValueError("z contains non-finite values")
+            for j in range(2, n + 1):
+                if not math.isfinite(frobenius_norm(z[z_offset(j):z_offset(j + 1)])):
+                    raise ValueError(f"z column for j={j} has a norm that overflows")
         object.__setattr__(self, "thetas", thetas)
         object.__setattr__(self, "z", z)
 

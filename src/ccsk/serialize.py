@@ -11,9 +11,10 @@ reproduces every value bit-exactly, the sign of -0.0 included. Complex entries
 are [re, im] pairs, never strings.
 
 A file is exactly ``json.dump(doc, fh, indent=2)`` plus a newline, where doc
-is ``matrix_to_doc`` / ``params_to_doc``; the writers render that text
-directly, since the standard encoder formats indented output one value at a
-time in pure Python. The readers parse with ``json.load``, check every pair in
+is ``matrix_to_doc`` / ``params_to_doc``. The standard encoder formats
+indented output one value at a time in pure Python, so the writers build no
+doc: they stream that text from the arrays, one %-template per list of pairs
+(a row, a z column). The readers parse with ``json.load``, check every pair in
 bulk and convert all of them with one numpy call; only a document that fails
 the bulk check is walked entry by entry, to name the first bad entry.
 """
@@ -95,6 +96,11 @@ def _as_pairs(a: np.ndarray) -> list:
     return np.stack([a.real, a.imag], -1).tolist()
 
 
+def _as_floats(a: np.ndarray) -> list:
+    """The re, im floats of the complex array a, entry after entry, in one flat list."""
+    return np.stack([a.real, a.imag], -1).ravel().tolist()
+
+
 def matrix_to_doc(m: np.ndarray) -> dict:
     m, _ = square_matrix(m, "matrix_to_doc")
     return {
@@ -144,54 +150,25 @@ def params_from_doc(doc) -> CcskParams:
         raise ParseError(str(exc)) from exc
 
 
-def _pair_lists_chunks(groups: list):
-    """The indent=2 text of a top-level field holding lists of [re, im] pairs,
-    one piece per list.
-
-    Each list renders as below; joining the "re,\n        im" cores of its
-    pairs with the text between two pairs renders it in one call.
-
-        [
-          [
-            re,
-            im
-          ],
-          ...
-        ]
-    """
-    if not groups:
-        yield "[]"
-        return
-    opening = "[\n    "
-    for group in groups:
-        values = map(repr, chain.from_iterable(group))
-        cores = map(",\n        ".join, zip(values, values))
-        yield (opening + "[\n      [\n        "
-               + "\n      ],\n      [\n        ".join(cores) + "\n      ]\n    ]")
-        opening = ",\n    "
-    yield "\n  ]"
+# One [re, im] pair in a list of pairs, as json.dumps(doc, indent=2) renders it.
+_PAIR = "\n      [\n        %r,\n        %r\n      ]"
 
 
-def _chunks(doc: dict):
-    """``json.dumps(doc, indent=2)`` plus a newline, in pieces, for a document
-    from ``matrix_to_doc`` or ``params_to_doc`` (its numbers are ints and
-    finite floats)."""
-    opening = "{\n  "
-    for key, value in doc.items():
-        yield f'{opening}"{key}": '
-        if key == "thetas":  # never empty: n >= 1
-            yield "[\n    " + ",\n    ".join(map(repr, value)) + "\n  ]"
-        elif key in ("rows", "z"):
-            yield from _pair_lists_chunks(value)
-        else:
-            yield json.dumps(value)
-        opening = ",\n  "
-    yield "\n}\n"
-
-
-def _write(path, doc: dict) -> None:
+def _write(path, head: str, values: list, sizes) -> None:
+    """Write head, then a field of lists of [re, im] pairs as indent=2 JSON
+    (list k takes the next 2 * sizes[k] floats of values), then the closing
+    brace. Each list is one template with a %r per float (json.dumps gives a
+    float its repr), filled by a single % and written at once."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(_chunks(doc))
+        fh.write(head)
+        opening, start, size_before = "[", 0, 0
+        for size in sizes:
+            if size != size_before:  # a matrix's rows share one template
+                template = "\n    [" + ",".join([_PAIR] * size) + "\n    ]"
+                size_before = size
+            fh.write(opening + template % tuple(values[start:start + 2 * size]))
+            opening, start = ",", start + 2 * size
+        fh.write("[]\n}\n" if start == 0 else "\n  ]\n}\n")
 
 
 def _read(path) -> dict:
@@ -207,7 +184,10 @@ def _read(path) -> dict:
 
 
 def write_matrix(path, m: np.ndarray) -> None:
-    _write(path, matrix_to_doc(m))
+    m, _ = square_matrix(m, "matrix_to_doc")  # the check, and errors, of matrix_to_doc
+    n = m.shape[0]
+    _write(path, '{\n  "type": "cmatrix",\n  "n": %d,\n  "rows": ' % n,
+           _as_floats(m), [n] * n)
 
 
 def read_matrix(path) -> np.ndarray:
@@ -215,7 +195,9 @@ def read_matrix(path) -> np.ndarray:
 
 
 def write_params(path, p: CcskParams) -> None:
-    _write(path, params_to_doc(p))
+    thetas = ",\n    ".join(map(repr, p.thetas.tolist()))
+    _write(path, '{\n  "type": "ccsk_params",\n  "n": %d,\n  "thetas": [\n    %s\n  ],\n  "z": '
+           % (p.n, thetas), _as_floats(p.z), range(1, p.n))
 
 
 def read_params(path) -> CcskParams:

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -299,6 +300,26 @@ class TestNonFiniteParams:
         path.write_text(NON_FINITE_PARAMS[key])
         with pytest.raises(ParseError, match="non-finite values"):
             read_params(path)
+
+
+class TestOverflowingParams:
+    # A z column whose entries are finite but whose norm overflows: compose
+    # refuses it with one error line naming the column, no RuntimeWarning
+    # and no output file, on the single-factor path (n = 2) and the
+    # aggregated one (n = 12).
+    @pytest.mark.parametrize("n", [2, 12])
+    def test_compose_exit_1_naming_the_column(self, tmp_path, capsys, n):
+        path, out = tmp_path / "in.json", tmp_path / "out.json"
+        z = [[[0.0, 0.0]] * (j - 1) for j in range(2, n + 1)]
+        z[0] = [[1e200, 0.0]]
+        path.write_text(json.dumps({"type": "ccsk_params", "n": n, "thetas": [0.0] * n, "z": z}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run("compose", "-i", path, "-o", out) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: z column for j=2 has a norm that overflows\n"
+        assert not out.exists()
 
 
 class TestDeeplyNested:

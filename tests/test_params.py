@@ -111,14 +111,25 @@ class TestPackedLayout:
         with pytest.raises(ValueError, match="1-D"):
             CcskParams(np.zeros(3), np.zeros((1, 3), dtype=complex))
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf),
+                                     1e200, complex(1e308, 1e308)])
     def test_rejects_non_finite(self, bad):
+        # 1e200 and 1e308 + 1e308j are finite, but the norm of their column
+        # overflows (past about 1.3e154), and compose takes it unscaled: the
+        # refusal names the first such column.
+        match = ("non-finite" if not np.isfinite(bad)
+                 else "^z column for j={} has a norm that overflows$")
         z = np.array([0.1, 0.2j, 0.3], dtype=complex)
         z[1] = bad
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match=match.format(3)):
             CcskParams(np.zeros(3), z)
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match=match.format(3)):
             CcskParams(np.zeros(3), (z[:1], z[1:]))
+        for n in (2, 12):  # compose takes one factor at n = 2, a block at 12
+            z = np.zeros(n * (n - 1) // 2, dtype=complex)
+            z[0] = bad
+            with pytest.raises(ValueError, match=match.format(2)):
+                CcskParams(np.zeros(n), z)
 
 
 # The package's own results skip the constructor's checks

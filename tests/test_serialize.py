@@ -79,8 +79,10 @@ class TestParamsFormat:
 
 
 # Values whose text or bits are easy to get wrong: a negative zero, the
-# smallest subnormal, a tiny normal and an integral float.
-SPECIAL = [-0.0, 5e-324, 1e-300, 1.0]
+# smallest subnormal, a tiny normal, an integral float, and the points where
+# repr changes form (1e-05 and 1e+16 in exponent form, 0.0001 and
+# 123456789.0 not).
+SPECIAL = [-0.0, 5e-324, 1e-300, 1.0, 1e-05, 0.0001, 1e+16, 123456789.0]
 
 
 def special_matrix(n: int) -> np.ndarray:
@@ -97,7 +99,7 @@ def special_params(n: int):
     thetas[: len(SPECIAL)] = SPECIAL[:n]
     cols = [z.copy() for z in p.z_columns]
     for k, z in enumerate(cols):
-        z[0] = complex(SPECIAL[k % 4], -SPECIAL[(k + 1) % 4])
+        z[0] = complex(SPECIAL[k % len(SPECIAL)], -SPECIAL[(k + 1) % len(SPECIAL)])
     return CcskParams(thetas, tuple(cols))
 
 
@@ -109,7 +111,7 @@ def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 class TestBulkIO:
     # The writers render the indented text themselves; it must be what the
     # standard encoder makes of the same document, byte for byte.
-    @pytest.mark.parametrize("n", [1, 2, 3, 17])
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 33])
     def test_matrix_bytes_and_bits(self, tmp_path, n):
         m = special_matrix(n)
         path = tmp_path / "m.json"
@@ -117,7 +119,7 @@ class TestBulkIO:
         assert path.read_bytes() == (json.dumps(matrix_to_doc(m), indent=2) + "\n").encode()
         assert same_bits(read_matrix(path), m)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 17])
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 33])
     def test_params_bytes_and_bits(self, tmp_path, n):
         p = special_params(n)
         path = tmp_path / "p.json"

@@ -42,7 +42,10 @@ class TestSweep:
         assert set(env["threads"]) == set(sweep.THREAD_VARS)
         assert [r["n"] for r in record["rows"]] == [2, 3, 4]
         for r in record["rows"]:
-            assert set(r["layers"]) == set(sweep.LAYERS)
+            # Every layer, the JSON writers and readers included (n <= JSON_MAX_N).
+            assert set(r["layers"]) == set(sweep.LAYERS + sweep.JSON_LAYERS)
+            assert set(sweep.JSON_LAYERS) == {"write_matrix", "read_matrix",
+                                              "write_params", "read_params"}
             for timing in r["layers"].values():
                 assert set(timing) == {"median_s", "q1_s", "q3_s", "calls_per_sample"}
                 assert 0 < timing["q1_s"] <= timing["median_s"] <= timing["q3_s"]
@@ -50,7 +53,7 @@ class TestSweep:
             # The fixed workload timed in every repeat, and each layer over it.
             assert set(r["yardstick"]) == {"median_s", "q1_s", "q3_s", "calls_per_sample"}
             assert 0 < r["yardstick"]["median_s"]
-            assert set(r["over_yardstick"]) == set(sweep.LAYERS)
+            assert set(r["over_yardstick"]) == set(r["layers"])
             for layer, ratio in r["over_yardstick"].items():
                 assert ratio == r["layers"][layer]["median_s"] / r["yardstick"]["median_s"]
             assert set(r["ratios"]) == {"decompose_over_compose", "compose_over_expm",
