@@ -8,7 +8,7 @@ parameters, with an independent matrix-exponential oracle for verification.
 from .blockexp import compose, exp_column_factor, exp_k, k_matrix
 from .decompose import decompose, roundtrip_error
 from .linalg import anti_hermiticity_defect, frobenius_norm, unitarity_defect
-from .oracle import RngState, expm, random_params, random_unitary
+from .oracle import RngState, expm, random_params
 from .params import CcskParams, assemble_generator, params_from_generator
 from .special import Euler2Factors, ProjectorPair, euler2_factorize, projector_form
 
@@ -30,7 +30,6 @@ __all__ = [
     "params_from_generator",
     "projector_form",
     "random_params",
-    "random_unitary",
     "roundtrip_error",
     "unitarity_defect",
 ]

@@ -1,10 +1,11 @@
 """Closed-form exponentials of the generator pieces and the ordered product map.
 
 The nontrivial factor F_j acts on the leading j coordinates only. With
-rho = ||z||_2 and ztilde = z / rho, its leading j x j block is
+rho = ||z||_2, sigma = sin(rho)/rho and a = (1 - cos rho)/rho^2 = 2
+sin^2(rho/2)/rho^2, both finite at rho = 0, its leading j x j block is
 
-    [ I - (1 - cos rho) |ztilde><ztilde| ,  sin(rho) |ztilde> ]
-    [       -sin(rho) <ztilde|           ,      cos(rho)      ]
+    [ I - a |z><z| ,  sigma |z> ]
+    [ -sigma <z|   ,  cos(rho)  ]
 
 and the ordered product  diag-phases * F_2 * ... * F_n  covers all of U(n).
 The product is NOT the exponential of the summed generator (the factors do
@@ -12,9 +13,8 @@ not commute); see the oracle module for the generic exponential.
 
 F_j is the identity plus a rank-2 correction, so one kernel,
 ``_apply_factor``, multiplies it onto the leading j x j block of a matrix in
-place, in O(j^2), without forming it. In terms of z itself, with sigma =
-sin(rho)/rho and a = (1 - cos rho)/rho^2 = 2 sin^2(rho/2)/rho^2 (both finite
-at rho = 0), splitting the block as [A | b] with b its last column:
+place, in O(j^2), without forming it. Splitting the block as [A | b], with
+b its last column:
 
     w = A z,   A -= (a w + sigma b) z^H,   b <- cos(rho) b + sigma w
 
@@ -23,11 +23,12 @@ at rho = 0), splitting the block as [A | b] with b its last column:
 row it read z from and a scale, so neither the norm nor the conjugate is
 taken twice. ``compose`` starts from the phases and applies F_2 ... F_n,
 sum_j j^2 ~ n^3/3 work in all; ``decompose`` peels with the adjoints.
-``exp_k`` and ``exp_column_factor`` build the factor matrices themselves:
-``exp_k`` serves ``ccsk compare``, and ``exp_column_factor``, its n x n
-embedding, is the reference form for the tests.
+``exp_k`` and ``exp_column_factor`` build the factor matrices themselves,
+from the same sigma and a: ``exp_k`` serves ``ccsk compare``, and
+``exp_column_factor``, its n x n embedding, is the reference form for the
+tests.
 
-One factor at a time is matrix-vector work. From about ten factors on, k
+One factor at a time is matrix-vector work. From _MIN_BLOCK = 8 factors on, k
 consecutive factors are combined into one update I + W T W^H, with W = [Z |
 E] the k z columns and the k unit vectors e_j, and T a 2k x 2k matrix (the
 compact WY form of Schreiber and Van Loan, SIAM J. Sci. Stat. Comput. 10,
@@ -63,10 +64,6 @@ __all__ = [
     "exp_column_factor",
     "compose",
 ]
-
-# Below this norm, sin(rho)/rho and (1-cos(rho))/rho^2 are used directly on z
-# instead of normalizing; removes the 0/0 in ztilde without a discontinuity.
-_RHO_TINY = 1e-14
 
 # _runs' block size. compose walks _runs(n, 1) and decompose _runs(n, 2 * _NB).
 # A block has a fixed cost (its N, Q and core scalars: some 35 numpy
@@ -109,26 +106,18 @@ def exp_diagonal(thetas) -> np.ndarray:
 
 
 def exp_k(z) -> np.ndarray:
-    """Closed-form exponential of k_matrix(z), a (len(z)+1)-square unitary."""
+    """Closed-form exponential of k_matrix(z), a (len(z)+1)-square unitary:
+    [[I - a z z^H, sigma z], [-sigma z^H, cos(rho)]], with rho, sigma and a
+    as in the module docstring, so no branch is taken at rho = 0."""
     z = as_cvector(z)
     m = z.shape[0]
-    rho = float(np.linalg.norm(z))
+    rho = frobenius_norm(z)
+    sigma = _sinc(rho)
     out = np.eye(m + 1, dtype=np.complex128)
-    if rho == 0.0:
-        return out
-    c, s = np.cos(rho), np.sin(rho)
-    if rho < _RHO_TINY:
-        sinc = s / rho
-        # (1 - cos rho)/rho^2 == 0.5 to double precision at this scale
-        out[:m, :m] -= 0.5 * np.outer(z, z.conj())
-        out[:m, m] = sinc * z
-        out[m, :m] = -sinc * z.conj()
-    else:
-        zt = z / rho
-        out[:m, :m] -= (1.0 - c) * np.outer(zt, zt.conj())
-        out[:m, m] = s * zt
-        out[m, :m] = -s * zt.conj()
-    out[m, m] = c
+    out[:m, :m] -= 0.5 * _sinc(0.5 * rho) ** 2 * np.outer(z, z.conj())
+    out[:m, m] = sigma * z
+    out[m, :m] = -sigma * z.conj()
+    out[m, m] = math.cos(rho)
     return out
 
 

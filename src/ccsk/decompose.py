@@ -120,9 +120,9 @@ def decompose(u: np.ndarray, *, unitarity_tol: float = UNITARITY_TOL) -> CcskPar
             rho = math.atan2(s, c)
             theta = cmath.phase(pivot) if c > ZERO_PIVOT_TOL else 0.0
             phase = cmath.exp(1j * theta)
-            # _wrap_theta(theta), inline: cmath.phase is in [-pi, pi], and -pi
-            # (e.g. a negative real part with a -0.0 imaginary part) is the
-            # one angle to wrap, so that output is always canonical.
+            # cmath.phase is in [-pi, pi], and -pi (e.g. a negative real part
+            # with a -0.0 imaginary part) is the one angle to wrap, so that
+            # output is always canonical. theta_1 below is wrapped the same way.
             thetas[j - 1] = theta if theta > -math.pi else math.pi
             phases.append(phase)
             if s:
@@ -136,7 +136,7 @@ def decompose(u: np.ndarray, *, unitarity_tol: float = UNITARITY_TOL) -> CcskPar
         if lo:
             _apply_factors(m[:lo, :j1], z_all[end:top], j0)
     theta = cmath.phase(m[0, 0])
-    thetas[0] = _wrap_theta(theta)
+    thetas[0] = theta if theta > -math.pi else math.pi
     phases.append(cmath.exp(1j * theta))
 
     # Now m = D + R with D = diag(e^{i theta_j}), and u = m Q for the unitary
@@ -174,11 +174,3 @@ def roundtrip_error(u: np.ndarray, *, unitarity_tol: float = UNITARITY_TOL) -> f
     """||compose(decompose(u)) - u||_F."""
     return frobenius_norm(compose(decompose(u, unitarity_tol=unitarity_tol))
                           - np.asarray(u, dtype=np.complex128))
-
-
-def _wrap_theta(t: float) -> float:
-    w = math.remainder(t, 2.0 * math.pi)
-    if w <= -math.pi:
-        w += 2.0 * math.pi
-    return w
-

@@ -34,11 +34,10 @@ import math
 
 import numpy as np
 
-from .blockexp import compose
 from .linalg import frobenius_norm, square_matrix
 from .params import CcskParams, z_offset
 
-__all__ = ["RngState", "expm", "random_params", "random_unitary"]
+__all__ = ["RngState", "expm", "random_params"]
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _GAMMA = 0x9E3779B97F4A7C15
@@ -303,8 +302,3 @@ def random_params(n: int, rng: RngState) -> CcskParams:
         direction = g / norm if norm > 0 else np.eye(k, dtype=np.complex128)[0]
         z[z_offset(k + 1):z_offset(k + 2)] = rho * direction
     return CcskParams._unchecked(thetas, z)
-
-
-def random_unitary(n: int, rng: RngState) -> np.ndarray:
-    """compose(random_params(n, rng)); covers U(n) but is not Haar-distributed."""
-    return compose(random_params(n, rng))

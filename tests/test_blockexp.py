@@ -8,7 +8,7 @@ from ccsk.blockexp import (_MIN_BLOCK, _NB, _apply_factor, _apply_factors, _comp
                            _grow, _runs, compose, exp_column_factor, exp_diagonal, exp_k,
                            k_matrix)
 from ccsk.linalg import frobenius_norm, unitarity_defect
-from ccsk.oracle import RngState, expm, random_params, random_unitary
+from ccsk.oracle import RngState, expm, random_params
 from ccsk.params import CcskParams, assemble_generator
 
 from conftest import complex_gaussian_vector, random_complex_matrix
@@ -82,6 +82,28 @@ class TestExpK:
         u = exp_k(z)
         assert unitarity_defect(u) <= 1e-14
         assert frobenius_norm(u - np.eye(3)) <= 3e-15
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e-300])
+    def test_norm_underflow_keeps_z(self, rng, scale):
+        # ||z||^2 underflows to 0, so rho = 0; sigma = 1 there, and the last
+        # column is z itself, not the identity's zero.
+        for m in (1, 3):
+            v = random_z(rng, m)
+            z = scale * (v / np.linalg.norm(v))
+            u = exp_k(z)
+            np.testing.assert_array_equal(u[:m, m], z)
+            np.testing.assert_array_equal(u[m, :m], -z.conj())
+            np.testing.assert_array_equal(u[:m, :m], np.eye(m))
+            assert u[m, m] == 1.0
+
+    @pytest.mark.parametrize("m", [2, 3, 8])
+    def test_small_rho_defect(self, rng, m):
+        # At rho = 1e-8, 1 - cos(rho) cancels; a = sinc^2(rho/2)/2 does not,
+        # so the unitarity defect stays at rho * eps.
+        for _ in range(10):
+            v = random_z(rng, m)
+            u = exp_k(1e-8 * v / np.linalg.norm(v))
+            assert unitarity_defect(u) <= 1e-8 * np.finfo(float).eps
 
 
 class TestExpColumnFactor:
@@ -214,7 +236,7 @@ class TestGrow:
     @pytest.mark.parametrize("j0, j1", [(2, 2), (2, 6), (4, 9), (2, 32), (33, 64), (97, 128)])
     def test_matches_dense_product(self, rng, j0, j1):
         r, k = j0 - 1, j1 - j0 + 1
-        a = random_unitary(r, rng)
+        a = compose(random_params(r, rng))
         d = np.exp(1j * np.array([rng.uniform() * 2 * math.pi for _ in range(k)]))
         zs = [random_z(rng, j - 1) for j in range(j0, j1 + 1)]
         # dict(): where k < 3 puts two of them on one factor, the later wins.
@@ -286,7 +308,8 @@ def dense_compose(p: CcskParams) -> np.ndarray:
 
 class TestCompose:
     def test_all_zero_is_identity(self):
-        np.testing.assert_array_equal(compose(CcskParams.zeros(4)), np.eye(4))
+        p = CcskParams(np.zeros(4), np.zeros(6, dtype=complex))
+        np.testing.assert_array_equal(compose(p), np.eye(4))
 
     def test_n2_euler_first_line(self, rng):
         # theta = 0, single column z = |z| e^{i alpha}

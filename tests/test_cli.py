@@ -24,7 +24,7 @@ def run(*argv):
 class TestCompose:
     def test_zero_params_to_identity(self, tmp_path, capsys):
         pin, mout = tmp_path / "p.json", tmp_path / "m.json"
-        write_params(pin, CcskParams.zeros(3))
+        write_params(pin, CcskParams(np.zeros(3), np.zeros(3, dtype=complex)))
         assert run("compose", "-i", pin, "-o", mout) == 0
         np.testing.assert_array_equal(read_matrix(mout), np.eye(3))
         assert "unitarity_defect" in capsys.readouterr().out
@@ -169,7 +169,7 @@ class TestExpmCommand:
 class TestCompare:
     def test_zero_params_all_zero(self, tmp_path, capsys):
         pin = tmp_path / "p.json"
-        write_params(pin, CcskParams.zeros(3))
+        write_params(pin, CcskParams(np.zeros(3), np.zeros(3, dtype=complex)))
         assert run("compare", "-i", pin) == 0
         out = capsys.readouterr().out
         assert "product_vs_expm 0.0" in out

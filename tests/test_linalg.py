@@ -82,9 +82,10 @@ class TestDefects:
         assert anti_hermiticity_defect(np.eye(2, dtype=complex)) == pytest.approx(2 * math.sqrt(2))
 
     def test_product_of_unitaries_stays_unitary(self, rng):
-        from ccsk.oracle import random_unitary
-        u = random_unitary(8, rng)
-        v = random_unitary(8, rng)
+        from ccsk.blockexp import compose
+        from ccsk.oracle import random_params
+        u = compose(random_params(8, rng))
+        v = compose(random_params(8, rng))
         assert unitarity_defect(u) <= 1e-14
         assert unitarity_defect(v) <= 1e-14
         assert unitarity_defect(u @ v) <= 1e-13

@@ -8,7 +8,7 @@ from ccsk.blockexp import compose
 from ccsk.decompose import roundtrip_error
 from ccsk.linalg import frobenius_norm, unitarity_defect
 from ccsk.oracle import (_DEGREE_THRESHOLDS, _EXPM_RESCALE_MIN_N, RngState, _expm_plan,
-                         _taylor_degree, expm, random_params, random_unitary)
+                         _taylor_degree, expm, random_params)
 from ccsk.params import CcskParams, assemble_generator
 
 from conftest import (NON_FINITE_MATRICES, complex_gaussian_vector,
@@ -425,14 +425,15 @@ def scalar_random_params(n: int, rng: RngState) -> CcskParams:
 
 
 class TestRandomUnitary:
+    # The random unitary of `ccsk random --what unitary`: compose(random_params(n, rng)).
     def test_n1_unit_modulus(self):
-        u = random_unitary(1, RngState(3))
+        u = compose(random_params(1, RngState(3)))
         assert abs(abs(u[0, 0]) - 1.0) <= 1e-15
 
     def test_defect_up_to_n16(self, rng):
         for n in (2, 8, 16):
-            assert unitarity_defect(random_unitary(n, rng)) <= 1e-12 * n
+            assert unitarity_defect(compose(random_params(n, rng))) <= 1e-12 * n
 
     def test_roundtrips_through_decompose(self, rng):
-        u = random_unitary(9, rng)
+        u = compose(random_params(9, rng))
         assert roundtrip_error(u) <= 1e-9 * 9

@@ -49,11 +49,6 @@ class TestCcskParams:
         p = random_params(n, rng)
         assert p.real_parameter_count() == n * n
 
-    def test_zeros_constructor(self):
-        p = CcskParams.zeros(4)
-        assert p.n == 4
-        assert all(p.rho(j) == 0.0 for j in range(2, 5))
-
 
 class TestPackedLayout:
     # z is the strict upper triangle of the generator, read column by column.
@@ -199,7 +194,7 @@ class TestIsCanonical:
 
 class TestAssembleGenerator:
     def test_n1(self):
-        x = assemble_generator(CcskParams(np.array([0.3])))
+        x = assemble_generator(CcskParams(np.array([0.3]), ()))
         np.testing.assert_array_equal(x, np.array([[0.3j]]))
 
     def test_n2_real_antisymmetric(self):

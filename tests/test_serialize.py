@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from ccsk.oracle import RngState, random_params, random_unitary
+from ccsk.blockexp import compose
+from ccsk.oracle import RngState, random_params
 from ccsk.params import CcskParams
 from ccsk.serialize import (ParseError, matrix_from_doc, matrix_to_doc,
                             params_from_doc, params_to_doc, read_matrix,
@@ -12,7 +13,7 @@ from ccsk.serialize import (ParseError, matrix_from_doc, matrix_to_doc,
 
 class TestMatrixFormat:
     def test_roundtrip_bit_exact(self, tmp_path, rng):
-        u = random_unitary(5, rng)
+        u = compose(random_params(5, rng))
         path = tmp_path / "u.json"
         write_matrix(path, u)
         np.testing.assert_array_equal(read_matrix(path), u)
@@ -86,7 +87,7 @@ SPECIAL = [-0.0, 5e-324, 1e-300, 1.0, 1e-05, 0.0001, 1e+16, 123456789.0]
 
 
 def special_matrix(n: int) -> np.ndarray:
-    m = random_unitary(n, RngState(n))
+    m = compose(random_params(n, RngState(n)))
     flat = m.reshape(-1)  # a view: writes go into m
     for k, v in enumerate(SPECIAL):
         flat[k % flat.size] = complex(v, -v) if k % 2 else complex(-v, v)
