@@ -25,6 +25,12 @@ error of compose(decompose(u)) against u. The JSON layers write u and p to
 files of one temporary directory, and read back files written there once
 before the warm-up.
 
+Start-up. Each repeat also starts one fresh process of each of
+``STARTUP`` (``python -c pass``, ``import numpy`` and ``import ccsk.cli``),
+in a rotating order, and times it by wall clock from the parent. The record's
+``startup`` block holds the median and quartiles of each: the floor under
+every CLI command.
+
 Yardstick. Every repeat also times a fixed numpy workload that does not
 depend on n or on ccsk (``yardstick_workload``), in the same rotation. A row
 records its median and each layer's median over it. A host whose speed
@@ -39,6 +45,7 @@ import argparse
 import json
 import os
 import platform
+import subprocess
 import sys
 import tempfile
 import time
@@ -61,6 +68,7 @@ JSON_MAX_N = 256
 REPEATS = 21
 MIN_SAMPLE_S = 2e-3
 EPS = float(np.finfo(np.float64).eps)
+STARTUP = {"python": "pass", "numpy": "import numpy", "ccsk_cli": "import ccsk.cli"}
 YARDSTICK = ("eight 4 x 4 complex products and sums, then one 32 x 32 complex "
              "product, on fixed matrices")
 
@@ -88,8 +96,8 @@ def yardstick_workload():
 
 
 def environment() -> dict:
-    """Python, numpy, the BLAS numpy was built with, the thread variables and
-    the CPU."""
+    """Python, numpy, the BLAS numpy was built with, the thread variables,
+    whether Python writes bytecode caches, and the CPU."""
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     cpu = ""
     try:
@@ -105,6 +113,8 @@ def environment() -> dict:
         "blas": {key: blas[key] for key in ("name", "version", "openblas configuration")
                  if key in blas},
         "threads": {var: os.environ.get(var) for var in THREAD_VARS},
+        # When set, every import compiles ccsk from source, start-up included.
+        "dont_write_bytecode": bool(sys.flags.dont_write_bytecode),
         "cpu": cpu or platform.processor(),
         "nproc": os.cpu_count(),
         "platform": platform.platform(),
@@ -117,6 +127,29 @@ def _sample(f, calls: int) -> float:
     for _ in range(calls):
         f()
     return (time.perf_counter() - t0) / calls
+
+
+def quartiles(ts: list) -> dict:
+    """The median and quartiles of the seconds ts."""
+    q1, med, q3 = np.percentile(ts, [25, 50, 75])
+    return {"median_s": float(med), "q1_s": float(q1), "q3_s": float(q3)}
+
+
+def startup(repeats: int) -> dict:
+    """Wall-clock seconds of fresh ``python -c`` processes, one of each of
+    STARTUP per repeat, in rotation. The children import the ccsk that this
+    process imported."""
+    path = [os.path.dirname(os.path.dirname(ccsk.__file__)), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    names = list(STARTUP)
+    times = {name: [] for name in names}
+    for r in range(repeats):
+        for i in range(len(names)):
+            name = names[(i + r) % len(names)]
+            t0 = time.perf_counter()
+            subprocess.run([sys.executable, "-c", STARTUP[name]], env=env, check=True)
+            times[name].append(time.perf_counter() - t0)
+    return {name: quartiles(ts) for name, ts in times.items()}
 
 
 def row(n: int, repeats: int, tmp: str) -> dict:
@@ -153,9 +186,7 @@ def row(n: int, repeats: int, tmp: str) -> dict:
             times[layer].append(_sample(fs[layer], calls[layer]))
     layers = {}
     for layer, ts in times.items():
-        q1, med, q3 = np.percentile(ts, [25, 50, 75])
-        layers[layer] = {"median_s": float(med), "q1_s": float(q1), "q3_s": float(q3),
-                         "calls_per_sample": calls[layer]}
+        layers[layer] = dict(quartiles(ts), calls_per_sample=calls[layer])
     yardstick = layers.pop("yardstick")
     med = {layer: layers[layer]["median_s"] for layer in LAYERS}
     return {
@@ -173,7 +204,8 @@ def row(n: int, repeats: int, tmp: str) -> dict:
 
 
 def sweep(ns=NS, repeats: int = REPEATS, label: str = "") -> dict:
-    """The whole record: its label, method, environment and one row per n."""
+    """The whole record: its label, method, environment, start-up times and
+    one row per n."""
     created = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     with tempfile.TemporaryDirectory() as tmp:
         rows = [row(n, repeats, tmp) for n in ns]
@@ -184,8 +216,11 @@ def sweep(ns=NS, repeats: int = REPEATS, label: str = "") -> dict:
                    "statistic": "median and quartiles of seconds per call over the "
                                 "repeats; layers interleaved within each repeat",
                    "yardstick": YARDSTICK + ", timed in every repeat",
+                   "startup": "wall clock of one fresh process per command and repeat, "
+                              "in rotation",
                    "json_max_n": JSON_MAX_N},
         "environment": environment(),
+        "startup": startup(repeats),
         "rows": rows,
     }
 
@@ -207,6 +242,8 @@ def main(argv=None) -> int:
               f"{r['ratios']['decompose_over_compose']:.2f}  compose/expm "
               f"{r['ratios']['compose_over_expm']:.2f}  rng/compose "
               f"{r['ratios']['rng_over_compose']:.2f}")
+    print("start-up  " + "  ".join(f"{name} {t['median_s']:.3f}"
+                                   for name, t in record["startup"].items()) + " s")
     print(f"wrote {path}")
     return 0
 

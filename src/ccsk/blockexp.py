@@ -54,7 +54,7 @@ import math
 
 import numpy as np
 
-from .linalg import as_cvector, frobenius_norm
+from .linalg import _vector_norm, as_cvector, frobenius_norm
 from .params import CcskParams, z_offset
 
 __all__ = [
@@ -108,10 +108,11 @@ def exp_diagonal(thetas) -> np.ndarray:
 def exp_k(z) -> np.ndarray:
     """Closed-form exponential of k_matrix(z), a (len(z)+1)-square unitary:
     [[I - a z z^H, sigma z], [-sigma z^H, cos(rho)]], with rho, sigma and a
-    as in the module docstring, so no branch is taken at rho = 0."""
+    as in the module docstring, so no branch is taken at rho = 0. A z whose
+    norm overflows is refused (ValueError)."""
     z = as_cvector(z)
     m = z.shape[0]
-    rho = frobenius_norm(z)
+    rho = _vector_norm(z, "exp_k")
     sigma = _sinc(rho)
     out = np.eye(m + 1, dtype=np.complex128)
     out[:m, :m] -= 0.5 * _sinc(0.5 * rho) ** 2 * np.outer(z, z.conj())
@@ -128,6 +129,7 @@ def exp_column_factor(z, n: int, j: int) -> np.ndarray:
         raise ValueError(f"need 2 <= j <= n, got j={j}, n={n}")
     if z.shape[0] != j - 1:
         raise ValueError(f"z must have length {j - 1} for j={j}, got {z.shape[0]}")
+    _vector_norm(z, "exp_column_factor")  # so that a refusal names this function
     out = np.eye(n, dtype=np.complex128)
     out[:j, :j] = exp_k(z)
     return out
@@ -296,7 +298,7 @@ def compose(p: CcskParams) -> np.ndarray:
     """Ordered product: diagonal phases, then the column factors j = 2..n.
 
     A head of fewer than _MIN_BLOCK factors is applied one factor at a time;
-    every other run grows the product by its j1 - j0 + 1 rows and columns.
+    every other run grows the product by its rows and columns, from e^{i theta_1}.
     """
     runs = _runs(p.n, 1)
     j0, b = runs[0]
@@ -307,10 +309,10 @@ def compose(p: CcskParams) -> np.ndarray:
             z = p.z[start:start + j - 1]
             start += j - 1
             _apply_factor(u[:j, :j], z, z.conj(), 1.0, frobenius_norm(z), False)
+        del runs[0]
     else:
-        d = np.exp(1j * p.thetas[:b])
-        u = _grow(d[:1, None], d[1:], p.z[:z_offset(b + 1)], j0, b)
-    for j0, j1 in runs[1:]:
+        u = exp_diagonal(p.thetas[:1])
+    for j0, j1 in runs:
         d = np.exp(1j * p.thetas[j0 - 1:j1])
         u = _grow(u, d, p.z[z_offset(j0):z_offset(j1 + 1)], j0, j1)
     return u

@@ -106,12 +106,12 @@ def decompose(u: np.ndarray, *, unitarity_tol: float = UNITARITY_TOL) -> CcskPar
     z_all = np.zeros(z_offset(n + 1), dtype=np.complex128)
     phases = []  # e^{i theta_j} for j = n, n-1, ..., 1
     end = z_all.shape[0]  # z_j is z_all[end - (j - 1):end], walked down from j = n
-    for lo, j0, j1 in _panels(n):
-        # The panel is rows lo..j1-1. Each peel updates the panel rows at
-        # once, so the next row is read in full; the rows above the panel
-        # take the run's factors together, as one aggregated block.
+    for lo, j1 in _panels(n):
+        # The panel is rows lo..j1-1, down to row 1 for the head. Each peel
+        # updates the panel rows at once, so the next row is read in full;
+        # the rows above take the run's factors as one aggregated block.
         top = end
-        for j in range(j1, j0 - 1, -1):
+        for j in range(j1, lo, -1):
             start = end - (j - 1)
             pivot = m.item(j - 1, j - 1)
             row = m[j - 1, : j - 1]
@@ -122,7 +122,7 @@ def decompose(u: np.ndarray, *, unitarity_tol: float = UNITARITY_TOL) -> CcskPar
             phase = cmath.exp(1j * theta)
             # cmath.phase is in [-pi, pi], and -pi (e.g. a negative real part
             # with a -0.0 imaginary part) is the one angle to wrap, so that
-            # output is always canonical. theta_1 below is wrapped the same way.
+            # output is always canonical.
             thetas[j - 1] = theta if theta > -math.pi else math.pi
             phases.append(phase)
             if s:
@@ -134,10 +134,7 @@ def decompose(u: np.ndarray, *, unitarity_tol: float = UNITARITY_TOL) -> CcskPar
                 _apply_factor(m[lo:j, :j], z, row, kappa.conjugate(), rho, True)
             end = start
         if lo:
-            _apply_factors(m[:lo, :j1], z_all[end:top], j0)
-    theta = cmath.phase(m[0, 0])
-    thetas[0] = theta if theta > -math.pi else math.pi
-    phases.append(cmath.exp(1j * theta))
+            _apply_factors(m[:lo, :j1], z_all[end:top], lo + 1)
 
     # Now m = D + R with D = diag(e^{i theta_j}), and u = m Q for the unitary
     # product Q of the peeled factors. So u^H u - I = Q^H (D^H R + R^H D +
@@ -158,11 +155,11 @@ def decompose(u: np.ndarray, *, unitarity_tol: float = UNITARITY_TOL) -> CcskPar
 
 
 @functools.lru_cache(maxsize=64)
-def _panels(n: int) -> tuple[tuple[int, int, int], ...]:
+def _panels(n: int) -> tuple[tuple[int, int], ...]:
     """The peel plan for dimension n, built once: the runs (j0, j1) of
-    ``_runs(n, 2 * _NB)`` from the last, each with the first row lo of its
-    panel (0 for the head, whose panel is the whole remaining block)."""
-    return tuple((j0 - 1 if j0 > 2 else 0, j0, j1) for j0, j1 in reversed(_runs(n, 2 * _NB)))
+    ``_runs(n, 2 * _NB)`` from the last, as (lo, j1) with the panel's rows
+    j1 ... lo + 1: lo = j0 - 1, or 0 for the head, which peels row 1 too."""
+    return tuple((j0 - 1 if j0 > 2 else 0, j1) for j0, j1 in reversed(_runs(n, 2 * _NB)))
 
 
 def _not_unitary(test: str, gate: float) -> ValueError:

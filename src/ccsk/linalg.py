@@ -46,6 +46,15 @@ def frobenius_norm(a: np.ndarray) -> float:
     return math.sqrt(np.vdot(a, a).real)
 
 
+def _vector_norm(v: np.ndarray, what: str) -> float:
+    """``frobenius_norm(v)`` of a checked vector z, or a ValueError naming
+    ``what`` when it overflows (finite entries above about 1.3e154)."""
+    norm = frobenius_norm(v)
+    if not math.isfinite(norm):
+        raise ValueError(f"{what}: the norm of z overflows")
+    return norm
+
+
 def square_matrix(a, what: str) -> tuple[np.ndarray, float]:
     """``a`` as a non-empty square complex128 matrix, and its Frobenius norm.
 

@@ -119,7 +119,7 @@ def expm(x: np.ndarray) -> np.ndarray:
        (``_taylor_degree``): the smallest degree whose tail bound in t
        guarantees relative truncation error at most 1e-18 in the Frobenius
        norm at n = 1, and so at every n. Where s = 0, or n is below
-       ``_EXPM_RESCALE_MIN_N`` and s <= 32, d = 0 and t = ||a||_F.
+       ``_EXPM_RESCALE_MIN_N`` and s <= 32, d = 0, t = ||a||_F and m >= 2.
        Otherwise b^2, b^3 and b^4 are formed first, and
        alpha = max(||b^3||_F^(1/3), ||b^4||_F^(1/4)) bounds ||b^k||_F^(1/k)
        for every k >= 6. d is the largest with 2^d alpha <= 0.5 and
@@ -152,19 +152,16 @@ def expm(x: np.ndarray) -> np.ndarray:
     # arrays that expm made, so it goes to BLAS by ``ndarray.dot``, without
     # matmul's gufunc overhead (README, "Products").
     blocks = (coeffs @ powers.reshape(q, n * n)).reshape(r + 1, n, n)
-    if r == 0:
-        result = blocks[0]
+    # When q divides m the top block is the scalar c_m, so its step needs no
+    # product; a real scalar scales each part of b^q alone. m >= 2, so r >= 1.
+    if m % q:
+        result = blocks[r].dot(bq)
     else:
-        # When q divides m the top block is the scalar c_m, so its step
-        # needs no product; a real scalar scales each part of b^q alone.
-        if m % q:
-            result = blocks[r].dot(bq)
-        else:
-            result = bq * coeffs[r, 0].real
-        result += blocks[r - 1]
-        for i in range(r - 2, -1, -1):
-            result = result.dot(bq)
-            result += blocks[i]
+        result = bq * coeffs[r, 0].real
+    result += blocks[r - 1]
+    for i in range(r - 2, -1, -1):
+        result = result.dot(bq)
+        result += blocks[i]
     for _ in range(squarings):
         result = result.dot(result)
     return result
@@ -192,8 +189,8 @@ def _expm_plan(x: np.ndarray,
     s = max(0, math.ceil(math.log2(norm / _EXPM_TARGET_NORM))) if norm > 0 else 0
     t = norm / 2.0 ** s
     if s == 0 or (n < _EXPM_RESCALE_MIN_N and 2.0 ** s <= _EXPM_SPECTRAL_CAP):
-        m = _taylor_degree(t)
-        return (s, 0, t, m) + _powers(x, s, max(1, math.ceil(math.sqrt(m))))
+        m = max(2, _taylor_degree(t))
+        return (s, 0, t, m) + _powers(x, s, math.ceil(math.sqrt(m)))
     powers, b4 = _powers(x, s, 4)
     alpha = max(frobenius_norm(powers[3]) ** (1.0 / 3.0), frobenius_norm(b4) ** 0.25)
     if 2.0 ** s * alpha > _EXPM_SPECTRAL_CAP:
@@ -218,8 +215,6 @@ def _powers(x: np.ndarray, s: int, q: int) -> tuple[np.ndarray, np.ndarray]:
     powers = np.empty((q, n, n), dtype=np.complex128)
     powers[0] = 0.0
     powers[0].ravel()[:: n + 1] = 1.0
-    if q == 1:
-        return powers, x * 2.0 ** -s
     b = np.multiply(x, 2.0 ** -s, out=powers[1])
     for j in range(2, q):
         np.dot(powers[j - 1], b, out=powers[j])

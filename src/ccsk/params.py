@@ -169,10 +169,9 @@ def _strictly_lower(n: int) -> np.ndarray:
 def assemble_generator(p: CcskParams) -> np.ndarray:
     """Anti-Hermitian n x n matrix: i*theta diagonal, z columns above, -conj below."""
     x = np.diag(1j * p.thetas)
-    if p.n > 1:
-        lower = _strictly_lower(p.n)
-        x.T[lower] = p.z
-        x[lower] = -p.z.conj()
+    lower = _strictly_lower(p.n)  # empty at n = 1
+    x.T[lower] = p.z
+    x[lower] = -p.z.conj()
     return x
 
 

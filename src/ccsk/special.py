@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_cvector
+from .linalg import _vector_norm, as_cvector
 
 __all__ = ["Euler2Factors", "ProjectorPair", "euler2_factorize", "projector_form"]
 
@@ -61,9 +61,10 @@ def euler2_factorize(theta1: float, theta2: float, z: complex) -> Euler2Factors:
 
 
 def projector_form(z) -> ProjectorPair:
-    """Orthogonal projectors onto the z direction and its complement."""
+    """Orthogonal projectors onto the z direction and its complement. A z
+    that is zero or whose norm overflows is refused (ValueError)."""
     z = as_cvector(z)
-    rho = float(np.linalg.norm(z))
+    rho = _vector_norm(z, "projector_form")
     if rho == 0.0:
         raise ValueError("projector_form requires a nonzero vector")
     zt = z / rho

@@ -31,6 +31,11 @@ NON_FINITE_MATRICES = {
     "one_nan_in_unitary": np.array([[0, 1, 0], [1, 0, 0], [0, 0, complex(np.nan, 0)]]),
 }
 
+# Vectors with finite entries whose norm overflows, for the functions that
+# take the norm of a z they are given.
+OVERFLOWING_Z = {"one_1e200": [1e200], "two_1e160": [1e160, 1e160],
+                 "imag_1e200": [0, 1e200j]}
+
 
 @contextmanager
 def rejects_non_finite(match: str):

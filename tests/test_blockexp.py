@@ -11,7 +11,8 @@ from ccsk.linalg import frobenius_norm, unitarity_defect
 from ccsk.oracle import RngState, expm, random_params
 from ccsk.params import CcskParams, assemble_generator
 
-from conftest import complex_gaussian_vector, random_complex_matrix
+from conftest import (OVERFLOWING_Z, complex_gaussian_vector, random_complex_matrix,
+                      rejects_non_finite)
 
 
 def random_z(rng, m):
@@ -106,6 +107,12 @@ class TestExpK:
             assert unitarity_defect(u) <= 1e-8 * np.finfo(float).eps
 
 
+    @pytest.mark.parametrize("name", sorted(OVERFLOWING_Z))
+    def test_refuses_a_norm_that_overflows(self, name):
+        with rejects_non_finite("^exp_k: the norm of z overflows$"):
+            exp_k(OVERFLOWING_Z[name])
+
+
 class TestExpColumnFactor:
     def test_zero_is_identity(self):
         np.testing.assert_array_equal(
@@ -136,6 +143,12 @@ class TestExpColumnFactor:
             exp_column_factor(np.zeros(2, dtype=complex), 4, 2)
         with pytest.raises(ValueError, match="2 <= j <= n"):
             exp_column_factor(np.zeros(4, dtype=complex), 4, 5)
+
+    @pytest.mark.parametrize("name", sorted(OVERFLOWING_Z))
+    def test_refuses_a_norm_that_overflows(self, name):
+        z = OVERFLOWING_Z[name]
+        with rejects_non_finite("^exp_column_factor: the norm of z overflows$"):
+            exp_column_factor(z, len(z) + 2, len(z) + 1)
 
 
 class TestApplyFactor:

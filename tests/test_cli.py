@@ -367,7 +367,7 @@ class TestToleranceOption:
     # --tol must be a finite number in (0, 1): nan once passed every matrix
     # (defect > nan is false) and -1 or 0 failed every one.
     @pytest.mark.parametrize("command", ["verify", "decompose", "roundtrip"])
-    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0", "1"])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0", "1", "abc"])
     def test_bad_value_exit_64(self, tmp_path, capsys, command, tol):
         path = tmp_path / "u.json"
         write_matrix(path, np.eye(2, dtype=complex))
@@ -379,6 +379,24 @@ class TestToleranceOption:
         assert exc.value.code == 64
         err = capsys.readouterr().err
         assert err.startswith("usage: ") and "--tol" in err and "Traceback" not in err
+
+    # A loose --tol admits a matrix off the unitary group, and no parameters
+    # compose back to it: the round trip misses ROUNDTRIP_TOL * n = 3e-9, so
+    # both commands exit 2, and decompose names the bound on stderr.
+    @pytest.mark.parametrize("command, err", [
+        ("decompose", "roundtrip error exceeds 3.000e-09\n"), ("roundtrip", "")])
+    def test_loose_value_roundtrip_error_exit_2(self, tmp_path, capsys, command, err):
+        u = np.eye(3, dtype=complex)
+        u[0, 1] = 1e-3
+        path = tmp_path / "u.json"
+        write_matrix(path, u)
+        argv = [command, "-i", path, "--tol", "0.5"]
+        if command == "decompose":
+            argv += ["-o", tmp_path / "p.json"]
+        assert run(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out.startswith("roundtrip_error 1.0000000000000000")
+        assert captured.err == err
 
     @pytest.mark.parametrize("command", ["verify", "decompose", "roundtrip"])
     def test_good_value_accepted(self, tmp_path, command):

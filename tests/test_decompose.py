@@ -171,6 +171,12 @@ class TestChartEdges:
         q0 = decompose(compose(p0))
         assert params_close(p0, q0, 1e-13 * n)
 
+    def test_theta_1_takes_the_zero_pivot_convention(self):
+        # theta_1 is read as every theta_j is: a pivot of modulus 1e-13, which
+        # only a loose unitarity_tol admits, has a phase of noise, so 0.
+        u = np.diag([1e-13 * cmath.exp(0.5j), 1.0])
+        assert decompose(u, unitarity_tol=0.99).thetas[0] == 0.0
+
     @pytest.mark.parametrize("first, last", [(math.pi / 2, 0.0), (0.0, math.pi / 2)])
     @pytest.mark.parametrize("n", [3 * _NB - 1, 3 * _NB, 3 * _NB + 1, 200])
     def test_panel_edge_rows(self, n, first, last):

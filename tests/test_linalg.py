@@ -28,6 +28,10 @@ class TestValidation:
         with pytest.raises(ValueError):
             as_cvector([])
 
+    def test_rejects_2d(self):
+        with pytest.raises(ValueError, match="^expected a 1-D vector, got ndim=2$"):
+            as_cvector([[1.0, 2.0]])
+
 
 class TestFrobeniusNorm:
     def test_zero(self):

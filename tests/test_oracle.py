@@ -86,6 +86,12 @@ class TestExpm:
             x = x * (scale / frobenius_norm(x))
             assert unitarity_defect(expm(x)) <= 1e-11 * 6
 
+    # A tiny x takes degree 2, not 0: e^x = I + x + x^2/2 rounds to I + x
+    # exactly, where degree 0 gave I.
+    def test_tiny_norm_keeps_the_linear_term(self):
+        x = 1e-20 * np.array([[0, 1], [-1, 0]], dtype=complex)
+        np.testing.assert_array_equal(expm(x), np.eye(2) + x)
+
     def test_requires_square(self):
         with pytest.raises(ValueError, match="square"):
             expm(np.zeros((2, 3), dtype=complex))
@@ -366,7 +372,8 @@ class TestExpmScaling:
             squarings, d, t, m, _, _ = _expm_plan(x, frobenius_norm(x))
             assert d == 0
             assert t == frobenius_norm(x) / 2.0 ** squarings
-            assert m == _taylor_degree(t)
+            # Degree 2 at least, so the Horner loop always has a step.
+            assert m == max(2, _taylor_degree(t))
 
     # Scaling by ||x||_F took 6 (n = 128) and 7 (n = 256) squarings, 12
     # products in all.

@@ -44,6 +44,11 @@ class TestCcskParams:
             CcskParams(np.zeros(3), (np.zeros(1, dtype=complex),
                                      np.zeros(3, dtype=complex)))
 
+    @pytest.mark.parametrize("thetas", [np.zeros((2, 2)), np.zeros(0)], ids=["2d", "empty"])
+    def test_thetas_must_be_1d_and_non_empty(self, thetas):
+        with pytest.raises(ValueError, match="^thetas must be a 1-D array of length >= 1$"):
+            CcskParams(thetas, np.zeros(0, dtype=complex))
+
     @pytest.mark.parametrize("n", range(1, 11))
     def test_real_parameter_count_is_n_squared(self, n, rng):
         p = random_params(n, rng)
@@ -245,6 +250,12 @@ class TestParamsFromGenerator:
         x = assemble_generator(random_params(4, rng))
         np.testing.assert_array_equal(
             assemble_generator(params_from_generator(x)), x)
+
+    def test_rejects_a_matrix_that_is_not_anti_hermitian(self):
+        # I^H + I = 2 I, of norm 2 sqrt(2), against 1e-12 * 2.
+        with pytest.raises(ValueError, match=r"^matrix is not anti-Hermitian: defect "
+                                             r"2\.828e\+00 exceeds 2\.000e-12$"):
+            params_from_generator(np.eye(2))
 
     def test_rejects_real_diagonal(self):
         # small enough to pass the overall defect gate (1e-12 * n), large

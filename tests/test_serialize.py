@@ -60,6 +60,15 @@ class TestParamsFormat:
                              "thetas": [0, 0, 0],
                              "z": [[[0, 0]], [[0, 0]]]})
 
+    def test_rejects_wrong_type_tag(self):
+        with pytest.raises(ParseError, match='^expected a document with "type": "ccsk_params"$'):
+            params_from_doc({"type": "cmatrix", "n": 1, "thetas": [0], "z": []})
+
+    def test_rejects_wrong_column_count(self):
+        with pytest.raises(ParseError, match='^field "z" must be a list of 2 columns$'):
+            params_from_doc({"type": "ccsk_params", "n": 3, "thetas": [0, 0, 0],
+                             "z": [[[0, 0]]]})
+
     def test_n1_empty_z(self):
         p = params_from_doc({"type": "ccsk_params", "n": 1,
                              "thetas": [0.25], "z": []})

@@ -9,7 +9,7 @@ from ccsk.linalg import frobenius_norm, unitarity_defect
 from ccsk.params import CcskParams
 from ccsk.special import euler2_factorize, projector_form
 
-from conftest import complex_gaussian_vector
+from conftest import OVERFLOWING_Z, complex_gaussian_vector, rejects_non_finite
 
 
 def compose2(theta1, theta2, z):
@@ -105,3 +105,10 @@ class TestProjectorForm:
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError, match="nonzero"):
             projector_form(np.zeros(3, dtype=complex))
+
+    # The unscaled norm used to overflow with a warning and give rho = inf,
+    # p1 = 0 and p0 = I, which is no projector onto z.
+    @pytest.mark.parametrize("name", sorted(OVERFLOWING_Z))
+    def test_refuses_a_norm_that_overflows(self, name):
+        with rejects_non_finite("^projector_form: the norm of z overflows$"):
+            projector_form(OVERFLOWING_Z[name])

@@ -40,6 +40,14 @@ class TestSweep:
         env = record["environment"]
         assert {"python", "numpy", "blas", "threads", "cpu"} <= set(env)
         assert set(env["threads"]) == set(sweep.THREAD_VARS)
+        assert isinstance(env["dont_write_bytecode"], bool)
+        # One fresh process of each start-up command per repeat: python
+        # alone, with numpy, and with the CLI's imports.
+        assert "startup" in record["method"]
+        assert set(record["startup"]) == {"python", "numpy", "ccsk_cli"}
+        for timing in record["startup"].values():
+            assert set(timing) == {"median_s", "q1_s", "q3_s"}
+            assert 0 < timing["q1_s"] <= timing["median_s"] <= timing["q3_s"]
         assert [r["n"] for r in record["rows"]] == [2, 3, 4]
         for r in record["rows"]:
             # Every layer, the JSON writers and readers included (n <= JSON_MAX_N).
@@ -62,6 +70,6 @@ class TestSweep:
             # A composed unitary and its roundtrip stay within a few eps n.
             assert 0 <= r["accuracy"]["defect_eps_n"] < 100
             assert 0 <= r["accuracy"]["roundtrip_eps_n"] < 100
-        xs = list(numbers(record["rows"]))
+        xs = list(numbers([record["rows"], record["startup"]]))
         assert xs
         assert all(math.isfinite(x) for x in xs)
