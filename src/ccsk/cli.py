@@ -13,7 +13,7 @@ import sys
 
 from .blockexp import compose, exp_k, k_matrix
 from .decompose import UNITARITY_TOL, decompose, roundtrip_error
-from .linalg import _unitarity_defect, frobenius_norm
+from .linalg import frobenius_norm, unitarity_defect
 from .oracle import RngState, expm, random_params
 from .params import assemble_generator
 from .serialize import read_matrix, read_params, write_matrix, write_params
@@ -101,7 +101,7 @@ def _cmd_compose(args) -> int:
     p = read_params(args.input)
     u = compose(p)
     write_matrix(args.output, u)
-    print(f"unitarity_defect {_unitarity_defect(u):.17e}")
+    print(f"unitarity_defect {unitarity_defect(u):.17e}")
     return EXIT_OK
 
 
@@ -119,7 +119,7 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_verify(args) -> int:
     u = read_matrix(args.input)
-    defect = _unitarity_defect(u)
+    defect = unitarity_defect(u)
     print(f"unitarity_defect {defect:.17e}")
     if not defect <= args.tol * u.shape[0]:
         return EXIT_TOLERANCE

@@ -10,7 +10,9 @@ read) peels it away and the recursion continues on the leading
 
 rho_j is read as atan2(||off-diagonal row||, |pivot|) and ztilde_j as the row
 over its own norm, so angles near 0 come back to full relative precision
-(acos of the pivot would lose every angle below about sqrt(eps)).
+(acos of the pivot would lose every angle below about sqrt(eps)). The floor
+is row entries below 2.2e-308, which are subnormal and carry fewer bits;
+where ||row||^2 underflows, the norm is rescaled by the largest entry.
 
 Reading row j needs only row j itself to be up to date. So the peel walks
 the runs of ``blockexp._runs`` (head 2 * _NB) from the last, each as a
@@ -49,7 +51,7 @@ import math
 import numpy as np
 
 from .blockexp import _NB, _apply_factor, _apply_factors, _runs, compose
-from .linalg import _unitarity_defect, frobenius_norm, square_matrix
+from .linalg import frobenius_norm, square_matrix, unitarity_defect
 from .params import CcskParams, z_offset
 
 __all__ = [
@@ -117,6 +119,11 @@ def decompose(u: np.ndarray, *, unitarity_tol: float = UNITARITY_TOL) -> CcskPar
             row = m[j - 1, : j - 1]
             c = abs(pivot)
             s = math.sqrt(np.vdot(row, row).real)  # frobenius_norm(row), inline
+            if not s and j > 1 and row.any():
+                # ||row||^2 underflowed (rho_j below about 1.5e-162): scale it.
+                a = np.abs(row)
+                t = a.max()
+                s = t * frobenius_norm(a / t)
             rho = math.atan2(s, c)
             theta = cmath.phase(pivot) if c > ZERO_PIVOT_TOL else 0.0
             phase = cmath.exp(1j * theta)
@@ -144,7 +151,7 @@ def decompose(u: np.ndarray, *, unitarity_tol: float = UNITARITY_TOL) -> CcskPar
     r = frobenius_norm(m)
     half = 0.5 * gate
     if not (2.0 * r + r * r <= half and _ROUNDING * n * math.sqrt(n) <= half):
-        defect = _unitarity_defect(u)
+        defect = unitarity_defect(u)
         if not defect <= gate:
             raise _not_unitary(f"the defect ||u^H u - I||_F = {defect:.3e}", gate)
     # Both arrays have the shapes allocated above and finite entries: m

@@ -1,11 +1,9 @@
 """Minimal dense complex linear algebra: validation, norms, defects.
 
 Matrices are numpy ``complex128`` arrays with row-major semantics. Each public
-function that takes a square matrix from outside checks it once, on entry,
-with ``square_matrix`` (vectors with ``as_cvector``); the kernels behind them
-assume checked input and stay branch-free. Callers inside the package that
-already hold a checked matrix use the unchecked cores ``_unitarity_defect``
-and ``_anti_hermiticity_defect``.
+function that takes a square matrix checks it once, on entry, with
+``square_matrix`` (vectors with ``as_cvector``); the kernels behind them
+assume checked input and stay branch-free.
 """
 
 from __future__ import annotations
@@ -82,29 +80,19 @@ def square_matrix(a, what: str) -> tuple[np.ndarray, float]:
 
 
 def unitarity_defect(u) -> float:
-    """||u† u - I||_F; zero (to roundoff) iff u is unitary. inf when ||u||_F
-    overflows (see ``_unitarity_defect``)."""
-    return _unitarity_defect(*square_matrix(u, "unitarity_defect"))
+    """||u† u - I||_F; zero (to roundoff) iff u is unitary.
 
-
-def anti_hermiticity_defect(x) -> float:
-    """||x† + x||_F; zero iff x is anti-Hermitian (a u(n) element)."""
-    return _anti_hermiticity_defect(square_matrix(x, "anti_hermiticity_defect")[0])
-
-
-def _unitarity_defect(u: np.ndarray, norm: float | None = None) -> float:
-    """``unitarity_defect`` unchecked, for a finite square complex128 matrix
-    and its Frobenius norm (taken here if not given).
-
-    inf when that norm overflows, as at ``decompose``'s gate: the defect is at
+    inf when ||u||_F overflows, as at ``decompose``'s gate: the defect is at
     least ||u||_F^2 / sqrt(n) - sqrt(n), past any tolerance, and forming u† u
     would overflow with a warning.
     """
-    if not math.isfinite(frobenius_norm(u) if norm is None else norm):
+    u, norm = square_matrix(u, "unitarity_defect")
+    if not math.isfinite(norm):
         return math.inf
     return frobenius_norm(u.conj().T @ u - np.eye(u.shape[0]))
 
 
-def _anti_hermiticity_defect(x: np.ndarray) -> float:
-    """``anti_hermiticity_defect`` unchecked, for a finite square complex128 matrix."""
+def anti_hermiticity_defect(x) -> float:
+    """||x† + x||_F; zero iff x is anti-Hermitian (a u(n) element)."""
+    x, _ = square_matrix(x, "anti_hermiticity_defect")
     return frobenius_norm(x.conj().T + x)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _anti_hermiticity_defect, frobenius_norm, square_matrix
+from .linalg import anti_hermiticity_defect, frobenius_norm, square_matrix
 
 __all__ = [
     "CcskParams",
@@ -184,7 +184,7 @@ def params_from_generator(x) -> CcskParams:
     """
     x, _ = square_matrix(x, "params_from_generator")
     n = x.shape[0]
-    defect = _anti_hermiticity_defect(x)
+    defect = anti_hermiticity_defect(x)
     if not defect <= GENERATOR_DEFECT_TOL * n:
         raise ValueError(
             f"matrix is not anti-Hermitian: defect {defect:.3e} exceeds "

@@ -11,12 +11,13 @@ reproduces every value bit-exactly, the sign of -0.0 included. Complex entries
 are [re, im] pairs, never strings.
 
 A file is exactly ``json.dump(doc, fh, indent=2)`` plus a newline, where doc
-is ``matrix_to_doc`` / ``params_to_doc``. The standard encoder formats
-indented output one value at a time in pure Python, so the writers build no
-doc: they stream that text from the arrays, one %-template per list of pairs
-(a row, a z column). The readers parse with ``json.load``, check every pair in
-bulk and convert all of them with one numpy call; only a document that fails
-the bulk check is walked entry by entry, to name the first bad entry.
+is the document shape above; the byte tests build it in ``tests/conftest.py``
+and compare. The standard encoder formats indented output one value at a
+time in pure Python, so the writers build no doc: they stream that text from
+the arrays, one %-template per list of pairs (a row, a z column). The
+readers parse with ``json.load``, check every pair in bulk and convert all
+of them with one numpy call; only a document that fails the bulk check is
+walked entry by entry, to name the first bad entry.
 """
 
 from __future__ import annotations
@@ -27,13 +28,11 @@ from itertools import chain
 import numpy as np
 
 from .linalg import square_matrix
-from .params import CcskParams, z_offset
+from .params import CcskParams
 
 __all__ = [
     "ParseError",
-    "matrix_to_doc",
     "matrix_from_doc",
-    "params_to_doc",
     "params_from_doc",
     "write_matrix",
     "read_matrix",
@@ -91,23 +90,9 @@ def _read_pairs(groups: list, sizes: list[int], name: str, group_error) -> np.nd
         raise ParseError(f'field "{name}": {exc}') from exc
 
 
-def _as_pairs(a: np.ndarray) -> list:
-    """The complex array a as nested lists of [re, im] float pairs."""
-    return np.stack([a.real, a.imag], -1).tolist()
-
-
 def _as_floats(a: np.ndarray) -> list:
     """The re, im floats of the complex array a, entry after entry, in one flat list."""
     return np.stack([a.real, a.imag], -1).ravel().tolist()
-
-
-def matrix_to_doc(m: np.ndarray) -> dict:
-    m, _ = square_matrix(m, "matrix_to_doc")
-    return {
-        "type": "cmatrix",
-        "n": m.shape[0],
-        "rows": _as_pairs(m),
-    }
 
 
 def matrix_from_doc(doc) -> np.ndarray:
@@ -119,16 +104,6 @@ def matrix_from_doc(doc) -> np.ndarray:
         raise ParseError(f'field "rows" must be a list of {n} rows')
     flat = _read_pairs(rows, [n] * n, "rows", lambda i: f"row {i}: expected {n} entries")
     return square_matrix(flat.reshape(n, n), "matrix_from_doc")[0]
-
-
-def params_to_doc(p: CcskParams) -> dict:
-    pairs = _as_pairs(p.z)
-    return {
-        "type": "ccsk_params",
-        "n": p.n,
-        "thetas": p.thetas.tolist(),
-        "z": [pairs[z_offset(j):z_offset(j + 1)] for j in range(2, p.n + 1)],
-    }
 
 
 def params_from_doc(doc) -> CcskParams:
@@ -184,7 +159,7 @@ def _read(path) -> dict:
 
 
 def write_matrix(path, m: np.ndarray) -> None:
-    m, _ = square_matrix(m, "matrix_to_doc")  # the check, and errors, of matrix_to_doc
+    m, _ = square_matrix(m, "write_matrix")
     n = m.shape[0]
     _write(path, '{\n  "type": "cmatrix",\n  "n": %d,\n  "rows": ' % n,
            _as_floats(m), [n] * n)

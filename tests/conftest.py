@@ -23,6 +23,25 @@ def random_complex_matrix(rng: RngState, rows: int, cols: int) -> np.ndarray:
     return np.array([complex_gaussian_vector(rng, cols) for _ in range(rows)])
 
 
+def _pairs(a: np.ndarray) -> list:
+    """The complex array a as nested lists of [re, im] floats."""
+    return np.stack([a.real, a.imag], -1).tolist()
+
+
+def matrix_doc(m: np.ndarray) -> dict:
+    """The cmatrix document holding m, as README's "File formats" shows it
+    (nan and inf included: json.load reads them). A matrix file is
+    json.dumps(matrix_doc(m), indent=2) plus a newline."""
+    return {"type": "cmatrix", "n": m.shape[0], "rows": _pairs(m)}
+
+
+def params_doc(p) -> dict:
+    """The ccsk_params document holding p; a params file is
+    json.dumps(params_doc(p), indent=2) plus a newline."""
+    return {"type": "ccsk_params", "n": p.n, "thetas": p.thetas.tolist(),
+            "z": [_pairs(z) for z in p.z_columns]}
+
+
 # Matrices with a nan or inf entry, for the entry points that must reject them.
 NON_FINITE_MATRICES = {
     "all_nan": np.full((2, 2), np.nan, dtype=complex),

@@ -2,6 +2,9 @@ import cmath
 import importlib
 import itertools
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -9,9 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ccsk
 from ccsk.blockexp import _NB, _runs, compose
 from ccsk.decompose import UNITARITY_TOL, decompose, roundtrip_error
-from ccsk.linalg import _unitarity_defect, frobenius_norm, unitarity_defect
+from ccsk.linalg import frobenius_norm, unitarity_defect
 from ccsk.oracle import RngState, expm, random_params
 from ccsk.params import CcskParams, assemble_generator, params_from_generator
 
@@ -19,6 +23,23 @@ from conftest import NON_FINITE_MATRICES, rejects_non_finite
 
 # The module itself: the package exports the function under the same name.
 decompose_module = importlib.import_module("ccsk.decompose")
+
+
+def test_package_attribute_stays_the_function():
+    # In a fresh interpreter, neither import route to the module (the one
+    # perfbench takes and importlib's) may rebind ccsk.decompose to it.
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(ccsk.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import importlib, types\n"
+            "import ccsk\n"
+            "from ccsk.decompose import decompose\n"
+            "importlib.import_module('ccsk.decompose')\n"
+            "assert isinstance(ccsk.decompose, types.FunctionType), ccsk.decompose\n"
+            "assert ccsk.decompose is decompose\n")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def params_close(a: CcskParams, b: CcskParams, tol: float) -> bool:
@@ -210,6 +231,24 @@ class TestChartEdges:
         assert params_close(q, params_from_generator(x), 1e-15)
         assert frobenius_norm(compose(q) - u) <= 1e-14
 
+    @pytest.mark.parametrize("n", [2, 5, 100])
+    @pytest.mark.parametrize("rho", [1e-170, 1e-300])
+    def test_row_norm_underflow_keeps_z(self, n, rho):
+        # Below rho_j of about 1.5e-162, ||row||^2 underflows to 0 though the
+        # row's entries do not; z_j must still come back to relative
+        # precision, not as the zero of an exactly zero row. The other
+        # columns are zero, so that no rounding of O(eps) reaches the row.
+        g = np.random.default_rng(n)
+        for j in sorted({2, (n + 2) // 2, n}):
+            cols = [np.zeros(k - 1, dtype=complex) for k in range(2, n + 1)]
+            d = g.standard_normal(j - 1) + 1j * g.standard_normal(j - 1)
+            cols[j - 2] = rho * d / np.linalg.norm(d)
+            p = CcskParams(g.uniform(-3.0, 3.0, n), tuple(cols))
+            q = decompose(compose(p))
+            want = p.z_column(j)
+            assert np.max(np.abs(q.z_column(j) - want)) <= 4 * EPS * np.max(np.abs(want))
+            np.testing.assert_allclose(q.thetas, p.thetas, rtol=0, atol=4 * EPS)
+
 
 def perturbed(u: np.ndarray, kind: int, size: float, seed: int) -> np.ndarray:
     """u off the unitary group by a perturbation whose defect is at most about size."""
@@ -386,9 +425,9 @@ def defect_calls(monkeypatch):
 
     def counted(u):
         calls.append(u.shape[0])
-        return _unitarity_defect(u)
+        return unitarity_defect(u)
 
-    monkeypatch.setattr(decompose_module, "_unitarity_defect", counted)
+    monkeypatch.setattr(decompose_module, "unitarity_defect", counted)
     return calls
 
 

@@ -1,4 +1,6 @@
+import functools
 import math
+import os
 import re
 import warnings
 
@@ -10,9 +12,9 @@ from ccsk.linalg import (anti_hermiticity_defect, as_cvector, frobenius_norm,
                          square_matrix, unitarity_defect)
 from ccsk.oracle import expm
 from ccsk.params import params_from_generator
-from ccsk.serialize import matrix_from_doc, matrix_to_doc
+from ccsk.serialize import matrix_from_doc, write_matrix
 
-from conftest import NON_FINITE_MATRICES, random_complex_matrix, rejects_non_finite
+from conftest import NON_FINITE_MATRICES, matrix_doc, random_complex_matrix, rejects_non_finite
 
 
 class TestValidation:
@@ -96,13 +98,14 @@ class TestDefects:
 
 
 # Every public entry point that takes a square matrix, with the name its
-# ValueError gives. roundtrip_error hands its input to decompose unchecked.
+# ValueError gives. roundtrip_error hands its input to decompose unchecked;
+# write_matrix checks before it opens the file.
 SQUARE_ENTRY_POINTS = {
     "decompose": ("decompose", decompose),
     "roundtrip_error": ("decompose", roundtrip_error),
     "expm": ("expm", expm),
     "params_from_generator": ("params_from_generator", params_from_generator),
-    "matrix_to_doc": ("matrix_to_doc", matrix_to_doc),
+    "write_matrix": ("write_matrix", functools.partial(write_matrix, os.devnull)),
     "unitarity_defect": ("unitarity_defect", unitarity_defect),
     "anti_hermiticity_defect": ("anti_hermiticity_defect", anti_hermiticity_defect),
 }
@@ -123,12 +126,6 @@ NOT_SQUARE = {
 }
 
 
-def _doc(m: np.ndarray) -> dict:
-    """A cmatrix document holding m, nan and inf included (json.load reads them)."""
-    return {"type": "cmatrix", "n": m.shape[0],
-            "rows": np.stack([m.real, m.imag], -1).tolist()}
-
-
 def _same(a, b) -> bool:
     return np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
 
@@ -147,7 +144,7 @@ class TestSquareMatrixBoundary:
     def test_refuses_non_finite_naming_the_entry(self, entry, matrix):
         a = NON_FINITE_MATRICES[matrix]
         if entry == "matrix_from_doc":
-            name, f, arg = entry, matrix_from_doc, _doc(a)
+            name, f, arg = entry, matrix_from_doc, matrix_doc(a)
         else:
             (name, f), arg = SQUARE_ENTRY_POINTS[entry], a
         i, j = np.argwhere(~np.isfinite(a))[0]  # the first, in row-major order
@@ -163,7 +160,7 @@ class TestSquareMatrixBoundary:
 
     def test_matrix_from_doc_accepts_its_rows(self):
         m = np.array([[1j, 0], [0, -1j]])
-        np.testing.assert_array_equal(matrix_from_doc(_doc(m)), m)
+        np.testing.assert_array_equal(matrix_from_doc(matrix_doc(m)), m)
 
     def test_returns_the_norm(self):
         m, norm = square_matrix([[3, 4j], [0, 0]], "test")
@@ -179,15 +176,15 @@ class TestSquareMatrixBoundary:
 
 
 class TestCheckedOnce:
-    # Inside the package a matrix is checked once, where it comes in: the
-    # defects on internal paths are the unchecked cores, so the check that
-    # the public unitarity_defect and anti_hermiticity_defect add never runs.
-    def test_internal_paths_use_the_cores(self, monkeypatch, tmp_path):
+    # Each public check runs once per call, also when the caller is inside
+    # the package: decompose's exact gate, ccsk verify, ccsk compose and
+    # params_from_generator each call the public defect once.
+    def test_internal_paths_run_each_check_once(self, monkeypatch, tmp_path):
         from ccsk import linalg
         from ccsk.cli import main
         from ccsk.oracle import RngState, random_params
         from ccsk.params import assemble_generator
-        from ccsk.serialize import write_matrix, write_params
+        from ccsk.serialize import write_params
 
         calls = []
         check = linalg.square_matrix
@@ -199,14 +196,15 @@ class TestCheckedOnce:
         monkeypatch.setattr(linalg, "square_matrix", counted)
         p = random_params(8, RngState(8))
         params_from_generator(assemble_generator(p))
+        assert calls == ["anti_hermiticity_defect"]
         # At --tol 1e-20 the exact defect decides the gate.
         perm = np.roll(np.eye(8, dtype=complex), 1, axis=0)
         decompose(perm, unitarity_tol=1e-20)
+        assert calls[1:] == ["unitarity_defect"]
         write_matrix(tmp_path / "u.json", perm)
         write_params(tmp_path / "p.json", p)
+        assert calls[2:] == []
         assert main(["verify", "-i", str(tmp_path / "u.json")]) == 0
+        assert calls[2:] == ["unitarity_defect"]
         assert main(["compose", "-i", str(tmp_path / "p.json"), "-o", str(tmp_path / "c.json")]) == 0
-        assert calls == []
-        unitarity_defect(perm)
-        anti_hermiticity_defect(assemble_generator(p))
-        assert calls == ["unitarity_defect", "anti_hermiticity_defect"]
+        assert calls[3:] == ["unitarity_defect"]

@@ -9,9 +9,9 @@ from ccsk.linalg import anti_hermiticity_defect
 from ccsk.oracle import RngState, random_params
 from ccsk.params import (CcskParams, _rho_in_chart, assemble_generator,
                          params_from_generator, z_offset)
-from ccsk.serialize import params_from_doc, params_to_doc
+from ccsk.serialize import params_from_doc
 
-from conftest import NON_FINITE_MATRICES, rejects_non_finite
+from conftest import NON_FINITE_MATRICES, params_doc, rejects_non_finite
 
 
 class TestCcskParams:
@@ -169,7 +169,7 @@ class TestUncheckedResults:
         results = {name: make(8) for name, make in UNCHECKED_RESULTS.items()}
         assert results["decompose"].n == 8
         with pytest.raises(ConstructorCheckRan):
-            params_from_doc(params_to_doc(results["random_params"]))
+            params_from_doc(params_doc(results["random_params"]))
 
 
 def column_at(rho: float, length: int, seed: int) -> np.ndarray:
