@@ -2,18 +2,18 @@
 
 ``expm`` is a generic matrix exponential used to cross-check the closed-form
 factors; it shares no code with them. It scales x by 2^-s until
-||b||_F <= 0.5, evaluates a Taylor polynomial of e^a, a = 2^d b, whose degree
-m is fixed in advance by a tail bound (relative truncation error at most
-1e-18 in the Frobenius norm), and squares s - d times. From n = 16, d takes
-back the halvings that the spectrum does not need: the tail bound holds with
+||b||_F <= 0.5, evaluates the degree-16 Taylor polynomial of e^a, a = 2^d b,
+whose relative truncation error a tail bound keeps below 1e-18 in the
+Frobenius norm, and squares s - d times. From n = 16, d takes back the
+halvings that the spectrum does not need: the tail bound holds with
 max(||b^3||_F^(1/3), ||b^4||_F^(1/4)) in place of ||b||_F (Al-Mohy and
 Higham, SIAM J. Matrix Anal. Appl. 31, 2009), so a generator whose
 Frobenius norm far exceeds its spectral radius takes fewer squarings. The
 polynomial is evaluated by the Paterson-Stockmeyer scheme (SIAM J. Comput. 2,
-1973) in the powers of b, about 2 sqrt(m) matrix products instead of the
-m - 1 of a term-by-term sum; Higham (Functions of Matrices, SIAM 2008,
-sec. 4.2) shows it is as accurate as Horner's rule for ||b|| <= 1. An x whose
-spectral bound is past 2^32 is refused (``_EXPM_SPECTRAL_CAP``).
+1973) in b^0 ... b^4, 6 matrix products instead of the 15 of a term-by-term
+sum; Higham (Functions of Matrices, SIAM 2008, sec. 4.2) shows it is as
+accurate as Horner's rule for ||b|| <= 1. An x whose spectral bound is past
+2^32 is refused (``_EXPM_SPECTRAL_CAP``).
 
 The RNG is splitmix64: a tiny, platform-independent 64-bit generator
 (state advances by the golden-gamma constant, output is a bijective mix).
@@ -28,7 +28,6 @@ rounded products and sqrt from numpy.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 
@@ -113,24 +112,19 @@ class RngState:
 def expm(x: np.ndarray) -> np.ndarray:
     """Matrix exponential by a scaled Taylor polynomial plus repeated squaring.
 
-    1. Scale: b = x / 2^s with s = ceil(log2(||x||_F / 0.5)), so ||b||_F <= 0.5.
-    2. Plan (``_expm_plan``): take back d of the s halvings, a = 2^d b, and
-       pick the degree m before evaluating. m is read off one table
-       (``_taylor_degree``): the smallest degree whose tail bound in t
-       guarantees relative truncation error at most 1e-18 in the Frobenius
-       norm at n = 1, and so at every n. Where s = 0, or n is below
-       ``_EXPM_RESCALE_MIN_N`` and s <= 32, d = 0, t = ||a||_F and m >= 2.
-       Otherwise b^2, b^3 and b^4 are formed first, and
-       alpha = max(||b^3||_F^(1/3), ||b^4||_F^(1/4)) bounds ||b^k||_F^(1/k)
-       for every k >= 6. d is the largest with 2^d alpha <= 0.5 and
-       ||a||_F <= ``_EXPM_RESCALE_NORM_CAP``, t = 2^d alpha, and m is at
-       least 5.
-    3. Evaluate the degree-m Taylor polynomial of e^a by Paterson-Stockmeyer
-       in the powers of b, with the coefficients 2^(dk)/k!: form b^2 ... b^q,
-       then run Horner in b^q over blocks of q coefficients. That costs
-       (q - 1) + floor(m / q) - [q divides m] matrix products, e.g. 4 for
-       m = 9, 5 for m = 12, 6 for m = 13 ... 16, against m - 1 when summing
-       term by term. q = ceil(sqrt(m)), or 4 where step 2 formed b^4.
+    1. Scale: b = x / 2^s with s = ceil(log2(||x||_F / 0.5)), so ||b||_F <= 0.5,
+       and form b^2, b^3 and b^4.
+    2. Plan (``_expm_plan``): take back d of the s halvings, a = 2^d b. Where
+       s = 0, or n is below ``_EXPM_RESCALE_MIN_N`` and s <= 32, d = 0.
+       Otherwise alpha = max(||b^3||_F^(1/3), ||b^4||_F^(1/4)) bounds
+       ||b^k||_F^(1/k) for every k >= 6, and d is the largest with
+       2^d alpha <= 0.5 and ||a||_F <= ``_EXPM_RESCALE_NORM_CAP``.
+    3. Evaluate the degree-16 Taylor polynomial of e^a by Paterson-Stockmeyer
+       in the powers of b, with the coefficients 2^(dk)/k!: one product of
+       the 4 x 5 coefficient matrix with the stack b^0 ... b^4 gives the
+       blocks sum_j c_(4i+j) b^j, j < 4, with c_16 b^4 in block 3; then three
+       Horner steps in b^4. Six matrix products in all, against 15 when
+       summing term by term.
     4. Square s - d times.
 
     x must be a non-empty square matrix with finite entries (ValueError
@@ -142,120 +136,90 @@ def expm(x: np.ndarray) -> np.ndarray:
     x, norm = square_matrix(x, "expm")
     if not math.isfinite(norm):
         raise ValueError(f"expm: the Frobenius norm of x overflows ({norm})")
-    squarings, d, _, m, powers, bq = _expm_plan(x, norm)
-    q, n = powers.shape[0], powers.shape[1]
-    coeffs = _ps_coefficients(m, q, d)
-    r = coeffs.shape[0] - 1
-    # blocks[i] = sum_j c_(iq + j) b^j over j < q, all r + 1 in one product.
-    # That wide product stays on matmul, as np.dot is 16-23% slower at it at
-    # n = 128 and 256. Every square product below multiplies contiguous
-    # arrays that expm made, so it goes to BLAS by ``ndarray.dot``, without
-    # matmul's gufunc overhead (README, "Products").
-    blocks = (coeffs @ powers.reshape(q, n * n)).reshape(r + 1, n, n)
-    # When q divides m the top block is the scalar c_m, so its step needs no
-    # product; a real scalar scales each part of b^q alone. m >= 2, so r >= 1.
-    if m % q:
-        result = blocks[r].dot(bq)
-    else:
-        result = bq * coeffs[r, 0].real
-    result += blocks[r - 1]
-    for i in range(r - 2, -1, -1):
-        result = result.dot(bq)
+    squarings, d, powers = _expm_plan(x, norm)
+    n = x.shape[0]
+    # All four blocks in one product. That wide product stays on matmul, as
+    # np.dot is 16-23% slower at it at n = 128 and 256. Every square product
+    # below multiplies contiguous arrays that expm made, so it goes to BLAS
+    # by ``ndarray.dot``, without matmul's gufunc overhead (README,
+    # "Products").
+    blocks = (_ps_coefficients(d) @ powers.reshape(5, n * n)).reshape(4, n, n)
+    b4 = powers[4]
+    result = blocks[3]
+    for i in (2, 1, 0):
+        result = result.dot(b4)
         result += blocks[i]
     for _ in range(squarings):
         result = result.dot(result)
     return result
 
 
-def _expm_plan(x: np.ndarray,
-               norm: float) -> tuple[int, int, float, int, np.ndarray, np.ndarray]:
+def _expm_plan(x: np.ndarray, norm: float) -> tuple[int, int, np.ndarray]:
     """How ``expm`` evaluates e^x, ||x||_F = norm (finite): the tuple
-    (squarings, d, t, m, powers, b^q).
+    (squarings, d, powers).
 
-    e^x is the degree-m Taylor polynomial of a = x / 2^squarings = 2^d b,
-    squared ``squarings`` times; t bounds ||a^k||_F^(1/k) for every k > m and
-    the spectral radius of a. powers stacks b^0 ... b^(q-1), so the q - 1
-    products that form b^2 ... b^q are already spent.
+    e^x is the degree-16 Taylor polynomial of a = x / 2^squarings = 2^d b,
+    squared ``squarings`` times. powers stacks b^0 ... b^4 (``_powers``).
 
-    alpha bounds ||b^k||_F^(1/k) for every k >= 6 (Al-Mohy and Higham, SIAM
-    J. Matrix Anal. Appl. 31, 2009, Lemma 4.1 with p = 3), and the spectral
-    radius of b, which is at most ||b^3||_F^(1/3). So on that path the tail
-    bound of ``_taylor_degree`` holds from m = 5 on, and every eigenvalue of
-    e^a has modulus at least e^-t, so ||e^a||_F >= sqrt(n) e^-t. The table's
-    target 1e-18 (2 - e^t) is at most 1e-18 sqrt(n) e^-t for t >= 0, so
-    max(5, ``_taylor_degree(t)``) meets that bound too.
+    Degree 16 meets the tail bound t^17/17! / (1 - t/18) <= 1e-18 L, where t
+    bounds ||a^k||_F^(1/k) for every k > 16 and L bounds ||e^a||_F from
+    below, on both plans. On the norm plan, t = ||a||_F <= 0.5 and
+    L = sqrt(n) - expm1(t), since ||e^a - I||_F <= e^t - 1; the n = 1 target
+    1e-18 (2 - e^t) is met up to t = 0.57, past the few ulps by which the
+    scaling's rounding can leave t above 0.5, and degree 15 misses it at
+    t = 0.5. On the alpha plan, t = 2^d alpha <= 0.5 bounds ||a^k||_F^(1/k)
+    for k >= 6 (Al-Mohy and Higham, SIAM J. Matrix Anal. Appl. 31, 2009,
+    Lemma 4.1 with p = 3) and the spectral radius of a, which is at most
+    ||a^3||_F^(1/3). So every eigenvalue of e^a has modulus at least e^-t,
+    L = sqrt(n) e^-t, and 1e-18 (2 - e^t) is at most 1e-18 sqrt(n) e^-t for
+    t >= 0.
     """
     n = x.shape[0]
     s = max(0, math.ceil(math.log2(norm / _EXPM_TARGET_NORM))) if norm > 0 else 0
-    t = norm / 2.0 ** s
+    powers = _powers(x, s)
     if s == 0 or (n < _EXPM_RESCALE_MIN_N and 2.0 ** s <= _EXPM_SPECTRAL_CAP):
-        m = max(2, _taylor_degree(t))
-        return (s, 0, t, m) + _powers(x, s, math.ceil(math.sqrt(m)))
-    powers, b4 = _powers(x, s, 4)
-    alpha = max(frobenius_norm(powers[3]) ** (1.0 / 3.0), frobenius_norm(b4) ** 0.25)
+        return s, 0, powers
+    alpha = max(frobenius_norm(powers[3]) ** (1.0 / 3.0), frobenius_norm(powers[4]) ** 0.25)
     if 2.0 ** s * alpha > _EXPM_SPECTRAL_CAP:
         raise ValueError(
             f"expm: x is out of range: scaling its norm takes s = {s} halvings, and "
             f"its spectral bound max(||x^3||_F^(1/3), ||x^4||_F^(1/4)) = {2.0 ** s * alpha:.3e} "
             f"exceeds 2^32")
+    t = norm / 2.0 ** s
     d = 0
     while (d < s and 2.0 ** (d + 1) * alpha <= _EXPM_TARGET_NORM
            and 2.0 ** (d + 1) * t <= _EXPM_RESCALE_NORM_CAP):
         d += 1
-    t = 2.0 ** d * alpha
-    return s - d, d, t, max(5, _taylor_degree(t)), powers, b4
+    return s - d, d, powers
 
 
-def _powers(x: np.ndarray, s: int, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """b^0 ... b^(q-1), b = x / 2^s, stacked in one (q, n, n) array, and b^q.
+def _powers(x: np.ndarray, s: int) -> np.ndarray:
+    """b^0 ... b^4, b = x / 2^s, stacked in one (5, n, n) array.
 
     b = x * 2^-s, which rounds as x / 2^s does, is written straight into the
     stack, so every product multiplies contiguous arrays made here."""
     n = x.shape[0]
-    powers = np.empty((q, n, n), dtype=np.complex128)
+    powers = np.empty((5, n, n), dtype=np.complex128)
     powers[0] = 0.0
     powers[0].ravel()[:: n + 1] = 1.0
     b = np.multiply(x, 2.0 ** -s, out=powers[1])
-    for j in range(2, q):
+    for j in range(2, 5):
         np.dot(powers[j - 1], b, out=powers[j])
-    return powers, powers[q - 1].dot(b)
+    return powers
 
 
 @functools.lru_cache(maxsize=None)
-def _ps_coefficients(m: int, q: int, d: int) -> np.ndarray:
-    """The Taylor coefficients 2^(dk)/k!, k <= m, as r + 1 = floor(m/q) + 1
-    rows of q, padded with zeros past m; complex, as the powers they meet,
-    and read-only, shared by every call."""
-    r = m // q
-    coeffs = np.zeros((r + 1) * q, dtype=np.complex128)
-    coeffs[: m + 1] = np.ldexp(_INV_FACTORIAL[: m + 1], d * np.arange(m + 1))
-    coeffs = coeffs.reshape(r + 1, q)
+def _ps_coefficients(d: int) -> np.ndarray:
+    """The Taylor coefficients c_k = 2^(dk)/k!, k <= 16, as the 4 x 5 matrix
+    whose row i holds c_(4i) ... c_(4i+3) against b^0 ... b^3, and whose
+    column 4, against b^4, holds c_16 in row 3 and zeros above; complex, as
+    the powers it meets, and read-only, shared by every call."""
+    c = np.ldexp([1.0 / math.factorial(k) for k in range(17)], d * np.arange(17))
+    coeffs = np.zeros((4, 5), dtype=np.complex128)
+    coeffs[:, :4] = c[:16].reshape(4, 4)
+    coeffs[3, 4] = c[16]
     coeffs.flags.writeable = False
     return coeffs
-
-
-# Entry m is the largest float t at which degree m meets ``_taylor_degree``'s n = 1 bound.
-_DEGREE_THRESHOLDS = (
-    1e-18, 1.4142135610397619e-09, 1.8171192170286194e-06, 6.999124049661844e-05,
-    0.0006542894367173023, 0.0029920849016530082, 0.009054259575098745, 0.021105330952313272,
-    0.04125489942903871, 0.07118130812540457, 0.11202083834529417, 0.164353569275378,
-    0.2282163141531291, 0.303078034618753, 0.38768534776596225, 0.479545040997999)
-_INV_FACTORIAL = np.array([1.0 / math.factorial(k) for k in range(len(_DEGREE_THRESHOLDS) + 1)])
-
-
-def _taylor_degree(t: float) -> int:
-    """Taylor degree m for exp(a), ||a||_F = t <= 0.5, at any n.
-
-    The tail past degree m is at most t^(m+1)/(m+1)! / (1 - t/(m+2)) in the
-    Frobenius norm (a geometric bound on the ratio of its terms), and
-    ||exp(a)||_F >= sqrt(n) - expm1(t), since ||exp(a) - I||_F <= e^t - 1.
-    m is the smallest degree whose tail is at most 1e-18 times that lower
-    bound at n = 1, the count of ``_DEGREE_THRESHOLDS`` below t:
-    0 at t = 0, 16 at 0.5. The bound grows with n, so m meets it at every n;
-    and 16 meets it up to t = 0.57, past the few ulps by which the scaling's
-    rounding can leave t above 0.5.
-    """
-    return bisect.bisect_left(_DEGREE_THRESHOLDS, t)
 
 
 def random_params(n: int, rng: RngState) -> CcskParams:

@@ -67,7 +67,7 @@ class CcskParams:
     The constructor checks shapes, finiteness and that no column's norm
     overflows. The package builds its own results with ``_unchecked``
     instead, from arrays that come out of checked input: ``decompose`` once
-    its gate has passed, ``random_params`` and ``params_from_generator``.
+    its gate has passed, and ``random_params``.
     """
 
     thetas: np.ndarray
@@ -178,9 +178,9 @@ def assemble_generator(p: CcskParams) -> np.ndarray:
 def params_from_generator(x) -> CcskParams:
     """Read parameters off a generator: thetas from Im(diag), z from the upper triangle.
 
-    x is checked on entry (``square_matrix``: finite entries), so the two
-    arrays read off it are finite and of the right shapes, and the result is
-    built unchecked.
+    The result goes through the checked constructor: finite entries can still
+    make a column whose norm overflows (x_01 = 1e200 = -x_10 passes both gates
+    here), and ``CcskParams`` refuses that column.
     """
     x, _ = square_matrix(x, "params_from_generator")
     n = x.shape[0]
@@ -194,4 +194,4 @@ def params_from_generator(x) -> CcskParams:
         worst = float(np.max(np.abs(diag.real)))
         raise ValueError(
             f"generator diagonal has real part up to {worst:.3e}; not in u(n)")
-    return CcskParams._unchecked(diag.imag.copy(), x.T[_strictly_lower(n)])
+    return CcskParams(diag.imag.copy(), x.T[_strictly_lower(n)])

@@ -7,8 +7,8 @@ import pytest
 from ccsk.blockexp import compose
 from ccsk.decompose import roundtrip_error
 from ccsk.linalg import frobenius_norm, unitarity_defect
-from ccsk.oracle import (_DEGREE_THRESHOLDS, _EXPM_RESCALE_MIN_N, RngState, _expm_plan,
-                         _taylor_degree, expm, random_params)
+from ccsk.oracle import (_EXPM_RESCALE_MIN_N, RngState, _expm_plan, _ps_coefficients, expm,
+                         random_params)
 from ccsk.params import CcskParams, assemble_generator
 
 from conftest import (NON_FINITE_MATRICES, complex_gaussian_vector,
@@ -86,8 +86,8 @@ class TestExpm:
             x = x * (scale / frobenius_norm(x))
             assert unitarity_defect(expm(x)) <= 1e-11 * 6
 
-    # A tiny x takes degree 2, not 0: e^x = I + x + x^2/2 rounds to I + x
-    # exactly, where degree 0 gave I.
+    # A tiny x takes the same degree-16 polynomial as any other: e^x =
+    # I + x + x^2/2 + ... rounds to I + x exactly, not to I.
     def test_tiny_norm_keeps_the_linear_term(self):
         x = 1e-20 * np.array([[0, 1], [-1, 0]], dtype=complex)
         np.testing.assert_array_equal(expm(x), np.eye(2) + x)
@@ -172,7 +172,10 @@ def with_norm(y: np.ndarray, target: float) -> np.ndarray:
 
 ORACLE_DIMS = [1, 2, 3, 8, 33, 128]
 # 0.5 * 2^k sits on the scaling boundary: s = k and ||a||_F = 0.5 exactly.
-ORACLE_NORMS = [0.0, 1e-12, 0.5, 0.5 * 2 ** 2, 0.5 * 2 ** 5, 1.0, 50.0, 1e3]
+# The norms up to 0.5 take no squaring, and those below about 0.23 (1e-12
+# ... 0.2) are where a degree fitted to ||x||_F would drop below 16.
+ORACLE_NORMS = [0.0, 1e-12, 1e-6, 1e-3, 0.05, 0.2, 0.5, 0.5 * 2 ** 2, 0.5 * 2 ** 5, 1.0, 50.0,
+                1e3]
 
 
 class TestExpmAgainstReference:
@@ -190,9 +193,7 @@ class TestExpmAgainstReference:
             defects.append([unitarity_defect(got), unitarity_defect(want)])
         # Defects of a few ulps are noise: one input in twenty at n <= 8 has a
         # defect over twice the loop's, either way round. So the means over
-        # ten seeds are compared, each defect counted as at least eps: at
-        # ||x||_F = 1e-12 the degree is 1 and the defect ||a^H a||_F is about
-        # 1e-24, where the loop's extra a^2/2 leaves 1e-28.
+        # ten seeds are compared, each defect counted as at least eps.
         ours, loops = np.maximum(defects, np.finfo(float).eps).mean(axis=0)
         assert ours <= 2 * loops
 
@@ -240,75 +241,38 @@ def tail_bound(t: float, m: int) -> float:
     return t ** (m + 1) / math.factorial(m + 1) / (1 - t / (m + 2))
 
 
-def tail_degree(t: float, target: float, m: int) -> int:
-    """The reference search: the smallest degree from m on, capped at 40,
-    whose tail bound t^(m+1)/(m+1)! / (1 - t/(m+2)) is at most target."""
-    tail_term = t ** (m + 1) / math.factorial(m + 1)
-    while m < 40 and not tail_term / (1.0 - t / (m + 2)) <= target:
-        m += 1
-        tail_term *= t / (m + 1)
-    return m
-
-
-def n1_degree(t: float) -> int:
-    """The smallest degree meeting the tail bound at n = 1, by the search."""
-    return tail_degree(t, 1e-18 * (1 - math.expm1(t)), 0)
-
-
 class TestTaylorDegree:
-    # The degree read off the n = 1 table meets the bound at every n, and is
-    # the smallest that does at n = 1.
+    # expm evaluates the degree-16 Taylor polynomial at every input. Its tail
+    # bound meets 1e-18 times both plans' lower bounds on ||e^a||_F:
+    # sqrt(n) - expm1(t) where t = ||a||_F, and sqrt(n) e^-t where t is the
+    # spectral bound. t = 0.57 covers the few ulps by which the scaling's
+    # rounding can leave t above 0.5. At n = 1, degree 15 misses the bound
+    # from t = 0.48 on, so no smaller degree serves all of [0, 0.5].
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 33, 128, 10 ** 6])
-    @pytest.mark.parametrize("t", [0.0, 1e-300, 1e-12, 1e-3, 0.1, 0.25, 0.3, 0.49, 0.5])
+    @pytest.mark.parametrize("t", [0.0, 1e-300, 1e-12, 1e-3, 0.1, 0.25, 0.3, 0.49, 0.5, 0.57])
     def test_smallest_degree_meeting_the_bound(self, t, n):
-        target = 1e-18 * (math.sqrt(n) - math.expm1(t))
-        m = _taylor_degree(t)
-        assert tail_bound(t, m) <= target
-        if n == 1:
-            assert m == 0 or tail_bound(t, m - 1) > target
+        target = 1e-18 * min(math.sqrt(n) - math.expm1(t), math.sqrt(n) * math.exp(-t))
+        assert tail_bound(t, 16) <= target
+        if n == 1 and t >= 0.49:
+            assert tail_bound(t, 15) > target
 
-    def test_thresholds_are_regenerated_by_the_search(self):
-        # Threshold m is the last float at which the n = 1 search gives at
-        # most degree m; degree 16 covers the rest of [0, 0.5].
-        assert len(_DEGREE_THRESHOLDS) == n1_degree(0.5) == 16
-        for m, threshold in enumerate(_DEGREE_THRESHOLDS):
-            assert n1_degree(threshold) <= m
-            assert n1_degree(math.nextafter(threshold, 1.0)) > m
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 15])
-    def test_thresholds_give_the_searched_degree(self, n):
-        # On a dense grid of [0, 0.5] and on either side of every threshold,
-        # the table gives the n = 1 search's degree, which meets the bound at n.
-        ts = np.linspace(0.0, 0.5, 20001).tolist() + np.logspace(-20, -0.302, 2001).tolist()
-        for threshold in _DEGREE_THRESHOLDS:
-            below, above = threshold, threshold
-            for _ in range(3):
-                below, above = math.nextafter(below, 0.0), math.nextafter(above, 1.0)
-                ts += [below, threshold, above]
-        degrees = [_taylor_degree(t) for t in ts]
-        assert degrees == [n1_degree(t) for t in ts]
-        assert all(tail_bound(t, m) <= 1e-18 * (math.sqrt(n) - math.expm1(t))
-                   for t, m in zip(ts, degrees))
-
-    # On the spectral plan t bounds ||a^k||_F^(1/k) only for k >= 6, and the
-    # lower bound on ||e^a||_F is sqrt(n) e^-t: max(5, the table's degree)
-    # meets that bound, and is never below the search's smallest degree.
     @pytest.mark.parametrize("n", [16, 64, 256, 4096])
-    def test_table_meets_the_spectral_bound(self, n):
-        for t in np.linspace(0.0, 0.5, 5001).tolist() + list(_DEGREE_THRESHOLDS[:-1]):
-            target = 1e-18 * math.sqrt(n) * math.exp(-t)
-            m = max(5, _taylor_degree(t))
-            assert tail_bound(t, m) <= target
-            assert m >= tail_degree(t, target, 5)
+    def test_meets_the_spectral_bound(self, n):
+        for t in np.linspace(0.0, 0.57, 5701).tolist():
+            assert tail_bound(t, 16) <= 1e-18 * math.sqrt(n) * math.exp(-t)
 
     def test_known_degrees(self):
-        assert _taylor_degree(0.0) == 0
-        assert _taylor_degree(1e-12) == 1
-        assert _taylor_degree(0.5) == 16
-        # The scaling's rounding can leave t a few ulps above 0.5; the last
-        # degree meets the n = 1 bound well beyond.
-        for t in (0.5 * (1 + 4 * np.finfo(float).eps), 0.57):
-            assert _taylor_degree(t) == 16
+        # The coefficient matrix holds c_k = 2^(dk)/k! for k <= 16, c_16
+        # against b^4 in the last block, and nothing else, at every d the
+        # norm cap allows; and degree 16 meets the n = 1 bound on all of
+        # [0, 0.57].
+        for d in range(4):
+            c = [math.ldexp(1.0 / math.factorial(k), d * k) for k in range(17)]
+            coeffs = _ps_coefficients(d)
+            assert coeffs.shape == (4, 5)
+            np.testing.assert_array_equal(coeffs[:, :4].ravel(), c[:16])
+            np.testing.assert_array_equal(coeffs[:, 4], [0.0, 0.0, 0.0, c[16]])
+        for t in np.linspace(0.0, 0.57, 5701).tolist():
             assert tail_bound(t, 16) <= 1e-18 * (1 - math.expm1(t))
 
 
@@ -323,10 +287,10 @@ def oracle_inputs(n: int, norm: float) -> list[np.ndarray]:
 
 
 def plan_products(x: np.ndarray) -> int:
-    """The matrix products of expm(x): b^2 ... b^q, Horner, and squarings."""
-    squarings, _, _, m, powers, _ = _expm_plan(x, frobenius_norm(x))
-    q = powers.shape[0]
-    return (q - 1) + m // q - (m % q == 0) + squarings
+    """The matrix products of expm(x): b^2 ... b^4, the Horner steps in b^4,
+    and the squarings."""
+    squarings, d, powers = _expm_plan(x, frobenius_norm(x))
+    return (powers.shape[0] - 2) + (_ps_coefficients(d).shape[0] - 1) + squarings
 
 
 class TestExpmScaling:
@@ -352,15 +316,20 @@ class TestExpmScaling:
     @pytest.mark.parametrize("norm", ORACLE_NORMS)
     @pytest.mark.parametrize("n", ORACLE_DIMS)
     def test_the_degree_bound_holds(self, n, norm):
-        # t bounds ||a^k||_F^(1/k) past the degree and the spectral radius of
-        # a; the slack is the rounding of the k products (about 3 ulps seen
-        # at n = 1, where ||a^k||_F = t^k).
+        # t, ||a||_F where no halving was taken back and
+        # max(||a^3||_F^(1/3), ||a^4||_F^(1/4)) where some were, is at most
+        # 0.5 and bounds ||a^k||_F^(1/k) past degree 16 and the spectral
+        # radius of a; the slack is the rounding of the k products (about 3
+        # ulps seen at n = 1, where ||a^k||_F = t^k).
         for x in oracle_inputs(n, norm):
-            squarings, d, t, m, _, _ = _expm_plan(x, frobenius_norm(x))
-            assert m >= (5 if d else 0)
+            squarings, d, _ = _expm_plan(x, frobenius_norm(x))
             a = x / 2.0 ** squarings
-            ak = np.linalg.matrix_power(a, 5)
-            for k in range(6, m + 9):
+            a3 = a @ a @ a
+            t = (frobenius_norm(a) if d == 0
+                 else max(frobenius_norm(a3) ** (1.0 / 3.0), frobenius_norm(a3 @ a) ** 0.25))
+            assert t <= 0.5 * (1 + 1e-13)
+            ak = np.linalg.matrix_power(a, 16)
+            for k in range(17, 25):
                 ak = ak @ a
                 assert frobenius_norm(ak) <= t ** k * (1 + 1e-13)
             assert np.abs(np.linalg.eigvals(a)).max() <= t * (1 + 1e-13)
@@ -368,12 +337,14 @@ class TestExpmScaling:
     @pytest.mark.parametrize("norm", ORACLE_NORMS)
     @pytest.mark.parametrize("n", [n for n in ORACLE_DIMS if n < _EXPM_RESCALE_MIN_N])
     def test_below_the_crossover_the_plan_is_the_norm_one(self, n, norm):
+        # s is the fewest halvings that bring ||b||_F to 0.5, and none is
+        # taken back: the stack holds b = x 2^-s itself.
         for x in oracle_inputs(n, norm):
-            squarings, d, t, m, _, _ = _expm_plan(x, frobenius_norm(x))
+            squarings, d, powers = _expm_plan(x, frobenius_norm(x))
             assert d == 0
-            assert t == frobenius_norm(x) / 2.0 ** squarings
-            # Degree 2 at least, so the Horner loop always has a step.
-            assert m == max(2, _taylor_degree(t))
+            np.testing.assert_array_equal(powers[1], x * 2.0 ** -squarings)
+            assert frobenius_norm(powers[1]) <= 0.5 * (1 + 1e-15)
+            assert squarings == 0 or frobenius_norm(2.0 * powers[1]) > 0.5
 
     # Scaling by ||x||_F took 6 (n = 128) and 7 (n = 256) squarings, 12
     # products in all.

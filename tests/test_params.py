@@ -132,12 +132,16 @@ class TestPackedLayout:
                 CcskParams(np.zeros(n), z)
 
 
-# The package's own results skip the constructor's checks
+# Two of the package's own results skip the constructor's checks
 # (CcskParams._unchecked): they are built from arrays that come out of
-# checked input.
+# checked input. params_from_generator goes through them, as finite entries
+# can make a column whose norm overflows.
 UNCHECKED_RESULTS = {
     "decompose": lambda n: decompose(compose(random_params(n, RngState(n)))),
     "random_params": lambda n: random_params(n, RngState(n)),
+}
+RESULTS = {
+    **UNCHECKED_RESULTS,
     "params_from_generator":
         lambda n: params_from_generator(assemble_generator(random_params(n, RngState(n)))),
 }
@@ -148,10 +152,10 @@ class ConstructorCheckRan(Exception):
 
 
 class TestUncheckedResults:
-    @pytest.mark.parametrize("make", sorted(UNCHECKED_RESULTS))
+    @pytest.mark.parametrize("make", sorted(RESULTS))
     @pytest.mark.parametrize("n", [1, 2, 3, 33, 65, 128])
     def test_well_formed(self, n, make):
-        p = UNCHECKED_RESULTS[make](n)
+        p = RESULTS[make](n)
         assert p == CcskParams(p.thetas, p.z)
         assert p.thetas.dtype == np.float64 and p.thetas.shape == (n,)
         assert p.z.dtype == np.complex128 and p.z.shape == (n * (n - 1) // 2,)
@@ -159,9 +163,9 @@ class TestUncheckedResults:
         assert np.isfinite(p.thetas).all() and np.isfinite(p.z).all()
 
     def test_the_checks_run_only_at_the_boundary(self, monkeypatch):
-        # With the constructor's checks made to fail, every result the
-        # package builds itself still comes back; a params document, read
-        # from outside, still goes through them.
+        # With the constructor's checks made to fail, every unchecked result
+        # still comes back; a params document, read from outside, and the
+        # parameters of a generator still go through them.
         def check(self):
             raise ConstructorCheckRan
 
@@ -170,6 +174,8 @@ class TestUncheckedResults:
         assert results["decompose"].n == 8
         with pytest.raises(ConstructorCheckRan):
             params_from_doc(params_doc(results["random_params"]))
+        with pytest.raises(ConstructorCheckRan):
+            RESULTS["params_from_generator"](8)
 
 
 def column_at(rho: float, length: int, seed: int) -> np.ndarray:
@@ -256,6 +262,18 @@ class TestParamsFromGenerator:
         with pytest.raises(ValueError, match=r"^matrix is not anti-Hermitian: defect "
                                              r"2\.828e\+00 exceeds 2\.000e-12$"):
             params_from_generator(np.eye(2))
+
+    # x_01 = 1e200 = -x_10 passes the anti-Hermitian gate (defect 0) and the
+    # diagonal check, but z_2 = [1e200] has a norm that overflows, which
+    # compose cannot take: it raised math domain error at n = 2 and overflowed
+    # in matmul at n = 12.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("n", [2, 12])
+    def test_rejects_a_column_whose_norm_overflows(self, n):
+        x = np.zeros((n, n), dtype=complex)
+        x[0, 1], x[1, 0] = 1e200, -1e200
+        with pytest.raises(ValueError, match="^z column for j=2 has a norm that overflows$"):
+            params_from_generator(x)
 
     def test_rejects_real_diagonal(self):
         # small enough to pass the overall defect gate (1e-12 * n), large
