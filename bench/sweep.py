@@ -13,7 +13,8 @@ The record holds the values in force.
 
 Method. Each (layer, n) takes one warm-up call, discarded, so that the
 per-n tables built on a first call (``decompose._panels``,
-``blockexp._masks``) are not charged to the timings, and one call that sets
+``blockexp._scatter_mask``, the mask ``blockexp._reflectors`` scatters each
+run's z columns with) are not charged to the timings, and one call that sets
 how many calls a sample times (enough for ``MIN_SAMPLE_S``). Then every
 repeat times one sample of each layer in turn, the order rotating from one
 repeat to the next, so that a drift of the host's speed reaches every layer

@@ -29,22 +29,24 @@ from the same sigma and a: ``exp_k`` serves ``ccsk compare``, and
 tests.
 
 One factor at a time is matrix-vector work. From _MIN_BLOCK = 8 factors on, k
-consecutive factors are combined into one update I + W T W^H, with W = [Z |
-E] the k z columns and the k unit vectors e_j, and T a 2k x 2k matrix (the
-compact WY form of Schreiber and Van Loan, SIAM J. Sci. Stat. Comput. 10,
-1989, here for rank-2 factors). T is never formed: its blocks follow from
-the k x k inverse N = (I - P)^{-1} of a unit upper triangular matrix and the
-coupling matrix Q. ``_runs`` splits F_2 ... F_n into the runs that
-``compose`` and ``decompose`` share: a head, then blocks of _NB.
+consecutive factors are applied as one block. Each factor is a Householder
+reflector up to one sign: with the unit vector w_j = (-sinc(rho/2)/2 z,
+cos(rho/2), 0, ...), F_j = P_j (I - 2 w_j w_j^H), P_j the sign flip of
+coordinate j. So a run F_{j0} ... F_{j1} is P_run (I - V T V^H), with V =
+[w_{j0} ... w_{j1}] and T the k x k upper triangular matrix of the UT
+transform (``_reflectors``): the compact WY form of Schreiber and Van Loan
+(SIAM J. Sci. Stat. Comput. 10, 1989) for rank-1 factors. ``_runs`` splits
+F_2 ... F_n into the runs that ``compose`` and ``decompose`` share: a head,
+then blocks of _NB.
 
 ``compose`` grows its product run by run. Before the run F_{j0} ... F_{j1},
 the product is blockdiag(A, D): A the r x r product so far (r = j0 - 1) and
 D the run's k phases, as no earlier factor touches the last k rows and
 columns. ``_grow`` applies the block to that form, so the one square product
-is A Z_top (r^2 k) and E's coupling Q is a row scaling: r^2 k + j1^2 k + j1
-k^2 complex multiply-adds a run, where the block on the whole leading j1 x
-j1 matrix takes 2 j1^2 k + 2 j1 k^2. ``decompose``'s panels apply the
-adjoint with ``_apply_factors``, to the rows above the panel.
+is A V_top: r^2 k + j1 k^2 + j1^2 k complex multiply-adds a run, where the
+block on the whole leading j1 x j1 matrix takes 2 j1^2 k + j1 k^2.
+``decompose``'s panels apply the adjoint with ``_apply_factors``, to the
+rows above the panel.
 """
 
 from __future__ import annotations
@@ -66,17 +68,18 @@ __all__ = [
 ]
 
 # _runs' block size. compose walks _runs(n, 1) and decompose _runs(n, 2 * _NB).
-# A block has a fixed cost (its N, Q and core scalars: some 35 numpy
+# A block has a fixed cost (``_reflectors``' V and T: some 15 numpy
 # operations, one an LU-based inverse) where a factor taken alone costs about
 # 10, so compose applies its head one factor at a time when it holds fewer
 # than _MIN_BLOCK factors; every later run holds _NB.
-# Measured with one BLAS thread: run alone, the block wins from 6 factors;
-# between decompose and expm calls, as compose is used, the fixed cost grows
-# from about 40 to 100 us. There, over three probes, a block of 6 factors
-# (n = 7) takes 0.92-1.09x the time of single factors, of 7 (n = 8)
-# 0.88-1.00x with a wide spread, of 8 (n = 9) 0.73-0.84x and of 9 (n = 10)
-# 0.71-0.78x; behind a full run (n = 41, 42) 8 and 9 take 0.89-0.93x. So
-# _MIN_BLOCK is 8, and n <= 8 keeps the single-factor path and its bits.
+# Measured with one BLAS thread, compose timed between decompose and expm
+# calls (50 inputs, 21 to 31 alternating rounds, four probes): a block of 6
+# factors (n = 7) takes 0.99-1.07x the time of single factors, of 7 (n = 8)
+# 0.85-0.97x, of 8 (n = 9) 0.70-0.88x and of 9 (n = 10) 0.68x; behind a full
+# run (n = 41, 42) 8 and 9 take 0.84-0.89x. At n = 8 the whole decompose,
+# compose and expm loop took 1.02x with the block (two probes), so the
+# block's gain there does not reach the calls around it. So _MIN_BLOCK stays
+# 8, and n <= 8 keeps the single-factor path and its bits.
 # decompose still reads and peels each panel row on its own, so only the
 # flops move into the block: its panels gain from about n = 128.
 _NB = 32
@@ -162,92 +165,62 @@ def _apply_factor(x: np.ndarray, z: np.ndarray, v: np.ndarray, c: complex, rho: 
 
 
 @functools.lru_cache(maxsize=64)
-def _masks(j0: int, j1: int) -> tuple[np.ndarray, np.ndarray]:
-    """The masks ``_compact_form`` uses for F_{j0} ... F_{j1}, built once.
+def _scatter_mask(j0: int, j1: int) -> np.ndarray:
+    """The mask ``_reflectors`` scatters z_{j0} ... z_{j1} with, built once.
 
-    Row i of the first (k x j1) holds True in its first j0 + i - 1 entries, so
-    Z^T[mask] walks the packed z_{j0} ... z_{j1}; the second (k x k) is the
-    strict upper triangle.
+    Row i (of k x j1) holds True in its first j0 + i - 1 entries, so
+    V^T[mask] walks the packed z columns.
     """
-    k = j1 - j0 + 1
-    masks = np.tri(k, j1, j0 - 2, dtype=bool), ~np.tri(k, dtype=bool)
-    for mask in masks:
-        mask.flags.writeable = False
-    return masks
+    mask = np.tri(j1 - j0 + 1, j1, j0 - 2, dtype=bool)
+    mask.flags.writeable = False
+    return mask
 
 
-# Half-turns of rho in sigma = sinc(rho / pi) and 2 a = sinc(rho / (2 pi))^2.
-_HALF_TURNS = np.array([[1.0 / math.pi], [0.5 / math.pi]])
+# np.sinc takes half-turns: sinc(rho / 2) = sin(rho / 2) / (rho / 2) is
+# np.sinc(_HALF_TURNS * rho).
+_HALF_TURNS = 0.5 / math.pi
 
 
-def _compact_form(seg: np.ndarray, j0: int, j1: int) -> tuple[np.ndarray, ...]:
-    """F_{j0} ... F_{j1} = I + W T W^H on the leading j1 x j1 block, without T.
+def _reflectors(seg: np.ndarray, j0: int, j1: int) -> tuple[np.ndarray, np.ndarray]:
+    """F_{j0} ... F_{j1} = P_run (I - V T V^H) on the leading j1 x j1 block.
 
     seg holds the k = j1 - j0 + 1 consecutive columns z_{j0} ... z_{j1},
-    packed as in ``CcskParams.z``. W = [Z | E], where Z (j1 x k) holds the z
-    columns padded with zeros and E the unit columns e_{j0} ... e_{j1}, the
-    last k of the block. This is the compact WY form of Schreiber and Van
-    Loan (SIAM J. Sci. Stat. Comput. 10, 1989) for rank-2 factors: F_i alone
-    is I + [z_i e_i] C_i [z_i e_i]^H with the core C_i = [[-a, sigma],
-    [-sigma, cos(rho) - 1]] (a and sigma as in ``_apply_factor``), and T =
-    (I - M L)^{-1} M, where M holds the cores and L the inner products z_i^H z_l
-    and e_i^H z_l that couple F_i to a later F_l (z_i^H e_l and e_i^H e_l
-    vanish). Row i of P and Q is C_i times the couplings of F_i, M L = [[P,
-    0], [Q, 0]], and with the unit upper triangular I - P and N = (I - P)^{-1}
-
-        T = [[N D_{-a},             N D_sigma            ],
-             [Q N D_{-a} - D_sigma, Q N D_sigma + D_{cm1}]],
-
-    D_x the diagonal of the vector x. So T is never formed: this returns Z,
-    N, Q and the vectors a, sigma and cm1 = cos(rho) - 1, and ``_grow``
-    (forward) and ``_apply_factors`` (adjoint) apply T from them with k x k
-    products and column scalings.
+    packed as in ``CcskParams.z``. Column i of V (j1 x k) is the unit vector
+    w_j = (-sinc(rho/2)/2 z_j, cos(rho/2), 0, ...) of j = j0 + i, so that
+    F_j = P_j (I - 2 w_j w_j^H) with P_j the sign flip of coordinate j. P_l
+    commutes with the reflectors of every earlier factor, so the flips
+    collect on the left, as P_run, the flip of the last k coordinates; and
+    the product of the reflectors is I - V T V^H with T upper triangular,
+    T^{-1} = I/2 + striu(V^H V) (the UT transform of Joffrain, Low,
+    Quintana-Orti, van de Geijn and Van Zee, ACM TOMS 32, 2006).
     """
     k = j1 - j0 + 1
-    scatter, upper = _masks(j0, j1)
-    z = np.zeros((j1, k), dtype=np.complex128)
-    z.T[scatter] = seg
-    g = z.conj().T @ z
-    rho2 = g.diagonal().real
-    sigma, h = np.sinc(_HALF_TURNS * np.sqrt(rho2))
-    a = 0.5 * h * h
-    cm1 = -a * rho2  # cos(rho) - 1 without the cancellation
-    # The couplings of F_i to a later F_l: z_i^H z_l, and e_i^H z_l in the
-    # last k rows of Z, which vanish for l <= i already. Row i of -P and of Q
-    # is the core row (a, -sigma) and (-sigma, cm1) of C_i (the first
-    # negated) against them.
-    lz = g * upper
-    le = z[-k:]
-    ns = -sigma[:, None]
-    ip = a[:, None] * lz + ns * le
-    q = ns * lz + cm1[:, None] * le
-    ip.ravel()[:: k + 1] = 1.0  # I - P: P vanishes on the diagonal
-    return z, np.linalg.inv(ip), q, a, sigma, cm1
+    scatter = _scatter_mask(j0, j1)
+    v = np.zeros((j1, k), dtype=np.complex128)
+    v.T[scatter] = seg
+    rho = np.linalg.norm(v, axis=0)
+    v *= -0.5 * np.sinc(_HALF_TURNS * rho)
+    v.ravel()[(j0 - 1) * k::k + 1] = np.cos(0.5 * rho)  # w_j's pivot, entry j
+    g = v.conj().T @ v
+    # T^{-1} = I/2 + striu(g). The mask's last k columns are g's strict lower
+    # triangle: w_j meets the last k coordinates above its pivot only.
+    g[scatter[:, j0 - 1:]] = 0.0
+    g.ravel()[::k + 1] = 0.5
+    return v, np.linalg.inv(g)
 
 
 def _apply_factors(m: np.ndarray, seg: np.ndarray, j0: int) -> None:
     """m <- m @ (F_{j0} ... F_{j1})^H, in place: ``decompose``'s block update.
 
     m has j1 columns and seg holds z_{j0} ... z_{j1}, packed as in
-    ``CcskParams.z``. With Y = [m Z, m E] T^H (``_compact_form``), m += Y_Z
-    Z^H and m E += Y_E, where, from the blocks of T,
-
-        Y_Z = (-m Z D_a + m E D_sigma) N^H,
-        Y_E = Y_Z Q^H - m Z D_sigma + m E D_cm1.
-
-    For r rows that is two products of size r x j1 x k (m Z and Y_Z Z^H) and
-    two of size r x k x k: 2 r j1 k + 2 r k^2 complex multiply-adds. The E
-    half of W costs none.
+    ``CcskParams.z``. The adjoint of ``_reflectors``' form is (I - V T^H
+    V^H) P_run: m -= (m V) T^H V^H, then its last k columns change sign.
+    For r rows that is 2 r j1 k + r k^2 complex multiply-adds.
     """
-    j1 = m.shape[1]
-    k = j1 - j0 + 1
-    z, n, q, a, sigma, cm1 = _compact_form(seg, j0, j1)
-    e = m[:, -k:]
-    mz = m @ z
-    yz = (mz * a - e * sigma) @ n.conj().T  # -Y_Z
-    ye = e * cm1 - mz * sigma - yz @ q.conj().T
-    m -= yz @ z.conj().T
-    e += ye
+    v, t = _reflectors(seg, j0, m.shape[1])
+    m -= (m @ v) @ t.conj().T @ v.conj().T
+    last = m[:, j0 - 1:]
+    np.negative(last, out=last)
 
 
 def _grow(a: np.ndarray, d: np.ndarray, seg: np.ndarray, j0: int, j1: int) -> np.ndarray:
@@ -255,30 +228,20 @@ def _grow(a: np.ndarray, d: np.ndarray, seg: np.ndarray, j0: int, j1: int) -> np
 
     a is the r x r product so far (r = j0 - 1), d holds the phases e^{i
     theta_j} of j = j0 ... j1, and seg z_{j0} ... z_{j1}, packed as in
-    ``CcskParams.z``. This is the forward form of the compact WY update on m
-    = blockdiag(a, D_d), whose last k columns E are zero above D_d: with Y =
-    [m Z, m E] T, the product is m + Y_Z Z^H with Y_E added to its last k
-    columns, and as m Z = [a Z_top; d Z_bot] and m E Q = [0; d Q],
+    ``CcskParams.z``. With ``_reflectors``' form, P_run turns diag(d) into
+    -diag(d), so the product is blockdiag(a, -diag(d)) - Y T V^H with
 
-        V = [a Z_top; d (Z_bot + Q)] N,
-        Y_Z = -V D_a - [0; D_{d sigma}],  Y_E = V D_sigma + [0; D_{d cm1}].
+        Y = blockdiag(a, -diag(d)) V = [a V_top; -d V_bot].
 
-    The one square product is a Z_top, r^2 k complex multiply-adds; with V N
-    and Y_Z Z^H, r^2 k + j1^2 k + j1 k^2 in all, where the same update on the
-    whole of m, with m Z and m E Q, takes 2 j1^2 k + 2 j1 k^2.
+    The one square product is a V_top, r^2 k complex multiply-adds; with
+    Y T and the rank-k update, r^2 k + j1 k^2 + j1^2 k in all.
     """
     r = j0 - 1
-    k = j1 - r
-    z, n, q, ca, sigma, cm1 = _compact_form(seg, j0, j1)
-    v = np.concatenate((a @ z[:r], d[:, None] * (z[r:] + q))) @ n
-    yz = v * -ca  # Y_Z
-    ye = v * sigma
-    diagonal = slice(r * k, None, k + 1)  # that of the last k rows, raveled
-    yz.ravel()[diagonal] -= d * sigma
-    ye.ravel()[diagonal] += d * (1.0 + cm1)  # E's D_d, added here
-    out = yz @ z.conj().T
+    v, t = _reflectors(seg, j0, j1)
+    y = np.concatenate((a @ v[:r], -d[:, None] * v[r:]))
+    out = (y @ -t) @ v.conj().T
     out[:r, :r] += a
-    out[:, r:] += ye
+    out.ravel()[r * (j1 + 1)::j1 + 1] -= d  # the trailing diagonal
     return out
 
 

@@ -18,7 +18,8 @@ Reading row j needs only row j itself to be up to date. So the peel walks
 the runs of ``blockexp._runs`` (head 2 * _NB) from the last, each as a
 panel: each factor of the run is applied at once to the panel's rows alone,
 and the rows above the panel take all its factors in one aggregated block,
-the adjoint of I + W T W^H (the compact WY form, see ``blockexp``), as
+the adjoint (I - V T^H V^H) P_run of the run's reflector form
+(``blockexp._reflectors``, applied by ``blockexp._apply_factors``), as
 matrix-matrix products. The head's panel is the whole remaining block.
 
 The unitarity gate (defect at most ``unitarity_tol * n``) is the one
@@ -60,8 +61,13 @@ __all__ = [
 ]
 
 # At or below this |pivot| the pivot's phase is noise: the convention
-# theta_j := 0 fires (see ``decompose``).
-ZERO_PIVOT_TOL = 1e-12
+# theta_j := 0 fires (see ``decompose``). Discarding the phase leaves a
+# residue of up to 2 |pivot| in row j, so the tolerance is at the rounding
+# level: 8 eps, above the largest |pivot| read at a column with rho_j = pi/2
+# exactly (3.7 eps, 900 draws at n <= 200). A larger pivot, however small, is
+# the input's: under columns near pi/2 the chart's conditioning turns such a
+# column's pivot into one of 1e-13, whose phase the roundtrip needs.
+ZERO_PIVOT_TOL = 8 * 2.0 ** -52
 
 # The rounding that the peel adds to the bound 2 ||R||_F + ||R||_F^2 on the
 # defect, as a multiple of n^{3/2}: the bound fell below the exact defect by

@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from ccsk.blockexp import (_MIN_BLOCK, _NB, _apply_factor, _apply_factors, _compact_form,
-                           _grow, _runs, compose, exp_column_factor, exp_diagonal, exp_k,
-                           k_matrix)
+from ccsk.blockexp import (_MIN_BLOCK, _NB, _apply_factor, _apply_factors, _grow,
+                           _reflectors, _runs, compose, exp_column_factor, exp_diagonal,
+                           exp_k, k_matrix)
 from ccsk.linalg import frobenius_norm, unitarity_defect
 from ccsk.oracle import RngState, expm, random_params
 from ccsk.params import CcskParams, assemble_generator
@@ -15,8 +15,19 @@ from conftest import (OVERFLOWING_Z, complex_gaussian_vector, random_complex_mat
                       rejects_non_finite)
 
 
+EPS = np.finfo(float).eps
+
+
 def random_z(rng, m):
     return complex_gaussian_vector(rng, m)
+
+
+def reflector(z, rho, n, j):
+    """I - 2 w w^H, w = (-sinc(rho/2)/2 z, cos(rho/2), 0, ...) in C^n, built densely."""
+    w = np.zeros(n, dtype=complex)
+    w[:j - 1] = -0.5 * (math.sin(0.5 * rho) / (0.5 * rho) if rho else 1.0) * z
+    w[j - 1] = math.cos(0.5 * rho)
+    return np.eye(n) - 2.0 * np.outer(w, w.conj())
 
 
 class TestKAlgebra:
@@ -138,6 +149,18 @@ class TestExpColumnFactor:
             xj[j - 1, : j - 1] = -z.conj()
             assert frobenius_norm(exp_column_factor(z, n, j) - expm(xj)) <= 1e-12
 
+    @pytest.mark.parametrize("j", [2, 5, 6])
+    @pytest.mark.parametrize("rho", [0.0, 1e-170, 1e-8, 1.0, math.pi / 2])
+    def test_signed_householder_reflector(self, rng, rho, j):
+        # F_j = P_j (I - 2 w w^H), P_j the sign flip of coordinate j. Up to a
+        # few ulps: the reflector's pivot 1 - 2 cos^2(rho/2) cancels near pi/2
+        # (2.7 eps entrywise over 1500 draws).
+        v = random_z(rng, j - 1)
+        z = rho * v / np.linalg.norm(v)
+        want = reflector(z, rho, 6, j)
+        want[j - 1] *= -1.0
+        assert np.max(np.abs(exp_column_factor(z, 6, j) - want)) <= 4 * EPS
+
     def test_shape_errors(self):
         with pytest.raises(ValueError, match="length"):
             exp_column_factor(np.zeros(2, dtype=complex), 4, 2)
@@ -216,27 +239,49 @@ class TestFactorKernel:
         assert np.max(np.abs(got - u)) <= 1e-13
 
 
-class TestCompactForm:
-    # F_{j0} ... F_{j1} = I + W T W^H with W = [Z | E], E the last k unit
-    # columns, applied from N, Q and the cores without forming T: forward by
-    # _grow (here from blockdiag(I, I)), adjoint by _apply_factors.
-    @pytest.mark.parametrize("j0, j1", [(2, 2), (2, 6), (5, 5), (4, 9), (2, 32), (97, 128)])
-    def test_matches_dense_product(self, rng, j0, j1):
+class TestReflectors:
+    # F_{j0} ... F_{j1} = P_run (I - V T V^H), P_run the sign flip of the
+    # last k coordinates, with rho = 0, tiny (its square underflows) and
+    # pi/2 at the first, middle and last factor.
+    PAIRS = [(2, 2), (2, 6), (5, 5), (4, 9), (2, 32), (97, 128)]
+
+    @staticmethod
+    def columns(rng, j0, j1):
+        k = j1 - j0 + 1
         zs = [random_z(rng, j - 1) for j in range(j0, j1 + 1)]
-        if len(zs) >= 3:
-            zs[0] = np.zeros(j0 - 1, dtype=complex)
-            zs[-1] *= (math.pi / 2) / np.linalg.norm(zs[-1])
+        # dict(): where k < 3 puts two of them on one factor, the later wins.
+        for i, rho in dict(zip((0, k // 2, k - 1), (0.0, 1e-170, math.pi / 2))).items():
+            zs[i] *= rho / np.linalg.norm(zs[i])
+        return zs
+
+    @pytest.mark.parametrize("j0, j1", PAIRS)
+    def test_unit_columns(self, rng, j0, j1):
+        v, _ = _reflectors(np.concatenate(self.columns(rng, j0, j1)), j0, j1)
+        # Within the rounding of the norm itself (1.5 eps seen).
+        assert np.max(np.abs(np.linalg.norm(v, axis=0) - 1.0)) <= 2 * EPS
+
+    @pytest.mark.parametrize("j0, j1", PAIRS)
+    def test_t_inverse(self, rng, j0, j1):
+        v, t = _reflectors(np.concatenate(self.columns(rng, j0, j1)), j0, j1)
+        k = j1 - j0 + 1
+        t_inverse = 0.5 * np.eye(k) + np.triu(v.conj().T @ v, 1)
+        assert np.max(np.abs(t @ t_inverse - np.eye(k))) <= 1e-14
+
+    @pytest.mark.parametrize("j0, j1", PAIRS)
+    def test_matches_dense_product(self, rng, j0, j1):
+        # The form and its adjoint, also as _apply_factors applies it.
+        zs = self.columns(rng, j0, j1)
         want = np.eye(j1, dtype=complex)
         for j, z in zip(range(j0, j1 + 1), zs):
             want = want @ exp_column_factor(z, j1, j)
         seg = np.concatenate(zs)
-        z = _compact_form(seg, j0, j1)[0]
-        padded = np.zeros_like(z)
-        for i, zi in enumerate(zs):
-            padded[:zi.shape[0], i] = zi
-        assert z.tobytes() == padded.tobytes()
-        got = _grow(np.eye(j0 - 1, dtype=complex), np.ones(len(zs), dtype=complex), seg, j0, j1)
+        v, t = _reflectors(seg, j0, j1)
+        flip = np.ones(j1)
+        flip[j0 - 1:] = -1.0
+        got = flip[:, None] * (np.eye(j1) - v @ t @ v.conj().T)
         assert np.max(np.abs(got - want)) <= 1e-14
+        got = (np.eye(j1) - v @ t.conj().T @ v.conj().T) * flip
+        assert np.max(np.abs(got - want.conj().T)) <= 1e-14
         got = np.eye(j1, dtype=complex)
         _apply_factors(got, seg, j0)
         assert np.max(np.abs(got - want.conj().T)) <= 1e-14
@@ -380,6 +425,25 @@ class TestCompose:
                 cols[j - 2] = rho * d / np.linalg.norm(d)
         p = CcskParams(p.thetas, tuple(cols))
         assert frobenius_norm(compose(p) - single_factor_compose(p)) <= 1e-13 * n
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_signed_reflector_product(self, rng, n):
+        # compose(p) = D' H_2 ... H_n with D' = diag(e^{i theta_1}, -e^{i
+        # theta_2}, ..., -e^{i theta_n}): each P_j commutes with the earlier
+        # reflectors, so every flip moves to the phases. rho = 0, tiny and
+        # pi/2 sit on three of the columns from n = 4.
+        p = random_params(n, rng)
+        cols = list(p.z_columns)
+        if n >= 4:
+            for j, rho in zip((2, n // 2 + 1, n), (0.0, 1e-170, math.pi / 2)):
+                d = random_z(rng, j - 1)
+                cols[j - 2] = rho * d / np.linalg.norm(d)
+        want = exp_diagonal(p.thetas)
+        want[1:] *= -1.0
+        for j, z in zip(range(2, n + 1), cols):
+            want = want @ reflector(z, math.sqrt(np.vdot(z, z).real), n, j)
+        p = CcskParams(p.thetas, tuple(cols))
+        assert frobenius_norm(compose(p) - want) <= 4 * EPS * n
 
     def test_unitarity_sweep(self, rng):
         for n in (1, 2, 5, 16):

@@ -193,10 +193,25 @@ class TestChartEdges:
         assert params_close(p0, q0, 1e-13 * n)
 
     def test_theta_1_takes_the_zero_pivot_convention(self):
-        # theta_1 is read as every theta_j is: a pivot of modulus 1e-13, which
-        # only a loose unitarity_tol admits, has a phase of noise, so 0.
-        u = np.diag([1e-13 * cmath.exp(0.5j), 1.0])
+        # theta_1 is read as every theta_j is: a pivot of modulus below
+        # ZERO_PIVOT_TOL, which only a loose unitarity_tol admits, has a phase
+        # of noise, so 0.
+        u = np.diag([0.5 * decompose_module.ZERO_PIVOT_TOL * cmath.exp(0.5j), 1.0])
         assert decompose(u, unitarity_tol=0.99).thetas[0] == 0.0
+
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_small_pivot_keeps_its_phase(self, n):
+        # A pivot of 1e-13 (rho_n = pi/2 - 1e-13) is the input's, not noise:
+        # its phase is read, so the matrix round-trips at the rounding level.
+        # Setting theta_n := 0 there would leave a residue of about 1e-13.
+        p = with_rho(generic_params(11, n), n, math.pi / 2 - 1e-13)
+        thetas = p.thetas.copy()
+        thetas[n - 1] = 1.0
+        p = CcskParams(thetas, p.z_columns)
+        u = compose(p)
+        q = decompose(u)
+        assert frobenius_norm(compose(q) - u) <= 8 * EPS * n
+        assert abs(math.remainder(q.thetas[n - 1] - p.thetas[n - 1], 2 * math.pi)) <= 1e-2
 
     @pytest.mark.parametrize("first, last", [(math.pi / 2, 0.0), (0.0, math.pi / 2)])
     @pytest.mark.parametrize("n", [3 * _NB - 1, 3 * _NB, 3 * _NB + 1, 200])
