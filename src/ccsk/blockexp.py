@@ -11,38 +11,36 @@ and the ordered product  diag-phases * F_2 * ... * F_n  covers all of U(n).
 The product is NOT the exponential of the summed generator (the factors do
 not commute); see the oracle module for the generic exponential.
 
-F_j is the identity plus a rank-2 correction, so one kernel,
-``_apply_factor``, multiplies it onto the leading j x j block of a matrix in
-place, in O(j^2), without forming it. Splitting the block as [A | b], with
-b its last column:
+Each factor is a Householder reflector up to one sign: with the unit vector
+w_j = (-sinc(rho/2)/2 z, cos(rho/2), 0, ...), F_j = P_j H_j, H_j = I - 2 w_j
+w_j^H and P_j the sign flip of coordinate j. P_l commutes with H_j for j <
+l, as w_j is zero at coordinate l, so every flip moves to the phases:
 
-    w = A z,   A -= (a w + sigma b) z^H,   b <- cos(rho) b + sigma w
+    diag-phases * F_2 * ... * F_n = D' H_2 ... H_n,
+    D' = diag(e^{i theta_1}, -e^{i theta_2}, ..., -e^{i theta_n}).
 
-(the signs of the sigma terms flip for F_j^H). The kernel takes rho and z^H
-= c v from its caller: ``compose`` passes conj(z) and 1, ``decompose`` the
-row it read z from and a scale, so neither the norm nor the conjugate is
-taken twice. ``compose`` starts from the phases and applies F_2 ... F_n,
-sum_j j^2 ~ n^3/3 work in all; ``decompose`` peels with the adjoints.
-``exp_k`` and ``exp_column_factor`` build the factor matrices themselves,
-from the same sigma and a: ``exp_k`` serves ``ccsk compare``, and
+H_j is its own adjoint and inverse, so one kernel, ``_apply_factor``,
+multiplies it onto the leading j columns of a matrix in place, x <- x - 2 (x
+w_j) w_j^H, in O(j^2), for both maps: ``compose`` starts from D' and applies
+H_2 ... H_n, sum_j j^2 ~ n^3/3 work in all, and ``decompose`` peels them
+off, keeping the signs in its D'. ``_reflector`` builds w_j from z_j and
+rho. ``exp_k`` and ``exp_column_factor`` build the factor matrices
+themselves, from sigma and a: ``exp_k`` serves ``ccsk compare``, and
 ``exp_column_factor``, its n x n embedding, is the reference form for the
 tests.
 
 One factor at a time is matrix-vector work. From _MIN_BLOCK = 8 factors on, k
-consecutive factors are applied as one block. Each factor is a Householder
-reflector up to one sign: with the unit vector w_j = (-sinc(rho/2)/2 z,
-cos(rho/2), 0, ...), F_j = P_j (I - 2 w_j w_j^H), P_j the sign flip of
-coordinate j. So a run F_{j0} ... F_{j1} is P_run (I - V T V^H), with V =
-[w_{j0} ... w_{j1}] and T the k x k upper triangular matrix of the UT
-transform (``_reflectors``): the compact WY form of Schreiber and Van Loan
-(SIAM J. Sci. Stat. Comput. 10, 1989) for rank-1 factors. ``_runs`` splits
-F_2 ... F_n into the runs that ``compose`` and ``decompose`` share: a head,
-then blocks of _NB.
+consecutive reflectors are applied as one block: H_{j0} ... H_{j1} = I - V T
+V^H, with V = [w_{j0} ... w_{j1}] and T the k x k upper triangular matrix of
+the UT transform (``_reflectors``), the compact WY form of Schreiber and Van
+Loan (SIAM J. Sci. Stat. Comput. 10, 1989) for rank-1 factors. ``_runs``
+splits H_2 ... H_n into the runs that ``compose`` and ``decompose`` share: a
+head, then blocks of _NB.
 
-``compose`` grows its product run by run. Before the run F_{j0} ... F_{j1},
+``compose`` grows its product run by run. Before the run H_{j0} ... H_{j1},
 the product is blockdiag(A, D): A the r x r product so far (r = j0 - 1) and
-D the run's k phases, as no earlier factor touches the last k rows and
-columns. ``_grow`` applies the block to that form, so the one square product
+D the run's k entries of D', as no earlier reflector touches the last k rows
+and columns. ``_grow`` applies the block to that form, so the one square product
 is A V_top: r^2 k + j1 k^2 + j1^2 k complex multiply-adds a run, where the
 block on the whole leading j1 x j1 matrix takes 2 j1^2 k + j1 k^2.
 ``decompose``'s panels apply the adjoint with ``_apply_factors``, to the
@@ -70,7 +68,7 @@ __all__ = [
 # _runs' block size. compose walks _runs(n, 1) and decompose _runs(n, 2 * _NB).
 # A block has a fixed cost (``_reflectors``' V and T: some 15 numpy
 # operations, one an LU-based inverse) where a factor taken alone costs about
-# 10, so compose applies its head one factor at a time when it holds fewer
+# 9, so compose applies its head one factor at a time when it holds fewer
 # than _MIN_BLOCK factors; every later run holds _NB.
 # Measured with one BLAS thread, compose timed between decompose and expm
 # calls (50 inputs, 21 to 31 alternating rounds, four probes): a block of 6
@@ -79,7 +77,8 @@ __all__ = [
 # run (n = 41, 42) 8 and 9 take 0.84-0.89x. At n = 8 the whole decompose,
 # compose and expm loop took 1.02x with the block (two probes), so the
 # block's gain there does not reach the calls around it. So _MIN_BLOCK stays
-# 8, and n <= 8 keeps the single-factor path and its bits.
+# 8. Those single factors were a rank-2 kernel; against the reflector kernel
+# a block of 8 (n = 9) took 0.90x and of 9 (n = 10) 0.82x (31 rounds).
 # decompose still reads and peels each panel row on its own, so only the
 # flops move into the block: its panels gain from about n = 128.
 _NB = 32
@@ -143,25 +142,26 @@ def _sinc(x: float) -> float:
     return math.sin(x) / x if x else 1.0
 
 
-def _apply_factor(x: np.ndarray, z: np.ndarray, v: np.ndarray, c: complex, rho: float,
-                  inverse: bool) -> None:
-    """x <- x @ F_j (or @ F_j^H with ``inverse``), in place: the one factor kernel.
+def _reflector(z: np.ndarray, rho: float) -> np.ndarray:
+    """w_j = (-sinc(rho/2)/2 z, cos(rho/2)), the unit vector of H_j = P_j F_j,
+    from z = z_j and rho = ||z||: ``compose`` takes the norm, ``decompose``
+    passes the angle it read."""
+    w = np.empty(z.shape[0] + 1, dtype=np.complex128)
+    np.multiply(z, -0.5 * _sinc(0.5 * rho), out=w[:-1])
+    w[-1] = math.cos(0.5 * rho)
+    return w
 
-    x holds the rows to update, restricted to the leading j columns, and z is
-    z_j (length j - 1). The caller passes rho = ||z|| and conj(z) as c * v,
-    so no norm or conjugate is taken here: ``compose`` passes z.conj() and 1,
-    ``decompose`` the row it read z from and a scale.
+
+def _apply_factor(x: np.ndarray, w: np.ndarray) -> None:
+    """x <- x @ H_j = x - 2 (x w) w^H, in place: the one factor kernel.
+
+    x holds the rows to update, restricted to the leading j columns, and w is
+    ``_reflector``'s w_j. H_j is its own adjoint, so ``compose`` and
+    ``decompose`` call it alike; the signs P_j stay in their D'.
     """
-    sigma = _sinc(rho)
-    a = 0.5 * _sinc(0.5 * rho) ** 2
-    if inverse:
-        sigma = -sigma
-    block = x[:, :-1]
-    b = x[:, -1]
-    w = block @ z
-    block -= (a * c * w + sigma * c * b)[:, None] * v
-    b *= math.cos(rho)
-    b += sigma * w
+    y = x @ w
+    y += y
+    x -= y[:, None] * w.conj()
 
 
 @functools.lru_cache(maxsize=64)
@@ -182,17 +182,13 @@ _HALF_TURNS = 0.5 / math.pi
 
 
 def _reflectors(seg: np.ndarray, j0: int, j1: int) -> tuple[np.ndarray, np.ndarray]:
-    """F_{j0} ... F_{j1} = P_run (I - V T V^H) on the leading j1 x j1 block.
+    """H_{j0} ... H_{j1} = I - V T V^H on the leading j1 x j1 block.
 
     seg holds the k = j1 - j0 + 1 consecutive columns z_{j0} ... z_{j1},
-    packed as in ``CcskParams.z``. Column i of V (j1 x k) is the unit vector
-    w_j = (-sinc(rho/2)/2 z_j, cos(rho/2), 0, ...) of j = j0 + i, so that
-    F_j = P_j (I - 2 w_j w_j^H) with P_j the sign flip of coordinate j. P_l
-    commutes with the reflectors of every earlier factor, so the flips
-    collect on the left, as P_run, the flip of the last k coordinates; and
-    the product of the reflectors is I - V T V^H with T upper triangular,
-    T^{-1} = I/2 + striu(V^H V) (the UT transform of Joffrain, Low,
-    Quintana-Orti, van de Geijn and Van Zee, ACM TOMS 32, 2006).
+    packed as in ``CcskParams.z``. Column i of V (j1 x k) is ``_reflector``'s
+    w_j of j = j0 + i, zero-padded, and T is upper triangular with T^{-1} =
+    I/2 + striu(V^H V) (the UT transform of Joffrain, Low, Quintana-Orti,
+    van de Geijn and Van Zee, ACM TOMS 32, 2006).
     """
     k = j1 - j0 + 1
     scatter = _scatter_mask(j0, j1)
@@ -210,45 +206,42 @@ def _reflectors(seg: np.ndarray, j0: int, j1: int) -> tuple[np.ndarray, np.ndarr
 
 
 def _apply_factors(m: np.ndarray, seg: np.ndarray, j0: int) -> None:
-    """m <- m @ (F_{j0} ... F_{j1})^H, in place: ``decompose``'s block update.
+    """m <- m @ (H_{j0} ... H_{j1})^H, in place: ``decompose``'s block update.
 
     m has j1 columns and seg holds z_{j0} ... z_{j1}, packed as in
-    ``CcskParams.z``. The adjoint of ``_reflectors``' form is (I - V T^H
-    V^H) P_run: m -= (m V) T^H V^H, then its last k columns change sign.
-    For r rows that is 2 r j1 k + r k^2 complex multiply-adds.
+    ``CcskParams.z``. The adjoint of ``_reflectors``' form is I - V T^H V^H:
+    m -= (m V) T^H V^H, 2 r j1 k + r k^2 complex multiply-adds for r rows.
     """
     v, t = _reflectors(seg, j0, m.shape[1])
     m -= (m @ v) @ t.conj().T @ v.conj().T
-    last = m[:, j0 - 1:]
-    np.negative(last, out=last)
 
 
 def _grow(a: np.ndarray, d: np.ndarray, seg: np.ndarray, j0: int, j1: int) -> np.ndarray:
-    """blockdiag(a, diag(d)) @ F_{j0} ... F_{j1}, as a new j1 x j1 array.
+    """blockdiag(a, diag(d)) @ H_{j0} ... H_{j1}, as a new j1 x j1 array.
 
-    a is the r x r product so far (r = j0 - 1), d holds the phases e^{i
-    theta_j} of j = j0 ... j1, and seg z_{j0} ... z_{j1}, packed as in
-    ``CcskParams.z``. With ``_reflectors``' form, P_run turns diag(d) into
-    -diag(d), so the product is blockdiag(a, -diag(d)) - Y T V^H with
+    a is the r x r product so far (r = j0 - 1), d holds the entries -e^{i
+    theta_j}, j = j0 ... j1, of D', and seg z_{j0} ... z_{j1}, packed as in
+    ``CcskParams.z``. With ``_reflectors``' form the product is
+    blockdiag(a, diag(d)) - Y T V^H with
 
-        Y = blockdiag(a, -diag(d)) V = [a V_top; -d V_bot].
+        Y = blockdiag(a, diag(d)) V = [a V_top; d V_bot].
 
     The one square product is a V_top, r^2 k complex multiply-adds; with
     Y T and the rank-k update, r^2 k + j1 k^2 + j1^2 k in all.
     """
     r = j0 - 1
     v, t = _reflectors(seg, j0, j1)
-    y = np.concatenate((a @ v[:r], -d[:, None] * v[r:]))
+    y = np.concatenate((a @ v[:r], d[:, None] * v[r:]))
     out = (y @ -t) @ v.conj().T
     out[:r, :r] += a
-    out.ravel()[r * (j1 + 1)::j1 + 1] -= d  # the trailing diagonal
+    out.ravel()[r * (j1 + 1)::j1 + 1] += d  # the trailing diagonal
     return out
 
 
 def _runs(n: int, head: int) -> list[tuple[int, int]]:
-    """The runs (j0, j1) of factors F_{j0} ... F_{j1} that make up F_2 ... F_n.
+    """The runs (j0, j1) of factors H_{j0} ... H_{j1} that make up H_2 ... H_n.
 
-    First the head F_2 ... F_b, b = min(n, head + (n - head) % _NB) ((2, 1),
+    First the head H_2 ... H_b, b = min(n, head + (n - head) % _NB) ((2, 1),
     empty, when b = 1), then runs of _NB factors. ``compose`` takes the head
     1 and applies each run of at least _MIN_BLOCK factors as one block;
     ``decompose`` takes the head 2 * _NB and peels it one factor at a time.
@@ -260,22 +253,22 @@ def _runs(n: int, head: int) -> list[tuple[int, int]]:
 def compose(p: CcskParams) -> np.ndarray:
     """Ordered product: diagonal phases, then the column factors j = 2..n.
 
-    A head of fewer than _MIN_BLOCK factors is applied one factor at a time;
-    every other run grows the product by its rows and columns, from e^{i theta_1}.
+    Formed as D' H_2 ... H_n. A head of fewer than _MIN_BLOCK factors is
+    applied one factor at a time, from diag(D'[:b]); every other run grows
+    the product by its rows and columns, from D'[:1].
     """
+    d = np.exp(1j * p.thetas)
+    d[1:] *= -1.0  # D'
     runs = _runs(p.n, 1)
-    j0, b = runs[0]
-    if b - j0 + 1 < _MIN_BLOCK:
-        u = exp_diagonal(p.thetas[:b])
-        start = 0
-        for j in range(j0, b + 1):
-            z = p.z[start:start + j - 1]
-            start += j - 1
-            _apply_factor(u[:j, :j], z, z.conj(), 1.0, frobenius_norm(z), False)
+    b = runs[0][1]
+    if b - 1 < _MIN_BLOCK:
         del runs[0]
     else:
-        u = exp_diagonal(p.thetas[:1])
+        b = 1
+    u = np.diag(d[:b])
+    for j in range(2, b + 1):
+        z = p.z[z_offset(j):z_offset(j + 1)]
+        _apply_factor(u[:j, :j], _reflector(z, frobenius_norm(z)))
     for j0, j1 in runs:
-        d = np.exp(1j * p.thetas[j0 - 1:j1])
-        u = _grow(u, d, p.z[z_offset(j0):z_offset(j1 + 1)], j0, j1)
+        u = _grow(u, d[j0 - 1:j1], p.z[z_offset(j0):z_offset(j1 + 1)], j0, j1)
     return u

@@ -3,10 +3,12 @@
 The last row of the factor for column j is (-sin(rho) <ztilde|, cos(rho)), and
 every earlier factor leaves row/column j untouched apart from the phase
 e^{i theta_j}. So row j of the current leading block reads off theta_j, rho_j
-and ztilde_j directly; multiplying by the factor's adjoint (in place, with
-the factor kernel ``blockexp._apply_factor``, given the rho and the row just
-read) peels it away and the recursion continues on the leading
-(j-1) x (j-1) block.
+and ztilde_j directly. F_j = P_j H_j (see ``blockexp``), so multiplying by
+the reflector H_j, its own adjoint (in place, with the factor kernel
+``blockexp._apply_factor``, given w_j from the z and rho just read), peels
+it away up to the sign P_j, leaving -e^{i theta_j} on the pivot, and the
+recursion continues on the leading (j-1) x (j-1) block. Row i reads no
+column past i, so no read meets a sign P_j would flip.
 
 rho_j is read as atan2(||off-diagonal row||, |pivot|) and ztilde_j as the row
 over its own norm, so angles near 0 come back to full relative precision
@@ -18,23 +20,25 @@ Reading row j needs only row j itself to be up to date. So the peel walks
 the runs of ``blockexp._runs`` (head 2 * _NB) from the last, each as a
 panel: each factor of the run is applied at once to the panel's rows alone,
 and the rows above the panel take all its factors in one aggregated block,
-the adjoint (I - V T^H V^H) P_run of the run's reflector form
+the adjoint I - V T^H V^H of the run's reflector form
 (``blockexp._reflectors``, applied by ``blockexp._apply_factors``), as
 matrix-matrix products. The head's panel is the whole remaining block.
 
 The unitarity gate (defect at most ``unitarity_tol * n``) is the one
 acceptance test, and it is decided after the peel, from what the peel leaves:
-m = D + R with D = diag(e^{i theta_j}) and u = m Q for the unitary product Q
-of the peeled factors, so the defect of u is at most 2 ||R||_F + ||R||_F^2
-plus the peel's rounding. ||R||_F costs one pass over m - D. The input is
-accepted on that bound when it is at most half the gate, the other half being
-the allowance for rounding. Otherwise the exact defect ||u^H u - I||_F is
-computed, and it decides, as ``ccsk verify`` does at the same tolerance.
+m = D' + R and u = m Q for the unitary product Q of the peeled reflectors,
+with -e^{i theta_j} on D' where the kernel ran and e^{i theta_j} where it did
+not: row 1, and rows zero off the diagonal (z_j = 0). So the defect of u is
+at most 2 ||R||_F + ||R||_F^2 plus the peel's rounding. ||R||_F costs one
+pass over m - D'. The input is accepted on that bound when it is at most
+half the gate, the other half being the allowance for rounding. Otherwise
+the exact defect ||u^H u - I||_F is computed, and it decides, as ``ccsk
+verify`` does at the same tolerance.
 
 No check of the peel's residues follows, because the gate implies it: m^H m =
 Q u^H u Q^H = I + E with ||E||_F = defect(u), and m is upper triangular up to
 rounding, so m is the Cholesky-type factor of I + E and, to first order,
-||R||_F = ||m - D||_F <= defect / sqrt(2) plus rounding (Higham, Accuracy and
+||R||_F = ||m - D'||_F <= defect / sqrt(2) plus rounding (Higham, Accuracy and
 Stability of Numerical Algorithms, ch. 10). Every residue a peeled row and
 column keeps is at most ||R||_F.
 
@@ -51,7 +55,7 @@ import math
 
 import numpy as np
 
-from .blockexp import _NB, _apply_factor, _apply_factors, _runs, compose
+from .blockexp import _NB, _apply_factor, _apply_factors, _reflector, _runs, compose
 from .linalg import frobenius_norm, square_matrix, unitarity_defect
 from .params import CcskParams, z_offset
 
@@ -93,8 +97,8 @@ def decompose(u: np.ndarray, *, unitarity_tol: float = UNITARITY_TOL) -> CcskPar
     ``unitarity_tol * n``, or ValueError("input is not unitary: ...", naming
     the defect, or the norm that overflowed, and the bound), and
     unitarity_tol must be in (0, 1), or ValueError.
-    What that admits, the peel inverts: the residue R it leaves has ||R||_F
-    <= defect / sqrt(2) to first order, plus rounding (see the module
+    What that admits, the peel inverts: it leaves m = D' + R with ||R||_F <=
+    defect / sqrt(2) to first order, plus rounding (see the module
     docstring), so no residue is checked on its own.
     """
     if not 0.0 < unitarity_tol < 1.0:
@@ -112,7 +116,7 @@ def decompose(u: np.ndarray, *, unitarity_tol: float = UNITARITY_TOL) -> CcskPar
     m = u.copy()
     thetas = np.zeros(n)
     z_all = np.zeros(z_offset(n + 1), dtype=np.complex128)
-    phases = []  # e^{i theta_j} for j = n, n-1, ..., 1
+    phases = []  # the diagonal of D', +-e^{i theta_j}, for j = n, n-1, ..., 1
     end = z_all.shape[0]  # z_j is z_all[end - (j - 1):end], walked down from j = n
     for lo, j1 in _panels(n):
         # The panel is rows lo..j1-1, down to row 1 for the head. Each peel
@@ -137,22 +141,20 @@ def decompose(u: np.ndarray, *, unitarity_tol: float = UNITARITY_TOL) -> CcskPar
             # with a -0.0 imaginary part) is the one angle to wrap, so that
             # output is always canonical.
             thetas[j - 1] = theta if theta > -math.pi else math.pi
-            phases.append(phase)
             if s:
-                # z_j = kappa conj(row), so conj(z_j) = conj(kappa) row: the
-                # kernel takes the row itself and the rho just read.
-                kappa = -phase * rho / s
                 z = z_all[start:end]
-                np.multiply(row.conj(), kappa, out=z)
-                _apply_factor(m[lo:j, :j], z, row, kappa.conjugate(), rho, True)
+                np.multiply(row.conj(), -phase * rho / s, out=z)
+                _apply_factor(m[lo:j, :j], _reflector(z, rho))
+                phase = -phase  # the pivot H_j leaves
+            phases.append(phase)
             end = start
         if lo:
             _apply_factors(m[:lo, :j1], z_all[end:top], lo + 1)
 
-    # Now m = D + R with D = diag(e^{i theta_j}), and u = m Q for the unitary
-    # product Q of the peeled factors. So u^H u - I = Q^H (D^H R + R^H D +
-    # R^H R) Q, and defect(u) <= 2 ||R||_F + ||R||_F^2 plus the rounding of
-    # the peel. m becomes R in place.
+    # Now m = D' + R, and u = m Q for the unitary product Q of the peeled
+    # reflectors. So u^H u - I = Q^H (D'^H R + R^H D' + R^H R) Q, and
+    # defect(u) <= 2 ||R||_F + ||R||_F^2 plus the rounding of the peel. m
+    # becomes R in place.
     m.ravel()[:: n + 1] -= phases[::-1]
     r = frobenius_norm(m)
     half = 0.5 * gate

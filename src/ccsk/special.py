@@ -48,10 +48,14 @@ def euler2_factorize(theta1: float, theta2: float, z: complex) -> Euler2Factors:
       left  = diag(e^{i(theta1 + alpha/2)}, e^{i(theta2 - alpha/2)})
       mid   = [[cos r, sin r], [-sin r, cos r]]
       right = diag(e^{-i alpha/2}, e^{i alpha/2})
+    A nan or inf argument, or a z whose modulus overflows, is refused (ValueError).
     """
     z = complex(z)
+    r = math.hypot(z.real, z.imag)  # abs(z), but inf where that overflows
+    if not (math.isfinite(theta1) and math.isfinite(theta2) and math.isfinite(r)):
+        raise ValueError("euler2_factorize requires finite theta1, theta2 and |z|, "
+                         f"got {theta1}, {theta2} and {z}")
     alpha = cmath.phase(z) if z != 0 else 0.0
-    r = abs(z)
     left = np.diag([cmath.exp(1j * (theta1 + alpha / 2.0)),
                     cmath.exp(1j * (theta2 - alpha / 2.0))])
     rotation = np.array([[math.cos(r), math.sin(r)],

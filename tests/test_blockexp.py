@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from ccsk.blockexp import (_MIN_BLOCK, _NB, _apply_factor, _apply_factors, _grow,
-                           _reflectors, _runs, compose, exp_column_factor, exp_diagonal,
-                           exp_k, k_matrix)
+                           _reflector, _reflectors, _runs, compose, exp_column_factor,
+                           exp_diagonal, exp_k, k_matrix)
 from ccsk.linalg import frobenius_norm, unitarity_defect
 from ccsk.oracle import RngState, expm, random_params
 from ccsk.params import CcskParams, assemble_generator
@@ -174,24 +174,34 @@ class TestExpColumnFactor:
             exp_column_factor(z, len(z) + 2, len(z) + 1)
 
 
+def signed_factor(z, j, adjoint):
+    """H_j = P_j F_j on the leading j x j block, from the reference factor
+    exp_column_factor: F_j with row j negated, or, as H_j is its own
+    adjoint, F_j^H with column j negated."""
+    factor = exp_column_factor(z, j, j)
+    if adjoint:
+        factor = factor.conj().T
+        factor[:, j - 1] *= -1.0
+    else:
+        factor[j - 1] *= -1.0
+    return factor
+
+
 class TestApplyFactor:
     # The kernel on the leading j x j block of a larger matrix, as compose
-    # calls it: _apply_factor(u[:j, :j], z, conj(z), 1, ||z||, inverse).
+    # calls it: _apply_factor(u[:j, :j], _reflector(z, ||z||)).
     N = 7
 
-    @pytest.mark.parametrize("inverse", [False, True])
+    @pytest.mark.parametrize("adjoint", [False, True])
     @pytest.mark.parametrize("j", [2, 3, N])
     @pytest.mark.parametrize("rho", [0.0, 1e-15, 1e-8, 1.0, math.pi / 2])
-    def test_matches_dense_factor(self, rng, rho, j, inverse):
+    def test_matches_dense_factor(self, rng, rho, j, adjoint):
         u = random_complex_matrix(rng, self.N, self.N)
         v = random_z(rng, j - 1)
         z = rho * v / np.linalg.norm(v)
-        factor = exp_column_factor(z, j, j)
-        if inverse:
-            factor = factor.conj().T
-        want = u[:j, :j] @ factor
+        want = u[:j, :j] @ signed_factor(z, j, adjoint)
         got = u.copy()
-        _apply_factor(got[:j, :j], z, z.conj(), 1.0, frobenius_norm(z), inverse)
+        _apply_factor(got[:j, :j], _reflector(z, frobenius_norm(z)))
         assert np.max(np.abs(got[:j, :j] - want)) <= 1e-13
         # Everything outside the leading j x j block is untouched, bit for bit.
         outside = np.ones_like(u, dtype=bool)
@@ -200,49 +210,44 @@ class TestApplyFactor:
 
 
 class TestFactorKernel:
-    # _apply_factor(x, z, v, c, rho, inverse) takes rho = ||z|| and conj(z) =
-    # c v from its caller: compose passes (z.conj(), 1), decompose the row it
-    # read z from, z = kappa conj(row), and c = conj(kappa).
+    # _apply_factor(x, w) sets x <- x H_j on more rows than the block has
+    # columns, with w = _reflector(z, rho) built as compose builds it (rho =
+    # ||z||) or as decompose does (z = kappa conj(row), kappa = -e^{i theta}
+    # rho / s, with the rho it read), against H_j = P_j F_j and its adjoint.
     @pytest.mark.parametrize("form", ["compose", "decompose"])
-    @pytest.mark.parametrize("inverse", [False, True])
+    @pytest.mark.parametrize("adjoint", [False, True])
     @pytest.mark.parametrize("j", [2, 5, 9])
     @pytest.mark.parametrize("rho", [0.0, 1e-300, 1e-8, 1.0, math.pi / 2])
-    def test_matches_dense_factor(self, rng, rho, j, inverse, form):
+    def test_matches_dense_factor(self, rng, rho, j, adjoint, form):
         rows = j + 3  # more rows than the block has columns
         u = random_complex_matrix(rng, rows, j + 2)
         row = random_z(rng, j - 1)
         s = math.sqrt(np.vdot(row, row).real)
         if form == "compose":
             z = rho * row / s
-            v, c = z.conj(), 1.0
         else:
-            kappa = -cmath.exp(1j * rng.uniform() * 2 * math.pi) * rho / s
-            z = kappa * row.conj()
-            v, c = row, kappa.conjugate()
-        factor = exp_column_factor(z, j, j)
-        if inverse:
-            factor = factor.conj().T
-        want = u[:, :j] @ factor
+            z = -cmath.exp(1j * rng.uniform() * 2 * math.pi) * rho / s * row.conj()
+        want = u[:, :j] @ signed_factor(z, j, adjoint)
         got = u.copy()
-        _apply_factor(got[:, :j], z, v, c, rho, inverse)
+        _apply_factor(got[:, :j], _reflector(z, rho))
         assert np.max(np.abs(got[:, :j] - want)) <= 1e-14 * j
         # The columns past the block are untouched, bit for bit.
         assert got[:, j:].tobytes() == u[:, j:].tobytes()
 
     def test_inverse_undoes_forward(self, rng):
+        # H_j is its own inverse: applied twice, the kernel gives x back.
         u = random_complex_matrix(rng, 5, 5)
         z = random_z(rng, 3)
-        rho = frobenius_norm(z)
+        w = _reflector(z, frobenius_norm(z))
         got = u.copy()
-        _apply_factor(got[:, :4], z, z.conj(), 1.0, rho, False)
-        _apply_factor(got[:, :4], z, z.conj(), 1.0, rho, True)
+        _apply_factor(got[:, :4], w)
+        _apply_factor(got[:, :4], w)
         assert np.max(np.abs(got - u)) <= 1e-13
 
 
 class TestReflectors:
-    # F_{j0} ... F_{j1} = P_run (I - V T V^H), P_run the sign flip of the
-    # last k coordinates, with rho = 0, tiny (its square underflows) and
-    # pi/2 at the first, middle and last factor.
+    # H_{j0} ... H_{j1} = I - V T V^H, with rho = 0, tiny (its square
+    # underflows) and pi/2 at the first, middle and last factor.
     PAIRS = [(2, 2), (2, 6), (5, 5), (4, 9), (2, 32), (97, 128)]
 
     @staticmethod
@@ -268,19 +273,35 @@ class TestReflectors:
         assert np.max(np.abs(t @ t_inverse - np.eye(k))) <= 1e-14
 
     @pytest.mark.parametrize("j0, j1", PAIRS)
+    def test_columns_are_the_kernel_reflectors(self, rng, j0, j1):
+        # Column i of V is w_j, j = j0 + i, zero-padded: the block evaluates it
+        # with numpy's norm and sinc, the kernel's _reflector with
+        # frobenius_norm and math, so they agree to rounding. The random
+        # columns have rho up to 14, and a rounding of rho moves w by about
+        # eps rho (1.03 eps max(1, rho) seen over 200 draws).
+        zs = self.columns(rng, j0, j1)
+        v, _ = _reflectors(np.concatenate(zs), j0, j1)
+        for i, z in enumerate(zs):
+            rho = frobenius_norm(z)
+            want = np.zeros(j1, dtype=complex)
+            want[:j0 + i] = _reflector(z, rho)
+            assert np.max(np.abs(v[:, i] - want)) <= 2 * EPS * max(1.0, rho)
+
+    @pytest.mark.parametrize("j0, j1", PAIRS)
     def test_matches_dense_product(self, rng, j0, j1):
-        # The form and its adjoint, also as _apply_factors applies it.
+        # I - V T V^H = H_{j0} ... H_{j1}, with H_j = P_j F_j from
+        # exp_column_factor; its adjoint, also as _apply_factors applies it.
         zs = self.columns(rng, j0, j1)
         want = np.eye(j1, dtype=complex)
         for j, z in zip(range(j0, j1 + 1), zs):
-            want = want @ exp_column_factor(z, j1, j)
+            h = exp_column_factor(z, j1, j)
+            h[j - 1] *= -1.0
+            want = want @ h
         seg = np.concatenate(zs)
         v, t = _reflectors(seg, j0, j1)
-        flip = np.ones(j1)
-        flip[j0 - 1:] = -1.0
-        got = flip[:, None] * (np.eye(j1) - v @ t @ v.conj().T)
+        got = np.eye(j1) - v @ t @ v.conj().T
         assert np.max(np.abs(got - want)) <= 1e-14
-        got = (np.eye(j1) - v @ t.conj().T @ v.conj().T) * flip
+        got = np.eye(j1) - v @ t.conj().T @ v.conj().T
         assert np.max(np.abs(got - want.conj().T)) <= 1e-14
         got = np.eye(j1, dtype=complex)
         _apply_factors(got, seg, j0)
@@ -288,8 +309,9 @@ class TestReflectors:
 
 
 class TestGrow:
-    # _grow(a, d, seg, j0, j1) = blockdiag(a, diag(d)) F_{j0} ... F_{j1}, with
-    # rho = 0, tiny and pi/2 at the first, middle and last factor, a a
+    # _grow(a, -d, seg, j0, j1) = blockdiag(a, diag(d)) F_{j0} ... F_{j1}:
+    # _grow takes the entries -d of D' and applies H_{j0} ... H_{j1}. rho =
+    # 0, tiny and pi/2 sit at the first, middle and last factor, a is a
     # random unitary and d random phases.
     @pytest.mark.parametrize("j0, j1", [(2, 2), (2, 6), (4, 9), (2, 32), (33, 64), (97, 128)])
     def test_matches_dense_product(self, rng, j0, j1):
@@ -305,7 +327,7 @@ class TestGrow:
         want[r:, r:] = np.diag(d)
         for j, z in zip(range(j0, j1 + 1), zs):
             want = want @ exp_column_factor(z, j1, j)
-        got = _grow(a, d, np.concatenate(zs), j0, j1)
+        got = _grow(a, -d, np.concatenate(zs), j0, j1)
         assert got.shape == (j1, j1)
         assert np.max(np.abs(got - want)) <= 1e-14 * j1
 
@@ -348,11 +370,12 @@ class TestRuns:
 
 
 def single_factor_compose(p: CcskParams) -> np.ndarray:
-    """The ordered product with every factor applied on its own."""
+    """The ordered product D' H_2 ... H_n with every reflector applied on its own."""
     u = exp_diagonal(p.thetas)
+    u[1:] *= -1.0  # D' = diag(e^{i theta_1}, -e^{i theta_2}, ..., -e^{i theta_n})
     for j in range(2, p.n + 1):
         z = p.z_column(j)
-        _apply_factor(u[:j, :j], z, z.conj(), 1.0, frobenius_norm(z), False)
+        _apply_factor(u[:j, :j], _reflector(z, frobenius_norm(z)))
     return u
 
 

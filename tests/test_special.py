@@ -71,6 +71,27 @@ class TestEuler2Factorize:
             for line in (l1, l2, l3):
                 assert frobenius_norm(line - direct) <= 1e-14
 
+    # A nan theta gave a nan row, an inf z a bare "math domain error" and a
+    # z whose modulus overflows an OverflowError.
+    REFUSAL = r"^euler2_factorize requires finite theta1, theta2 and \|z\|, got "
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_refuses_a_non_finite_theta1(self, value):
+        with rejects_non_finite(self.REFUSAL):
+            euler2_factorize(value, 0.5, 0.3j)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_refuses_a_non_finite_theta2(self, value):
+        with rejects_non_finite(self.REFUSAL):
+            euler2_factorize(0.5, value, 0.3j)
+
+    @pytest.mark.parametrize("value", [complex(math.inf, 0), complex(0, -math.inf),
+                                       complex(math.nan, 0), complex(1, math.nan),
+                                       complex(1.7e308, 1.7e308)])
+    def test_refuses_a_non_finite_z(self, value):
+        with rejects_non_finite(self.REFUSAL):
+            euler2_factorize(0.5, -0.5, value)
+
 
 class TestProjectorForm:
     def test_one_dimensional(self):
