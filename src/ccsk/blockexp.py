@@ -19,23 +19,27 @@ l, as w_j is zero at coordinate l, so every flip moves to the phases:
     diag-phases * F_2 * ... * F_n = D' H_2 ... H_n,
     D' = diag(e^{i theta_1}, -e^{i theta_2}, ..., -e^{i theta_n}).
 
-H_j is its own adjoint and inverse, so one kernel, ``_apply_factor``,
-multiplies it onto the leading j columns of a matrix in place, x <- x - 2 (x
-w_j) w_j^H, in O(j^2), for both maps: ``compose`` starts from D' and applies
-H_2 ... H_n, sum_j j^2 ~ n^3/3 work in all, and ``decompose`` peels them
-off, keeping the signs in its D'. ``_reflector`` builds w_j from z_j and
-rho. ``exp_k`` and ``exp_column_factor`` build the factor matrices
-themselves, from sigma and a: ``exp_k`` serves ``ccsk compare``, and
-``exp_column_factor``, its n x n embedding, is the reference form for the
-tests.
+H_j is its own adjoint and inverse. ``decompose`` peels H_n ... H_2 off
+with one kernel, ``_apply_factor``, which multiplies H_j onto the leading j
+columns of a matrix in place, x <- x - 2 (x w_j) w_j^H, in O(j^2), and keeps
+the signs in its D'; ``_reflector`` builds w_j from z_j and rho. ``exp_k``
+and ``exp_column_factor`` build the factor matrices themselves, from sigma
+and a: ``exp_k`` serves ``ccsk compare``, and ``exp_column_factor``, its n x
+n embedding, is the reference form for the tests.
 
-One factor at a time is matrix-vector work. From _MIN_BLOCK = 8 factors on, k
-consecutive reflectors are applied as one block: H_{j0} ... H_{j1} = I - V T
-V^H, with V = [w_{j0} ... w_{j1}] and T the k x k upper triangular matrix of
-the UT transform (``_reflectors``), the compact WY form of Schreiber and Van
-Loan (SIAM J. Sci. Stat. Comput. 10, 1989) for rank-1 factors. ``_runs``
-splits H_2 ... H_n into the runs that ``compose`` and ``decompose`` share: a
-head, then blocks of _NB.
+``_runs`` splits H_2 ... H_n into the runs that both maps walk: a first run
+H_2 ... H_b, all of the product up to n = 3 _NB - 1 = 95, then runs of _NB.
+``compose`` builds the first run with one call of LAPACK's ZUNGQR, the
+routine that accumulates the Householder reflectors of a QR factorization
+(Anderson et al., LAPACK Users' Guide, 3rd ed., SIAM 1999), on the
+reflectors in LAPACK's normalization H_j = I - tau_j v_j v_j^H: v_j = w_j /
+cos(rho_j/2), 1 at its pivot, and tau_j = 2 cos^2(rho_j/2) (``_first_run``).
+Like any Householder accumulation, its rounding is bounded by Higham's Lemma
+19.3 (README, "The defect of compose, bounded"). Every later run of k consecutive reflectors is applied as one
+block: H_{j0} ... H_{j1} = I - V T V^H, with V = [w_{j0} ... w_{j1}] and T
+the k x k upper triangular matrix of the UT transform (``_reflectors``), the
+compact WY form of Schreiber and Van Loan (SIAM J. Sci. Stat. Comput. 10,
+1989) for rank-1 factors.
 
 ``compose`` grows its product run by run. Before the run H_{j0} ... H_{j1},
 the product is blockdiag(A, D): A the r x r product so far (r = j0 - 1) and
@@ -51,10 +55,12 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 
 import numpy as np
+from numpy.linalg import lapack_lite
 
-from .linalg import _vector_norm, as_cvector, frobenius_norm
+from .linalg import _vector_norm, as_cvector
 from .params import CcskParams, z_offset
 
 __all__ = [
@@ -65,24 +71,10 @@ __all__ = [
     "compose",
 ]
 
-# _runs' block size. compose walks _runs(n, 1) and decompose _runs(n, 2 * _NB).
-# A block has a fixed cost (``_reflectors``' V and T: some 15 numpy
-# operations, one an LU-based inverse) where a factor taken alone costs about
-# 9, so compose applies its head one factor at a time when it holds fewer
-# than _MIN_BLOCK factors; every later run holds _NB.
-# Measured with one BLAS thread, compose timed between decompose and expm
-# calls (50 inputs, 21 to 31 alternating rounds, four probes): a block of 6
-# factors (n = 7) takes 0.99-1.07x the time of single factors, of 7 (n = 8)
-# 0.85-0.97x, of 8 (n = 9) 0.70-0.88x and of 9 (n = 10) 0.68x; behind a full
-# run (n = 41, 42) 8 and 9 take 0.84-0.89x. At n = 8 the whole decompose,
-# compose and expm loop took 1.02x with the block (two probes), so the
-# block's gain there does not reach the calls around it. So _MIN_BLOCK stays
-# 8. Those single factors were a rank-2 kernel; against the reflector kernel
-# a block of 8 (n = 9) took 0.90x and of 9 (n = 10) 0.82x (31 rounds).
-# decompose still reads and peels each panel row on its own, so only the
-# flops move into the block: its panels gain from about n = 128.
+# _runs' run length: every run after the first holds _NB factors, and the
+# first all of them up to n = 3 * _NB - 1, from 2 * _NB - 1 to 3 * _NB - 2
+# beyond.
 _NB = 32
-_MIN_BLOCK = 8
 
 
 def k_matrix(z) -> np.ndarray:
@@ -144,8 +136,7 @@ def _sinc(x: float) -> float:
 
 def _reflector(z: np.ndarray, rho: float) -> np.ndarray:
     """w_j = (-sinc(rho/2)/2 z, cos(rho/2)), the unit vector of H_j = P_j F_j,
-    from z = z_j and rho = ||z||: ``compose`` takes the norm, ``decompose``
-    passes the angle it read."""
+    from z = z_j and rho = ||z||, the angle ``decompose`` read."""
     w = np.empty(z.shape[0] + 1, dtype=np.complex128)
     np.multiply(z, -0.5 * _sinc(0.5 * rho), out=w[:-1])
     w[-1] = math.cos(0.5 * rho)
@@ -156,8 +147,8 @@ def _apply_factor(x: np.ndarray, w: np.ndarray) -> None:
     """x <- x @ H_j = x - 2 (x w) w^H, in place: the one factor kernel.
 
     x holds the rows to update, restricted to the leading j columns, and w is
-    ``_reflector``'s w_j. H_j is its own adjoint, so ``compose`` and
-    ``decompose`` call it alike; the signs P_j stay in their D'.
+    ``_reflector``'s w_j. H_j is its own adjoint, so ``decompose`` peels it
+    with the same kernel; the signs P_j stay in its D'.
     """
     y = x @ w
     y += y
@@ -238,37 +229,62 @@ def _grow(a: np.ndarray, d: np.ndarray, seg: np.ndarray, j0: int, j1: int) -> np
     return out
 
 
-def _runs(n: int, head: int) -> list[tuple[int, int]]:
+def _runs(n: int) -> list[tuple[int, int]]:
     """The runs (j0, j1) of factors H_{j0} ... H_{j1} that make up H_2 ... H_n.
 
-    First the head H_2 ... H_b, b = min(n, head + (n - head) % _NB) ((2, 1),
-    empty, when b = 1), then runs of _NB factors. ``compose`` takes the head
-    1 and applies each run of at least _MIN_BLOCK factors as one block;
-    ``decompose`` takes the head 2 * _NB and peels it one factor at a time.
+    First H_2 ... H_b, b = min(n, 2 _NB + (n - 2 _NB) % _NB) ((2, 1), empty,
+    when n = 1), so all of H_2 ... H_n for n < 3 _NB, then runs of _NB
+    factors. ``compose`` builds the first run with ``_first_run`` and
+    ``decompose`` peels it one factor at a time; both take each later run as
+    one block.
     """
-    b = min(n, head + (n - head) % _NB)
+    b = min(n, 2 * _NB + (n - 2 * _NB) % _NB)
     return [(2, b)] + [(j0, j0 + _NB - 1) for j0 in range(b + 1, n + 1, _NB)]
+
+
+def _first_run(seg: np.ndarray, b: int) -> np.ndarray:
+    """H_2 ... H_b as a b x b array, from one LAPACK ZUNGQR call.
+
+    seg holds z_2 ... z_b, packed as in ``CcskParams.z``. H_j = I - 2 w_j
+    w_j^H = I - tau_j v_j v_j^H with v_j = w_j / cos(rho_j/2) = (-tan(rho_j/2)
+    / rho_j z_j, 1) and tau_j = 2 cos^2(rho_j/2). In the reversed basis J
+    (coordinate i to b + 1 - i), H_j is LAPACK's elementary reflector i = b
+    - j (from 0): unit pivot at i, v_j reversed below it. So row i of the
+    C-ordered f, column i of the Fortran matrix that ZUNGQR reads, holds v_j
+    reversed past column i, and ZUNGQR overwrites f with Q^T, Q = J (H_b ...
+    H_2) J. Each H_j is Hermitian, so J Q^T J = conj(H_2 ... H_b). v_j grows
+    like 1/cos(rho_j/2) near rho_j = pi, but no double rho_j makes that
+    cosine zero, and tau_j v_j v_j^H is 2 w_j w_j^H to rounding.
+    """
+    f = np.zeros((b, b), dtype=np.complex128)
+    f[-2::-1, ::-1][_scatter_mask(2, b)] = seg  # z_j reversed, in row b - j
+    h = np.linalg.norm(f, axis=1)
+    # rho_j / 2, with rho_j = 0 (or a rho_j^2 that underflowed) raised to the
+    # smallest normal double, where tan(h) / 2h is 1/2 and cos(h) is 1.
+    np.maximum(h, sys.float_info.min, out=h)
+    h *= 0.5
+    c = np.cos(h)
+    f *= (np.tan(h) / (-2.0 * h))[:, None]
+    tau = (2.0 * c * c).astype(np.complex128)
+    work = np.empty(b, dtype=np.complex128)
+    info = lapack_lite.zungqr(b, b, b - 1, f, f.shape[1], tau, work, work.shape[0], 0)["info"]
+    if info:
+        raise RuntimeError(f"LAPACK zungqr failed: info = {info}")
+    return np.conjugate(f, out=f)[::-1, ::-1]
 
 
 def compose(p: CcskParams) -> np.ndarray:
     """Ordered product: diagonal phases, then the column factors j = 2..n.
 
-    Formed as D' H_2 ... H_n. A head of fewer than _MIN_BLOCK factors is
-    applied one factor at a time, from diag(D'[:b]); every other run grows
-    the product by its rows and columns, from D'[:1].
+    Formed as D' H_2 ... H_n: D' times the first run's product, from one
+    LAPACK ZUNGQR call on the reflectors in its (v, tau) form
+    (``_first_run``), then each later run grows the product by its rows and
+    columns (``_grow``).
     """
     d = np.exp(1j * p.thetas)
     d[1:] *= -1.0  # D'
-    runs = _runs(p.n, 1)
-    b = runs[0][1]
-    if b - 1 < _MIN_BLOCK:
-        del runs[0]
-    else:
-        b = 1
-    u = np.diag(d[:b])
-    for j in range(2, b + 1):
-        z = p.z[z_offset(j):z_offset(j + 1)]
-        _apply_factor(u[:j, :j], _reflector(z, frobenius_norm(z)))
+    (_, b), *runs = _runs(p.n)
+    u = d[:b, None] * _first_run(p.z[:z_offset(b + 1)], b)
     for j0, j1 in runs:
         u = _grow(u, d[j0 - 1:j1], p.z[z_offset(j0):z_offset(j1 + 1)], j0, j1)
     return u

@@ -17,12 +17,12 @@ is row entries below 2.2e-308, which are subnormal and carry fewer bits;
 where ||row||^2 underflows, the norm is rescaled by the largest entry.
 
 Reading row j needs only row j itself to be up to date. So the peel walks
-the runs of ``blockexp._runs`` (head 2 * _NB) from the last, each as a
-panel: each factor of the run is applied at once to the panel's rows alone,
-and the rows above the panel take all its factors in one aggregated block,
-the adjoint I - V T^H V^H of the run's reflector form
-(``blockexp._reflectors``, applied by ``blockexp._apply_factors``), as
-matrix-matrix products. The head's panel is the whole remaining block.
+the runs of ``blockexp._runs`` from the last, each as a panel: each factor
+of the run is applied at once to the panel's rows alone, and the rows above
+the panel take all its factors in one aggregated block, the adjoint I - V
+T^H V^H of the run's reflector form (``blockexp._reflectors``, applied by
+``blockexp._apply_factors``), as matrix-matrix products. The first run's
+panel, the head, is the whole remaining block.
 
 The unitarity gate (defect at most ``unitarity_tol * n``) is the one
 acceptance test, and it is decided after the peel, from what the peel leaves:
@@ -55,7 +55,7 @@ import math
 
 import numpy as np
 
-from .blockexp import _NB, _apply_factor, _apply_factors, _reflector, _runs, compose
+from .blockexp import _apply_factor, _apply_factors, _reflector, _runs, compose
 from .linalg import frobenius_norm, square_matrix, unitarity_defect
 from .params import CcskParams, z_offset
 
@@ -172,9 +172,9 @@ def decompose(u: np.ndarray, *, unitarity_tol: float = UNITARITY_TOL) -> CcskPar
 @functools.lru_cache(maxsize=64)
 def _panels(n: int) -> tuple[tuple[int, int], ...]:
     """The peel plan for dimension n, built once: the runs (j0, j1) of
-    ``_runs(n, 2 * _NB)`` from the last, as (lo, j1) with the panel's rows
+    ``_runs(n)`` from the last, as (lo, j1) with the panel's rows
     j1 ... lo + 1: lo = j0 - 1, or 0 for the head, which peels row 1 too."""
-    return tuple((j0 - 1 if j0 > 2 else 0, j1) for j0, j1 in reversed(_runs(n, 2 * _NB)))
+    return tuple((j0 - 1 if j0 > 2 else 0, j1) for j0, j1 in reversed(_runs(n)))
 
 
 def _not_unitary(test: str, gate: float) -> ValueError:

@@ -1,10 +1,12 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
+from numpy.linalg import lapack_lite
 
-from ccsk.blockexp import (_MIN_BLOCK, _NB, _apply_factor, _apply_factors, _grow,
+from ccsk.blockexp import (_NB, _apply_factor, _apply_factors, _grow,
                            _reflector, _reflectors, _runs, compose, exp_column_factor,
                            exp_diagonal, exp_k, k_matrix)
 from ccsk.linalg import frobenius_norm, unitarity_defect
@@ -333,39 +335,39 @@ class TestGrow:
 
 
 class TestRuns:
-    # F_2 ... F_n as a head, then runs of _NB: compose walks the runs of
-    # head 1, decompose those of head 2 * _NB = 64 and peels its head one
-    # factor at a time.
+    # H_2 ... H_n as a first run, all of it up to n = 95, then runs of _NB:
+    # compose builds the first run with one LAPACK call and decompose peels
+    # it one factor at a time.
     EXPECTED = {
-        1: ([(2, 1)], [(2, 1)]),
-        2: ([(2, 2)], [(2, 2)]),
-        32: ([(2, 32)], [(2, 32)]),
-        33: ([(2, 1), (2, 33)], [(2, 33)]),
-        34: ([(2, 2), (3, 34)], [(2, 34)]),
-        63: ([(2, 31), (32, 63)], [(2, 63)]),
-        64: ([(2, 32), (33, 64)], [(2, 64)]),
-        65: ([(2, 1), (2, 33), (34, 65)], [(2, 65)]),
-        95: ([(2, 31), (32, 63), (64, 95)], [(2, 95)]),
-        96: ([(2, 32), (33, 64), (65, 96)], [(2, 64), (65, 96)]),
-        97: ([(2, 1), (2, 33), (34, 65), (66, 97)], [(2, 65), (66, 97)]),
-        128: ([(2, 32), (33, 64), (65, 96), (97, 128)], [(2, 64), (65, 96), (97, 128)]),
+        1: [(2, 1)],
+        2: [(2, 2)],
+        32: [(2, 32)],
+        33: [(2, 33)],
+        34: [(2, 34)],
+        63: [(2, 63)],
+        64: [(2, 64)],
+        65: [(2, 65)],
+        95: [(2, 95)],
+        96: [(2, 64), (65, 96)],
+        97: [(2, 65), (66, 97)],
+        128: [(2, 64), (65, 96), (97, 128)],
+        129: [(2, 65), (66, 97), (98, 129)],
     }
 
     @pytest.mark.parametrize("n", sorted(EXPECTED))
     def test_table(self, n):
         assert _NB == 32
-        assert (_runs(n, 1), _runs(n, 2 * _NB)) == self.EXPECTED[n]
+        assert _runs(n) == self.EXPECTED[n]
 
-    @pytest.mark.parametrize("head", [1, 2 * _NB])
-    def test_partition(self, head):
-        # The runs cover 2..n in order, with no gap or overlap; the head ends
-        # at F_b with min(n, head) <= b < head + _NB, and every later run
+    def test_partition(self):
+        # The runs cover 2..n in order, with no gap or overlap; the first
+        # ends at H_b with min(n, 2 _NB) <= b < 3 _NB, and every later run
         # has _NB factors.
         for n in range(1, 401):
-            runs = _runs(n, head)
+            runs = _runs(n)
             assert runs[0][0] == 2 and runs[-1][1] == n
             assert all(a[1] + 1 == b[0] for a, b in zip(runs, runs[1:]))
-            assert min(n, head) <= runs[0][1] < head + _NB
+            assert min(n, 2 * _NB) <= runs[0][1] < 3 * _NB
             assert all(j1 - j0 + 1 == _NB for j0, j1 in runs[1:])
 
 
@@ -428,19 +430,18 @@ class TestCompose:
         assert frobenius_norm(compose(p) - dense_compose(p)) <= 1e-13 * n
 
     @pytest.mark.parametrize("shift", [0, 1, 2])
-    @pytest.mark.parametrize("n", [_MIN_BLOCK, _MIN_BLOCK + 1, _MIN_BLOCK + 2, 11, 12,
-                                   32, 33, 34, _NB + _MIN_BLOCK + 1, _NB + _MIN_BLOCK + 2,
-                                   63, 64, 65, 97, 200])
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 10, 11, 12, 32, 33, 34, 41, 42,
+                                   63, 64, 65, 95, 96, 97, 128, 129, 200])
     def test_aggregated_blocks_match_single_factors(self, rng, n, shift):
-        # compose's runs (head 1), the first included, with rho = 0, tiny and
-        # pi/2 at the first, middle and last factor of each, in turn. The
-        # first three n give a head of _MIN_BLOCK - 1 factors, taken one at a
-        # time, and of _MIN_BLOCK and _MIN_BLOCK + 1, each taken as one block;
-        # 11 and 12 give larger blocked heads. _NB + _MIN_BLOCK + 1 and + 2
-        # give the smallest blocked heads followed by a full run.
+        # compose's runs, the first included, with rho = 0, tiny and pi/2 at
+        # the first, middle and last factor of each, in turn. Up to n = 95
+        # the first run is all of the product, one LAPACK call (n = 1, 2 and 3
+        # hold no factor, one and two); from n = 96 it
+        # holds 63 to 94 factors, and a grown run follows it (96 and 97 the
+        # first, 128 and 129 the first with two).
         p = random_params(n, rng)
         cols = list(p.z_columns)
-        for j0, j1 in _runs(n, 1):
+        for j0, j1 in _runs(n):
             if j0 > j1:
                 continue
             for j, rho in zip((j0, (j0 + j1) // 2, j1), np.roll([0.0, 1e-12, math.pi / 2], shift)):
@@ -472,6 +473,48 @@ class TestCompose:
         for n in (1, 2, 5, 16):
             p = random_params(n, rng)
             assert unitarity_defect(compose(p)) <= 1e-12 * n
+
+
+class TestFirstRun:
+    # compose's first run is one call of LAPACK's ZUNGQR through
+    # numpy.linalg.lapack_lite, which numpy ships without an underscore but
+    # does not list as public: this pin is the test that fails if numpy
+    # changes the call.
+    @pytest.mark.parametrize("n", [1, 2, 5, 33, 64])
+    def test_zungqr_reproduces_numpy_qr(self, rng, n):
+        # The reflectors and tau of numpy's own QR, accumulated by the call
+        # compose makes, give numpy's Q (bit for bit on numpy 2.4).
+        a = random_complex_matrix(rng, n, n)
+        h, tau = np.linalg.qr(a, mode="raw")
+        f = np.ascontiguousarray(h)
+        work = np.empty(n, dtype=complex)
+        assert lapack_lite.zungqr(n, n, n, f, n, tau, work, n, 0)["info"] == 0
+        np.testing.assert_allclose(f.T, np.linalg.qr(a)[0], rtol=0, atol=4 * EPS * n)
+
+    @pytest.mark.parametrize("every", [False, True])
+    @pytest.mark.parametrize("rho", [0.0, 1e-170, 1e-8, math.pi / 2, math.pi - 1e-8,
+                                     math.pi, 1.5 * math.pi, 2 * math.pi, 10.0])
+    @pytest.mark.parametrize("n", [2, 3, 64, 65, 95, 96])
+    def test_beyond_the_chart(self, rng, n, rho, every):
+        # v_j = w_j / cos(rho_j/2) grows like 1/cos(rho_j/2), which no double
+        # rho_j makes zero: at rho = float(pi) its entries are about 1.6e16
+        # and tau_j about 7.5e-33. One column, the first run's last (the
+        # longest), or every column is drawn at rho. Over 20 draws of each
+        # case at n = 2 and 3, the largest defect was 6.2 eps n (3.8 eps n
+        # for single_factor_compose) and the largest distance 6.4 eps n;
+        # over 3 draws at n = 64 to 96, 1.0 eps n and 0.9 eps n.
+        p = random_params(n, rng)
+        cols = list(p.z_columns)
+        b = _runs(n)[0][1]
+        for j in range(2, n + 1) if every else (b,):
+            d = random_z(rng, j - 1)
+            cols[j - 2] = rho * d / np.linalg.norm(d)
+        p = CcskParams(p.thetas, tuple(cols))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            u = compose(p)
+        assert unitarity_defect(u) <= 8 * EPS * n
+        assert frobenius_norm(u - single_factor_compose(p)) <= 1e-13 * n
 
 
 class TestNonCommutativity:

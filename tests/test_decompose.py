@@ -217,13 +217,12 @@ class TestChartEdges:
     @pytest.mark.parametrize("n", [3 * _NB - 1, 3 * _NB, 3 * _NB + 1, 200])
     def test_panel_edge_rows(self, n, first, last):
         # rho = pi/2 (theta_j := 0 fires) and rho = 0 (z_j := 0) on the first
-        # and the last row peeled in each panel, the runs of _runs with
-        # decompose's head 2 * _NB; n is around the first size with a
-        # second run. theta_j is 0 wherever rho_j is pi/2, so every parameter
-        # is defined and must come back.
+        # and the last row peeled in each panel, the runs of _runs; n is
+        # around the first size with a second run. theta_j is 0 wherever
+        # rho_j is pi/2, so every parameter is defined and must come back.
         p = generic_params(n, n)
         thetas, cols = p.thetas.copy(), list(p.z_columns)
-        for j0, j1 in _runs(n, 2 * _NB):
+        for j0, j1 in _runs(n):
             for j, rho in ((j1, first), (j0, last)):
                 if rho:
                     cols[j - 2] *= rho / np.linalg.norm(cols[j - 2])
@@ -362,8 +361,8 @@ class TestOutsideTheGate:
 
 
 class TestPanels:
-    # decompose walks blockexp._runs(n, 2 * _NB) from the last run: each run
-    # after the head is a panel whose rows above take one aggregated update.
+    # decompose walks blockexp._runs(n) from the last run: each run
+    # after the first is a panel whose rows above take one aggregated update.
     @pytest.mark.parametrize("n", [1, 2, 95, 96, 97, 128, 200])
     def test_aggregated_updates_follow_the_runs(self, n, monkeypatch):
         calls = []
@@ -376,13 +375,13 @@ class TestPanels:
         monkeypatch.setattr(decompose_module, "_apply_factors", recorded)
         u = compose(random_params(n, RngState(n)))
         assert frobenius_norm(compose(decompose(u)) - u) <= 1e-13 * n
-        assert calls == [(j0, j1, j0 - 1) for j0, j1 in reversed(_runs(n, 2 * _NB)[1:])]
+        assert calls == [(j0, j1, j0 - 1) for j0, j1 in reversed(_runs(n)[1:])]
 
 
 def panel_rows(n: int) -> dict:
-    """The first row the peel of column j updates: its panel's, or 0 in the head."""
+    """The first row the peel of column j updates: its panel's, or 0 in the first run."""
     return {j: (j0 - 1 if j0 > 2 else 0)
-            for j0, j1 in _runs(n, 2 * _NB) for j in range(j0, j1 + 1)}
+            for j0, j1 in _runs(n) for j in range(j0, j1 + 1)}
 
 
 class TestPeel:
@@ -569,11 +568,12 @@ class TestRoundingScale:
     # Accuracy at the scale of rounding, over the chart edges: rho_j = 0,
     # log-uniform down to 1e-16, and pi/2, on one column; and, with
     # ``edge``, also 2 ... n - 1 columns at pi/2 - d, d log-uniform in
-    # [1e-10, 0.1]. The largest values seen with the reflector kernel, over
-    # 1500 draws at n = 2 ... 200 (half of them at n <= 12), are 1.25 eps n
-    # for the defect and 1.73 eps n for the roundtrip error on one column,
-    # and 2.01 and 1.58 eps n with ``near_half_turn``; the same draws gave
-    # 1.11, 2.32, 1.50 and 1.27 with the rank-2 kernel before it.
+    # [1e-10, 0.1]. The largest values seen with compose's first run from
+    # LAPACK, over 1500 draws at n = 2 ... 200 (half of them at n <= 12), are
+    # 2.01 eps n for the defect and 1.63 eps n for the roundtrip error on one
+    # column, and 2.03 and 2.77 eps n with ``near_half_turn``; the same draws
+    # gave 1.35, 1.53, 1.96 and 1.99 with single factors and 8-factor
+    # blocks.
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(n=st.integers(2, 200), k=st.integers(0, 199), seed=st.integers(0, 2**32 - 1),
            rho=st.one_of(st.just(0.0), st.just(math.pi / 2),
