@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.linalg import lapack_lite
 
+import ccsk.blockexp as blockexp_module
 from ccsk.blockexp import (_NB, _apply_factor, _apply_factors, _grow,
                            _reflector, _reflectors, _runs, compose, exp_column_factor,
                            exp_diagonal, exp_k, k_matrix)
@@ -359,16 +360,18 @@ class TestRuns:
         assert _NB == 32
         assert _runs(n) == self.EXPECTED[n]
 
-    def test_partition(self):
-        # The runs cover 2..n in order, with no gap or overlap; the first
-        # ends at H_b with min(n, 2 _NB) <= b < 3 _NB, and every later run
-        # has _NB factors.
+    @pytest.mark.parametrize("nb", [1, _NB, 2 * _NB])
+    def test_partition(self, nb, monkeypatch):
+        # For any block size _NB, the one in use among them, the runs cover
+        # 2..n in order, with no gap or overlap; the first ends at H_b with
+        # min(n, 2 _NB) <= b < 3 _NB, and every later run has _NB factors.
+        monkeypatch.setattr(blockexp_module, "_NB", nb)
         for n in range(1, 401):
             runs = _runs(n)
             assert runs[0][0] == 2 and runs[-1][1] == n
             assert all(a[1] + 1 == b[0] for a, b in zip(runs, runs[1:]))
-            assert min(n, 2 * _NB) <= runs[0][1] < 3 * _NB
-            assert all(j1 - j0 + 1 == _NB for j0, j1 in runs[1:])
+            assert min(n, 2 * nb) <= runs[0][1] < 3 * nb
+            assert all(j1 - j0 + 1 == nb for j0, j1 in runs[1:])
 
 
 def single_factor_compose(p: CcskParams) -> np.ndarray:
