@@ -27,28 +27,25 @@ and ``exp_column_factor`` build the factor matrices themselves, from sigma
 and a: ``exp_k`` serves ``ccsk compare``, and ``exp_column_factor``, its n x
 n embedding, is the reference form for the tests.
 
-``_runs`` splits H_2 ... H_n into the runs that both maps walk: a first run
-H_2 ... H_b, all of the product up to n = 3 _NB - 1 = 95, then runs of _NB.
-``compose`` builds the first run with one call of LAPACK's ZUNGQR, the
+``compose`` forms D' H_2 ... H_n with one call of LAPACK's ZUNGQR, the
 routine that accumulates the Householder reflectors of a QR factorization
 (Anderson et al., LAPACK Users' Guide, 3rd ed., SIAM 1999), on the
 reflectors in LAPACK's normalization H_j = I - tau_j v_j v_j^H: v_j = w_j /
-cos(rho_j/2), 1 at its pivot, and tau_j = 2 cos^2(rho_j/2) (``_first_run``).
-Like any Householder accumulation, its rounding is bounded by Higham's Lemma
-19.3 (README, "The defect of compose, bounded"). Every later run of k consecutive reflectors is applied as one
-block: H_{j0} ... H_{j1} = I - V T V^H, with V = [w_{j0} ... w_{j1}] and T
-the k x k upper triangular matrix of the UT transform (``_reflectors``), the
-compact WY form of Schreiber and Van Loan (SIAM J. Sci. Stat. Comput. 10,
-1989) for rank-1 factors.
+cos(rho_j/2), 1 at its pivot, and tau_j = 2 cos^2(rho_j/2). Given the
+workspace its own query asks for, n times its block size NB = 32, ZUNGQR
+applies up to NX = 128 reflectors one at a time (n <= 129). Beyond that it
+takes groups of 32 counted from H_n as blocks, each in the compact WY form
+of Schreiber and Van Loan (SIAM J. Sci. Stat. Comput. 10, 1989), and the
+97 to 128 left nearest H_2 one at a time. Like any Householder
+accumulation, its rounding is bounded by Higham's Lemma 19.3 (README, "The
+defect of compose, bounded").
 
-``compose`` grows its product run by run. Before the run H_{j0} ... H_{j1},
-the product is blockdiag(A, D): A the r x r product so far (r = j0 - 1) and
-D the run's k entries of D', as no earlier reflector touches the last k rows
-and columns. ``_grow`` applies the block to that form, so the one square product
-is A V_top: r^2 k + j1 k^2 + j1^2 k complex multiply-adds a run, where the
-block on the whole leading j1 x j1 matrix takes 2 j1^2 k + j1 k^2.
-``decompose``'s panels apply the adjoint with ``_apply_factors``, to the
-rows above the panel.
+``decompose``'s panels take k consecutive reflectors as one block, H_{j0}
+... H_{j1} = I - V T V^H, with V = [w_{j0} ... w_{j1}] and T the k x k
+upper triangular matrix of the UT transform (``_reflectors``), the same
+compact WY form for rank-1 factors; ``_apply_factors`` applies its adjoint
+to the rows above a panel. Which runs make the panels is ``decompose``'s
+choice.
 """
 
 from __future__ import annotations
@@ -61,7 +58,7 @@ import numpy as np
 from numpy.linalg import lapack_lite
 
 from .linalg import _vector_norm, as_cvector
-from .params import CcskParams, z_offset
+from .params import CcskParams
 
 __all__ = [
     "k_matrix",
@@ -70,12 +67,6 @@ __all__ = [
     "exp_column_factor",
     "compose",
 ]
-
-# _runs' run length: every run after the first holds _NB factors, and the
-# first all of them up to n = 3 * _NB - 1, from 2 * _NB - 1 to 3 * _NB - 2
-# beyond.
-_NB = 32
-
 
 def k_matrix(z) -> np.ndarray:
     """The j x j anti-Hermitian block: z in the last column, -<z| in the last row.
@@ -157,7 +148,8 @@ def _apply_factor(x: np.ndarray, w: np.ndarray) -> None:
 
 @functools.lru_cache(maxsize=64)
 def _scatter_mask(j0: int, j1: int) -> np.ndarray:
-    """The mask ``_reflectors`` scatters z_{j0} ... z_{j1} with, built once.
+    """The mask ``_reflectors`` and ``compose`` scatter z_{j0} ... z_{j1} with,
+    built once.
 
     Row i (of k x j1) holds True in its first j0 + i - 1 entries, so
     V^T[mask] walks the packed z columns.
@@ -207,57 +199,25 @@ def _apply_factors(m: np.ndarray, seg: np.ndarray, j0: int) -> None:
     m -= (m @ v) @ t.conj().T @ v.conj().T
 
 
-def _grow(a: np.ndarray, d: np.ndarray, seg: np.ndarray, j0: int, j1: int) -> np.ndarray:
-    """blockdiag(a, diag(d)) @ H_{j0} ... H_{j1}, as a new j1 x j1 array.
+def compose(p: CcskParams) -> np.ndarray:
+    """Ordered product: diagonal phases, then the column factors j = 2..n.
 
-    a is the r x r product so far (r = j0 - 1), d holds the entries -e^{i
-    theta_j}, j = j0 ... j1, of D', and seg z_{j0} ... z_{j1}, packed as in
-    ``CcskParams.z``. With ``_reflectors``' form the product is
-    blockdiag(a, diag(d)) - Y T V^H with
-
-        Y = blockdiag(a, diag(d)) V = [a V_top; d V_bot].
-
-    The one square product is a V_top, r^2 k complex multiply-adds; with
-    Y T and the rank-k update, r^2 k + j1 k^2 + j1^2 k in all.
+    Formed as D' H_2 ... H_n: D' times the product of all n - 1 reflectors
+    from one LAPACK ZUNGQR call, which takes H_j = I - 2 w_j w_j^H = I -
+    tau_j v_j v_j^H with v_j = w_j / cos(rho_j/2) = (-tan(rho_j/2) / rho_j
+    z_j, 1) and tau_j = 2 cos^2(rho_j/2). In the reversed basis J (coordinate
+    i to n + 1 - i), H_j is LAPACK's elementary reflector i = n - j (from 0):
+    unit pivot at i, v_j reversed below it. So row i of the C-ordered f,
+    column i of the Fortran matrix that ZUNGQR reads, holds v_j reversed past
+    column i, and ZUNGQR overwrites f with Q^T, Q = J (H_n ... H_2) J. Each
+    H_j is Hermitian, so J Q^T J = conj(H_2 ... H_n). At n = 1 there is no
+    reflector, and ZUNGQR returns the identity. v_j grows like 1/cos(rho_j/2)
+    near rho_j = pi, but no double rho_j makes that cosine zero, and tau_j
+    v_j v_j^H is 2 w_j w_j^H to rounding.
     """
-    r = j0 - 1
-    v, t = _reflectors(seg, j0, j1)
-    y = np.concatenate((a @ v[:r], d[:, None] * v[r:]))
-    out = (y @ -t) @ v.conj().T
-    out[:r, :r] += a
-    out.ravel()[r * (j1 + 1)::j1 + 1] += d  # the trailing diagonal
-    return out
-
-
-def _runs(n: int) -> list[tuple[int, int]]:
-    """The runs (j0, j1) of factors H_{j0} ... H_{j1} that make up H_2 ... H_n.
-
-    First H_2 ... H_b, b = min(n, 2 _NB + (n - 2 _NB) % _NB) ((2, 1), empty,
-    when n = 1), so all of H_2 ... H_n for n < 3 _NB, then runs of _NB
-    factors. ``compose`` builds the first run with ``_first_run`` and
-    ``decompose`` peels it one factor at a time; both take each later run as
-    one block.
-    """
-    b = min(n, 2 * _NB + (n - 2 * _NB) % _NB)
-    return [(2, b)] + [(j0, j0 + _NB - 1) for j0 in range(b + 1, n + 1, _NB)]
-
-
-def _first_run(seg: np.ndarray, b: int) -> np.ndarray:
-    """H_2 ... H_b as a b x b array, from one LAPACK ZUNGQR call.
-
-    seg holds z_2 ... z_b, packed as in ``CcskParams.z``. H_j = I - 2 w_j
-    w_j^H = I - tau_j v_j v_j^H with v_j = w_j / cos(rho_j/2) = (-tan(rho_j/2)
-    / rho_j z_j, 1) and tau_j = 2 cos^2(rho_j/2). In the reversed basis J
-    (coordinate i to b + 1 - i), H_j is LAPACK's elementary reflector i = b
-    - j (from 0): unit pivot at i, v_j reversed below it. So row i of the
-    C-ordered f, column i of the Fortran matrix that ZUNGQR reads, holds v_j
-    reversed past column i, and ZUNGQR overwrites f with Q^T, Q = J (H_b ...
-    H_2) J. Each H_j is Hermitian, so J Q^T J = conj(H_2 ... H_b). v_j grows
-    like 1/cos(rho_j/2) near rho_j = pi, but no double rho_j makes that
-    cosine zero, and tau_j v_j v_j^H is 2 w_j w_j^H to rounding.
-    """
-    f = np.zeros((b, b), dtype=np.complex128)
-    f[-2::-1, ::-1][_scatter_mask(2, b)] = seg  # z_j reversed, in row b - j
+    n = p.n
+    f = np.zeros((n, n), dtype=np.complex128)
+    f[-2::-1, ::-1][_scatter_mask(2, n)] = p.z  # z_j reversed, in row n - j
     h = np.linalg.norm(f, axis=1)
     # rho_j / 2, with rho_j = 0 (or a rho_j^2 that underflowed) raised to the
     # smallest normal double, where tan(h) / 2h is 1/2 and cos(h) is 1.
@@ -266,25 +226,12 @@ def _first_run(seg: np.ndarray, b: int) -> np.ndarray:
     c = np.cos(h)
     f *= (np.tan(h) / (-2.0 * h))[:, None]
     tau = (2.0 * c * c).astype(np.complex128)
-    work = np.empty(b, dtype=np.complex128)
-    info = lapack_lite.zungqr(b, b, b - 1, f, f.shape[1], tau, work, work.shape[0], 0)["info"]
+    # n times ZUNGQR's block size 32, what its workspace query (lwork = -1)
+    # returns. Given only n entries, it applies every reflector on its own.
+    work = np.empty(n * 32, dtype=np.complex128)
+    info = lapack_lite.zungqr(n, n, n - 1, f, f.shape[1], tau, work, work.shape[0], 0)["info"]
     if info:
         raise RuntimeError(f"LAPACK zungqr failed: info = {info}")
-    return np.conjugate(f, out=f)[::-1, ::-1]
-
-
-def compose(p: CcskParams) -> np.ndarray:
-    """Ordered product: diagonal phases, then the column factors j = 2..n.
-
-    Formed as D' H_2 ... H_n: D' times the first run's product, from one
-    LAPACK ZUNGQR call on the reflectors in its (v, tau) form
-    (``_first_run``), then each later run grows the product by its rows and
-    columns (``_grow``).
-    """
     d = np.exp(1j * p.thetas)
     d[1:] *= -1.0  # D'
-    (_, b), *runs = _runs(p.n)
-    u = d[:b, None] * _first_run(p.z[:z_offset(b + 1)], b)
-    for j0, j1 in runs:
-        u = _grow(u, d[j0 - 1:j1], p.z[z_offset(j0):z_offset(j1 + 1)], j0, j1)
-    return u
+    return d[:, None] * np.conjugate(f, out=f)[::-1, ::-1]

@@ -17,12 +17,13 @@ is row entries below 2.2e-308, which are subnormal and carry fewer bits;
 where ||row||^2 underflows, the norm is rescaled by the largest entry.
 
 Reading row j needs only row j itself to be up to date. So the peel walks
-the runs of ``blockexp._runs`` from the last, each as a panel: each factor
-of the run is applied at once to the panel's rows alone, and the rows above
-the panel take all its factors in one aggregated block, the adjoint I - V
-T^H V^H of the run's reflector form (``blockexp._reflectors``, applied by
+the runs of ``_runs(n)`` from the last, each as a panel: each factor of the
+run is applied at once to the panel's rows alone, and the rows above the
+panel take all its factors in one aggregated block, the adjoint I - V T^H
+V^H of the run's reflector form (``blockexp._reflectors``, applied by
 ``blockexp._apply_factors``), as matrix-matrix products. The first run's
-panel, the head, is the whole remaining block.
+panel, the head, is the whole remaining block. The partition is the peel's
+alone: ``compose`` builds the whole product with one LAPACK call.
 
 The unitarity gate (defect at most ``unitarity_tol * n``) is the one
 acceptance test, and it is decided after the peel, from what the peel leaves:
@@ -55,7 +56,7 @@ import math
 
 import numpy as np
 
-from .blockexp import _apply_factor, _apply_factors, _reflector, _runs, compose
+from .blockexp import _apply_factor, _apply_factors, _reflector, compose
 from .linalg import frobenius_norm, square_matrix, unitarity_defect
 from .params import CcskParams, z_offset
 
@@ -167,6 +168,25 @@ def decompose(u: np.ndarray, *, unitarity_tol: float = UNITARITY_TOL) -> CcskPar
     # is a phase, and each z entry is at most rho_j <= pi/2 in modulus, as
     # no entry of a row exceeds its norm s. So the result is not re-checked.
     return CcskParams._unchecked(thetas, z_all)
+
+
+# _runs' run length: every run after the first holds _NB factors, and the
+# first all of them up to n = 3 * _NB - 1, from 2 * _NB - 1 to 3 * _NB - 2
+# beyond.
+_NB = 32
+
+
+def _runs(n: int) -> list[tuple[int, int]]:
+    """The runs (j0, j1) of factors H_{j0} ... H_{j1} that make up H_2 ... H_n.
+
+    First H_2 ... H_b, b = min(n, 2 _NB + (n - 2 _NB) % _NB) ((2, 1), empty,
+    when n = 1), so all of H_2 ... H_n for n < 3 _NB, then runs of _NB
+    factors. The peel takes the first run one factor at a time, as a panel
+    of every remaining row: a panel pays only from about n = 128, as each of
+    its rows is still read and peeled on its own.
+    """
+    b = min(n, 2 * _NB + (n - 2 * _NB) % _NB)
+    return [(2, b)] + [(j0, j0 + _NB - 1) for j0 in range(b + 1, n + 1, _NB)]
 
 
 @functools.lru_cache(maxsize=64)

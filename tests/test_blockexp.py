@@ -1,5 +1,7 @@
 import cmath
+import importlib
 import math
+import types
 import warnings
 
 import numpy as np
@@ -7,9 +9,8 @@ import pytest
 from numpy.linalg import lapack_lite
 
 import ccsk.blockexp as blockexp_module
-from ccsk.blockexp import (_NB, _apply_factor, _apply_factors, _grow,
-                           _reflector, _reflectors, _runs, compose, exp_column_factor,
-                           exp_diagonal, exp_k, k_matrix)
+from ccsk.blockexp import (_apply_factor, _apply_factors, _reflector, _reflectors, compose,
+                           exp_column_factor, exp_diagonal, exp_k, k_matrix)
 from ccsk.linalg import frobenius_norm, unitarity_defect
 from ccsk.oracle import RngState, expm, random_params
 from ccsk.params import CcskParams, assemble_generator
@@ -19,6 +20,9 @@ from conftest import (OVERFLOWING_Z, complex_gaussian_vector, random_complex_mat
 
 
 EPS = np.finfo(float).eps
+
+# The module itself: the package exports the function under the same name.
+decompose_module = importlib.import_module("ccsk.decompose")
 
 
 def random_z(rng, m):
@@ -311,34 +315,10 @@ class TestReflectors:
         assert np.max(np.abs(got - want.conj().T)) <= 1e-14
 
 
-class TestGrow:
-    # _grow(a, -d, seg, j0, j1) = blockdiag(a, diag(d)) F_{j0} ... F_{j1}:
-    # _grow takes the entries -d of D' and applies H_{j0} ... H_{j1}. rho =
-    # 0, tiny and pi/2 sit at the first, middle and last factor, a is a
-    # random unitary and d random phases.
-    @pytest.mark.parametrize("j0, j1", [(2, 2), (2, 6), (4, 9), (2, 32), (33, 64), (97, 128)])
-    def test_matches_dense_product(self, rng, j0, j1):
-        r, k = j0 - 1, j1 - j0 + 1
-        a = compose(random_params(r, rng))
-        d = np.exp(1j * np.array([rng.uniform() * 2 * math.pi for _ in range(k)]))
-        zs = [random_z(rng, j - 1) for j in range(j0, j1 + 1)]
-        # dict(): where k < 3 puts two of them on one factor, the later wins.
-        for i, rho in dict(zip((0, k // 2, k - 1), (0.0, 1e-12, math.pi / 2))).items():
-            zs[i] *= rho / np.linalg.norm(zs[i])
-        want = np.zeros((j1, j1), dtype=complex)
-        want[:r, :r] = a
-        want[r:, r:] = np.diag(d)
-        for j, z in zip(range(j0, j1 + 1), zs):
-            want = want @ exp_column_factor(z, j1, j)
-        got = _grow(a, -d, np.concatenate(zs), j0, j1)
-        assert got.shape == (j1, j1)
-        assert np.max(np.abs(got - want)) <= 1e-14 * j1
-
-
 class TestRuns:
-    # H_2 ... H_n as a first run, all of it up to n = 95, then runs of _NB:
-    # compose builds the first run with one LAPACK call and decompose peels
-    # it one factor at a time.
+    # decompose's peel partition (ccsk.decompose._runs): H_2 ... H_n as a
+    # first run, all of it up to n = 95, then runs of _NB. The peel takes
+    # the first run one factor at a time and each later run as a panel.
     EXPECTED = {
         1: [(2, 1)],
         2: [(2, 2)],
@@ -357,17 +337,17 @@ class TestRuns:
 
     @pytest.mark.parametrize("n", sorted(EXPECTED))
     def test_table(self, n):
-        assert _NB == 32
-        assert _runs(n) == self.EXPECTED[n]
+        assert decompose_module._NB == 32
+        assert decompose_module._runs(n) == self.EXPECTED[n]
 
-    @pytest.mark.parametrize("nb", [1, _NB, 2 * _NB])
+    @pytest.mark.parametrize("nb", [1, decompose_module._NB, 2 * decompose_module._NB])
     def test_partition(self, nb, monkeypatch):
         # For any block size _NB, the one in use among them, the runs cover
         # 2..n in order, with no gap or overlap; the first ends at H_b with
         # min(n, 2 _NB) <= b < 3 _NB, and every later run has _NB factors.
-        monkeypatch.setattr(blockexp_module, "_NB", nb)
+        monkeypatch.setattr(decompose_module, "_NB", nb)
         for n in range(1, 401):
-            runs = _runs(n)
+            runs = decompose_module._runs(n)
             assert runs[0][0] == 2 and runs[-1][1] == n
             assert all(a[1] + 1 == b[0] for a, b in zip(runs, runs[1:]))
             assert min(n, 2 * nb) <= runs[0][1] < 3 * nb
@@ -436,17 +416,16 @@ class TestCompose:
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 10, 11, 12, 32, 33, 34, 41, 42,
                                    63, 64, 65, 95, 96, 97, 128, 129, 200])
     def test_aggregated_blocks_match_single_factors(self, rng, n, shift):
-        # compose's runs, the first included, with rho = 0, tiny and pi/2 at
-        # the first, middle and last factor of each, in turn. Up to n = 95
-        # the first run is all of the product, one LAPACK call (n = 1, 2 and 3
-        # hold no factor, one and two); from n = 96 it
-        # holds 63 to 94 factors, and a grown run follows it (96 and 97 the
-        # first, 128 and 129 the first with two).
+        # ZUNGQR's blocks, groups of 32 factors counted from H_n (the last,
+        # nearest H_2, may be shorter), with rho = 0, tiny and pi/2 at the
+        # first, middle and last factor of each, in turn. ZUNGQR applies up
+        # to 128 factors one at a time (n <= 129: n = 1, 2 and 3 hold no
+        # factor, one and two) and, from n = 130, the groups nearest H_n as
+        # blocks.
         p = random_params(n, rng)
         cols = list(p.z_columns)
-        for j0, j1 in _runs(n):
-            if j0 > j1:
-                continue
+        for j1 in range(n, 1, -32):
+            j0 = max(2, j1 - 31)
             for j, rho in zip((j0, (j0 + j1) // 2, j1), np.roll([0.0, 1e-12, math.pi / 2], shift)):
                 d = random_z(rng, j - 1)
                 cols[j - 2] = rho * d / np.linalg.norm(d)
@@ -479,10 +458,9 @@ class TestCompose:
 
 
 class TestFirstRun:
-    # compose's first run is one call of LAPACK's ZUNGQR through
-    # numpy.linalg.lapack_lite, which numpy ships without an underscore but
-    # does not list as public: this pin is the test that fails if numpy
-    # changes the call.
+    # compose is one call of LAPACK's ZUNGQR through numpy.linalg.lapack_lite,
+    # which numpy ships without an underscore but does not list as public:
+    # this pin is the test that fails if numpy changes the call.
     @pytest.mark.parametrize("n", [1, 2, 5, 33, 64])
     def test_zungqr_reproduces_numpy_qr(self, rng, n):
         # The reflectors and tau of numpy's own QR, accumulated by the call
@@ -494,22 +472,43 @@ class TestFirstRun:
         assert lapack_lite.zungqr(n, n, n, f, n, tau, work, n, 0)["info"] == 0
         np.testing.assert_allclose(f.T, np.linalg.qr(a)[0], rtol=0, atol=4 * EPS * n)
 
+    @pytest.mark.parametrize("n", [2, 129, 130, 512])
+    def test_workspace_meets_the_query(self, monkeypatch, n):
+        # With less workspace than its query (lwork = -1) returns, ZUNGQR
+        # takes smaller blocks or none: about 2.8x the time at n = 512 with
+        # none.
+        calls = []
+
+        def zungqr(*args):
+            calls.append(args)
+            return lapack_lite.zungqr(*args)
+
+        monkeypatch.setattr(blockexp_module, "lapack_lite", types.SimpleNamespace(zungqr=zungqr))
+        compose(random_params(n, RngState(n)))
+        (m, cols, k, _, lda, _, work, lwork, _), = calls
+        query = np.empty(1, dtype=complex)
+        f = np.zeros((n, n), dtype=complex)
+        tau = np.zeros(n, dtype=complex)
+        assert lapack_lite.zungqr(m, cols, k, f, lda, tau, query, -1, 0)["info"] == 0
+        assert work.shape[0] >= lwork >= query[0].real
+
     @pytest.mark.parametrize("every", [False, True])
     @pytest.mark.parametrize("rho", [0.0, 1e-170, 1e-8, math.pi / 2, math.pi - 1e-8,
                                      math.pi, 1.5 * math.pi, 2 * math.pi, 10.0])
-    @pytest.mark.parametrize("n", [2, 3, 64, 65, 95, 96])
+    @pytest.mark.parametrize("n", [2, 3, 64, 65, 95, 96, 129, 130, 200])
     def test_beyond_the_chart(self, rng, n, rho, every):
         # v_j = w_j / cos(rho_j/2) grows like 1/cos(rho_j/2), which no double
         # rho_j makes zero: at rho = float(pi) its entries are about 1.6e16
-        # and tau_j about 7.5e-33. One column, the first run's last (the
-        # longest), or every column is drawn at rho. Over 20 draws of each
-        # case at n = 2 and 3, the largest defect was 6.2 eps n (3.8 eps n
-        # for single_factor_compose) and the largest distance 6.4 eps n;
-        # over 3 draws at n = 64 to 96, 1.0 eps n and 0.9 eps n.
+        # and tau_j about 7.5e-33. One column, the last (the longest), or
+        # every column is drawn at rho; n = 129 is ZUNGQR's last size with no
+        # block, 130 its first with one. Over 20 draws of each case at n = 2
+        # and 3, the largest defect was 6.2 eps n (3.8 eps n for
+        # single_factor_compose) and the largest distance 6.4 eps n; over 3
+        # draws at n = 64 to 96, 1.0 eps n and 0.9 eps n, and at n = 129,
+        # 130 and 200, 0.79 eps n and 0.64 eps n.
         p = random_params(n, rng)
         cols = list(p.z_columns)
-        b = _runs(n)[0][1]
-        for j in range(2, n + 1) if every else (b,):
+        for j in range(2, n + 1) if every else (n,):
             d = random_z(rng, j - 1)
             cols[j - 2] = rho * d / np.linalg.norm(d)
         p = CcskParams(p.thetas, tuple(cols))

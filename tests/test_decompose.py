@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ccsk
-from ccsk.blockexp import _NB, _runs, compose
+from ccsk.blockexp import compose
 from ccsk.decompose import UNITARITY_TOL, decompose, roundtrip_error
 from ccsk.linalg import frobenius_norm, unitarity_defect
 from ccsk.oracle import RngState, expm, random_params
@@ -23,6 +23,7 @@ from conftest import NON_FINITE_MATRICES, rejects_non_finite
 
 # The module itself: the package exports the function under the same name.
 decompose_module = importlib.import_module("ccsk.decompose")
+_NB, _runs = decompose_module._NB, decompose_module._runs
 
 
 def test_package_attribute_stays_the_function():
@@ -361,7 +362,7 @@ class TestOutsideTheGate:
 
 
 class TestPanels:
-    # decompose walks blockexp._runs(n) from the last run: each run
+    # decompose walks its _runs(n) from the last run: each run
     # after the first is a panel whose rows above take one aggregated update.
     @pytest.mark.parametrize("n", [1, 2, 95, 96, 97, 128, 200])
     def test_aggregated_updates_follow_the_runs(self, n, monkeypatch):
@@ -573,7 +574,8 @@ class TestRoundingScale:
     # 2.01 eps n for the defect and 1.63 eps n for the roundtrip error on one
     # column, and 2.03 and 2.77 eps n with ``near_half_turn``; the same draws
     # gave 1.35, 1.53, 1.96 and 1.99 with single factors and 8-factor
-    # blocks.
+    # blocks. Over another 1500 draws, compose as one LAPACK call at every n
+    # gave the same four maxima as that form: 1.96, 2.22, 2.64 and 2.32.
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(n=st.integers(2, 200), k=st.integers(0, 199), seed=st.integers(0, 2**32 - 1),
            rho=st.one_of(st.just(0.0), st.just(math.pi / 2),
