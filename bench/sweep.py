@@ -12,19 +12,18 @@ threads default to 1, as in perfbench; a thread variable already set is kept.
 The record holds the values in force.
 
 Method. Each (layer, n) takes one warm-up call, discarded, so that the
-per-n tables built on a first call (``decompose._panels``,
-``blockexp._scatter_mask``, the mask ``blockexp._reflectors`` scatters each
-run's z columns with) are not charged to the timings, and one call that sets
-how many calls a sample times (enough for ``MIN_SAMPLE_S``). Then every
-repeat times one sample of each layer in turn, the order rotating from one
-repeat to the next, so that a drift of the host's speed reaches every layer
-alike. A row reports, per layer, the median and quartiles of the seconds per
-call over the repeats, the ratios decompose/compose, compose/expm and
-random_params/compose of the medians, and the accuracy of that n's input in
-units of eps * n: the unitarity defect of compose(p) and the roundtrip
-error of compose(decompose(u)) against u. The JSON layers write u and p to
-files of one temporary directory, and read back files written there once
-before the warm-up.
+per-n table built on a first call (``blockexp._scatter_mask``, the mask
+``compose`` scatters the z columns with) is not charged to the timings, and
+one call that sets how many calls a sample times (enough for
+``MIN_SAMPLE_S``). Then every repeat times one sample of each layer in turn,
+the order rotating from one repeat to the next, so that a drift of the
+host's speed reaches every layer alike. A row reports, per layer, the
+median and quartiles of the seconds per call over the repeats, the ratios
+decompose/compose, compose/expm and random_params/compose of the medians,
+and the accuracy of that n's input in units of eps * n: the unitarity
+defect of compose(p) and the roundtrip error of compose(decompose(u))
+against u. The JSON layers write u and p to files of one temporary
+directory, and read back files written there once before the warm-up.
 
 Start-up. Each repeat also starts one fresh process of each of
 ``STARTUP`` (``python -c pass``, ``import numpy`` and ``import ccsk.cli``),

@@ -22,10 +22,11 @@ l, as w_j is zero at coordinate l, so every flip moves to the phases:
 H_j is its own adjoint and inverse. ``decompose`` peels H_n ... H_2 off
 with one kernel, ``_apply_factor``, which multiplies H_j onto the leading j
 columns of a matrix in place, x <- x - 2 (x w_j) w_j^H, in O(j^2), and keeps
-the signs in its D'; ``_reflector`` builds w_j from z_j and rho. ``exp_k``
-and ``exp_column_factor`` build the factor matrices themselves, from sigma
-and a: ``exp_k`` serves ``ccsk compare``, and ``exp_column_factor``, its n x
-n embedding, is the reference form for the tests.
+the signs in its D'; ``_reflector`` writes w_j from z_j and rho into the
+row it is given. ``exp_k`` and ``exp_column_factor`` build the factor
+matrices themselves, from sigma and a: ``exp_k`` serves ``ccsk compare``,
+and ``exp_column_factor``, its n x n embedding, is the reference form for
+the tests.
 
 ``compose`` forms D' H_2 ... H_n with one call of LAPACK's ZUNGQR, the
 routine that accumulates the Householder reflectors of a QR factorization
@@ -40,12 +41,10 @@ of Schreiber and Van Loan (SIAM J. Sci. Stat. Comput. 10, 1989), and the
 accumulation, its rounding is bounded by Higham's Lemma 19.3 (README, "The
 defect of compose, bounded").
 
-``decompose``'s panels take k consecutive reflectors as one block, H_{j0}
-... H_{j1} = I - V T V^H, with V = [w_{j0} ... w_{j1}] and T the k x k
-upper triangular matrix of the UT transform (``_reflectors``), the same
-compact WY form for rank-1 factors; ``_apply_factors`` applies its adjoint
-to the rows above a panel. Which runs make the panels is ``decompose``'s
-choice.
+``decompose`` applies a panel's reflectors to the rows above it as one
+block with ``_apply_block``: H_{j1} ... H_{lo+1} = I - V T V^H, with V the
+rows w_j the peel wrote and T from the UT transform, the same compact WY
+form for rank-1 factors.
 """
 
 from __future__ import annotations
@@ -125,10 +124,10 @@ def _sinc(x: float) -> float:
     return math.sin(x) / x if x else 1.0
 
 
-def _reflector(z: np.ndarray, rho: float) -> np.ndarray:
-    """w_j = (-sinc(rho/2)/2 z, cos(rho/2)), the unit vector of H_j = P_j F_j,
-    from z = z_j and rho = ||z||, the angle ``decompose`` read."""
-    w = np.empty(z.shape[0] + 1, dtype=np.complex128)
+def _reflector(z: np.ndarray, rho: float, w: np.ndarray) -> np.ndarray:
+    """Write w_j = (-sinc(rho/2)/2 z, cos(rho/2)), the unit vector of H_j =
+    P_j F_j, into w (length j) and return it, from z = z_j and rho = ||z||,
+    the angle ``decompose`` read."""
     np.multiply(z, -0.5 * _sinc(0.5 * rho), out=w[:-1])
     w[-1] = math.cos(0.5 * rho)
     return w
@@ -146,57 +145,33 @@ def _apply_factor(x: np.ndarray, w: np.ndarray) -> None:
     x -= y[:, None] * w.conj()
 
 
-@functools.lru_cache(maxsize=64)
-def _scatter_mask(j0: int, j1: int) -> np.ndarray:
-    """The mask ``_reflectors`` and ``compose`` scatter z_{j0} ... z_{j1} with,
-    built once.
+def _apply_block(m: np.ndarray, vt: np.ndarray) -> None:
+    """m <- m @ H_{j1} ... H_{lo+1}, in place: ``decompose``'s block update.
 
-    Row i (of k x j1) holds True in its first j0 + i - 1 entries, so
-    V^T[mask] walks the packed z columns.
+    m has j1 columns, and row i of vt (k x j1, k = j1 - lo) is the w_j of j =
+    j1 - i, zero-padded, or zero where the peel applied no factor. With V =
+    vt^T the product is I - V T V^H, T upper triangular with T^{-1} = I/2 +
+    striu(V^H V) (the UT transform of Joffrain, Low, Quintana-Orti, van de
+    Geijn and Van Zee, ACM TOMS 32, 2006), where a zero column of V is an
+    identity factor. So m -= (m V) T V^H: 2 r j1 k + r k^2 complex
+    multiply-adds for r rows.
     """
-    mask = np.tri(j1 - j0 + 1, j1, j0 - 2, dtype=bool)
+    vh = vt.conj()
+    g = np.triu(vh @ vt.T, 1)
+    g.ravel()[:: g.shape[0] + 1] = 0.5
+    m -= (m @ vt.T) @ np.linalg.inv(g) @ vh
+
+
+@functools.lru_cache(maxsize=64)
+def _scatter_mask(n: int) -> np.ndarray:
+    """The mask ``compose`` scatters z_2 ... z_n with, built once.
+
+    Row i (of (n - 1) x n) holds True in its first i + 1 entries, so f[mask]
+    walks the packed z columns.
+    """
+    mask = np.tri(n - 1, n, dtype=bool)
     mask.flags.writeable = False
     return mask
-
-
-# np.sinc takes half-turns: sinc(rho / 2) = sin(rho / 2) / (rho / 2) is
-# np.sinc(_HALF_TURNS * rho).
-_HALF_TURNS = 0.5 / math.pi
-
-
-def _reflectors(seg: np.ndarray, j0: int, j1: int) -> tuple[np.ndarray, np.ndarray]:
-    """H_{j0} ... H_{j1} = I - V T V^H on the leading j1 x j1 block.
-
-    seg holds the k = j1 - j0 + 1 consecutive columns z_{j0} ... z_{j1},
-    packed as in ``CcskParams.z``. Column i of V (j1 x k) is ``_reflector``'s
-    w_j of j = j0 + i, zero-padded, and T is upper triangular with T^{-1} =
-    I/2 + striu(V^H V) (the UT transform of Joffrain, Low, Quintana-Orti,
-    van de Geijn and Van Zee, ACM TOMS 32, 2006).
-    """
-    k = j1 - j0 + 1
-    scatter = _scatter_mask(j0, j1)
-    v = np.zeros((j1, k), dtype=np.complex128)
-    v.T[scatter] = seg
-    rho = np.linalg.norm(v, axis=0)
-    v *= -0.5 * np.sinc(_HALF_TURNS * rho)
-    v.ravel()[(j0 - 1) * k::k + 1] = np.cos(0.5 * rho)  # w_j's pivot, entry j
-    g = v.conj().T @ v
-    # T^{-1} = I/2 + striu(g). The mask's last k columns are g's strict lower
-    # triangle: w_j meets the last k coordinates above its pivot only.
-    g[scatter[:, j0 - 1:]] = 0.0
-    g.ravel()[::k + 1] = 0.5
-    return v, np.linalg.inv(g)
-
-
-def _apply_factors(m: np.ndarray, seg: np.ndarray, j0: int) -> None:
-    """m <- m @ (H_{j0} ... H_{j1})^H, in place: ``decompose``'s block update.
-
-    m has j1 columns and seg holds z_{j0} ... z_{j1}, packed as in
-    ``CcskParams.z``. The adjoint of ``_reflectors``' form is I - V T^H V^H:
-    m -= (m V) T^H V^H, 2 r j1 k + r k^2 complex multiply-adds for r rows.
-    """
-    v, t = _reflectors(seg, j0, m.shape[1])
-    m -= (m @ v) @ t.conj().T @ v.conj().T
 
 
 def compose(p: CcskParams) -> np.ndarray:
@@ -217,7 +192,7 @@ def compose(p: CcskParams) -> np.ndarray:
     """
     n = p.n
     f = np.zeros((n, n), dtype=np.complex128)
-    f[-2::-1, ::-1][_scatter_mask(2, n)] = p.z  # z_j reversed, in row n - j
+    f[-2::-1, ::-1][_scatter_mask(n)] = p.z  # z_j reversed, in row n - j
     h = np.linalg.norm(f, axis=1)
     # rho_j / 2, with rho_j = 0 (or a rho_j^2 that underflowed) raised to the
     # smallest normal double, where tan(h) / 2h is 1/2 and cos(h) is 1.

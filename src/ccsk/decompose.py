@@ -17,13 +17,15 @@ is row entries below 2.2e-308, which are subnormal and carry fewer bits;
 where ||row||^2 underflows, the norm is rescaled by the largest entry.
 
 Reading row j needs only row j itself to be up to date. So the peel walks
-the runs of ``_runs(n)`` from the last, each as a panel: each factor of the
-run is applied at once to the panel's rows alone, and the rows above the
-panel take all its factors in one aggregated block, the adjoint I - V T^H
-V^H of the run's reflector form (``blockexp._reflectors``, applied by
-``blockexp._apply_factors``), as matrix-matrix products. The first run's
-panel, the head, is the whole remaining block. The partition is the peel's
-alone: ``compose`` builds the whole product with one LAPACK call.
+panels of _NB = 32 rows down from row n, each of rows lo + 1 ... j1 with lo
+= j1 - _NB, or lo = 0 once j1 < 2 _NB: the last panel, the head, holds the
+32 to 63 rows left (all n of them for n <= 63) and reads theta_1 too. Each
+factor of a panel is applied at once to the panel's rows alone, and its w_j
+is written into row j1 - j of the panel's array vt (left zero where no
+factor is applied). The rows above the panel then take all its factors in
+one block, I - V T V^H with V = vt^T (``blockexp._apply_block``), as
+matrix-matrix products. The panels are the peel's alone: ``compose`` builds
+the whole product with one LAPACK call.
 
 The unitarity gate (defect at most ``unitarity_tol * n``) is the one
 acceptance test, and it is decided after the peel, from what the peel leaves:
@@ -43,20 +45,19 @@ rounding, so m is the Cholesky-type factor of I + E and, to first order,
 Stability of Numerical Algorithms, ch. 10). Every residue a peeled row and
 column keeps is at most ||R||_F.
 
-Only the input is checked. The panel plan ``_panels(n)`` is built once per n,
-and the result is built with ``CcskParams._unchecked`` from the arrays the
-peel filled, whose shapes and finiteness follow from the checked input.
+Only the input is checked. The result is built with
+``CcskParams._unchecked`` from the arrays the peel filled, whose shapes and
+finiteness follow from the checked input.
 """
 
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 
 import numpy as np
 
-from .blockexp import _apply_factor, _apply_factors, _reflector, compose
+from .blockexp import _apply_block, _apply_factor, _reflector, compose
 from .linalg import frobenius_norm, square_matrix, unitarity_defect
 from .params import CcskParams, z_offset
 
@@ -75,9 +76,10 @@ __all__ = [
 ZERO_PIVOT_TOL = 8 * 2.0 ** -52
 
 # The rounding that the peel adds to the bound 2 ||R||_F + ||R||_F^2 on the
-# defect, as a multiple of n^{3/2}: the bound fell below the exact defect by
-# at most 0.07 eps n^{3/2} at n = 8 ... 1024. The bound decides alone only
-# where half the gate covers this allowance, 14 times the worst seen.
+# defect, as a multiple of n^{3/2}: at n = 8 ... 1024 the bound fell below
+# the exact defect by at most 0.10 eps n^{3/2}, at n = 8 on near-identity
+# inputs, and by 0.0045 eps n^{3/2} from n = 64 on. The bound decides alone
+# only where half the gate covers this allowance, 10 times the worst seen.
 _ROUNDING = 2.0 ** -52  # eps of float64
 
 # Default per-dimension unitarity gate: decompose accepts a defect
@@ -119,11 +121,13 @@ def decompose(u: np.ndarray, *, unitarity_tol: float = UNITARITY_TOL) -> CcskPar
     z_all = np.zeros(z_offset(n + 1), dtype=np.complex128)
     phases = []  # the diagonal of D', +-e^{i theta_j}, for j = n, n-1, ..., 1
     end = z_all.shape[0]  # z_j is z_all[end - (j - 1):end], walked down from j = n
-    for lo, j1 in _panels(n):
+    j1 = n
+    while j1:
         # The panel is rows lo..j1-1, down to row 1 for the head. Each peel
         # updates the panel rows at once, so the next row is read in full;
-        # the rows above take the run's factors as one aggregated block.
-        top = end
+        # the rows above take the panel's factors, vt, as one block.
+        lo = j1 - _NB if j1 >= 2 * _NB else 0
+        vt = np.zeros((j1 - lo, j1), dtype=np.complex128)
         for j in range(j1, lo, -1):
             start = end - (j - 1)
             pivot = m.item(j - 1, j - 1)
@@ -145,12 +149,13 @@ def decompose(u: np.ndarray, *, unitarity_tol: float = UNITARITY_TOL) -> CcskPar
             if s:
                 z = z_all[start:end]
                 np.multiply(row.conj(), -phase * rho / s, out=z)
-                _apply_factor(m[lo:j, :j], _reflector(z, rho))
+                _apply_factor(m[lo:j, :j], _reflector(z, rho, vt[j1 - j, :j]))
                 phase = -phase  # the pivot H_j leaves
             phases.append(phase)
             end = start
         if lo:
-            _apply_factors(m[:lo, :j1], z_all[end:top], lo + 1)
+            _apply_block(m[:lo, :j1], vt)
+        j1 = lo
 
     # Now m = D' + R, and u = m Q for the unitary product Q of the peeled
     # reflectors. So u^H u - I = Q^H (D'^H R + R^H D' + R^H R) Q, and
@@ -170,31 +175,9 @@ def decompose(u: np.ndarray, *, unitarity_tol: float = UNITARITY_TOL) -> CcskPar
     return CcskParams._unchecked(thetas, z_all)
 
 
-# _runs' run length: every run after the first holds _NB factors, and the
-# first all of them up to n = 3 * _NB - 1, from 2 * _NB - 1 to 3 * _NB - 2
-# beyond.
+# The panel height: panels of _NB rows are peeled down from row n, and the
+# head takes the _NB to 2 _NB - 1 rows left (all of them for n < 2 _NB).
 _NB = 32
-
-
-def _runs(n: int) -> list[tuple[int, int]]:
-    """The runs (j0, j1) of factors H_{j0} ... H_{j1} that make up H_2 ... H_n.
-
-    First H_2 ... H_b, b = min(n, 2 _NB + (n - 2 _NB) % _NB) ((2, 1), empty,
-    when n = 1), so all of H_2 ... H_n for n < 3 _NB, then runs of _NB
-    factors. The peel takes the first run one factor at a time, as a panel
-    of every remaining row: a panel pays only from about n = 128, as each of
-    its rows is still read and peeled on its own.
-    """
-    b = min(n, 2 * _NB + (n - 2 * _NB) % _NB)
-    return [(2, b)] + [(j0, j0 + _NB - 1) for j0 in range(b + 1, n + 1, _NB)]
-
-
-@functools.lru_cache(maxsize=64)
-def _panels(n: int) -> tuple[tuple[int, int], ...]:
-    """The peel plan for dimension n, built once: the runs (j0, j1) of
-    ``_runs(n)`` from the last, as (lo, j1) with the panel's rows
-    j1 ... lo + 1: lo = j0 - 1, or 0 for the head, which peels row 1 too."""
-    return tuple((j0 - 1 if j0 > 2 else 0, j1) for j0, j1 in reversed(_runs(n)))
 
 
 def _not_unitary(test: str, gate: float) -> ValueError:

@@ -1,3 +1,4 @@
+import importlib
 import warnings
 from contextlib import contextmanager
 
@@ -64,3 +65,32 @@ def rejects_non_finite(match: str):
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(ValueError, match=match):
             yield
+
+
+def record_peel(monkeypatch) -> list:
+    """Record decompose's kernel calls in order, each still made: ("factor",
+    lo, j, w) for _apply_factor(m[lo:j, :j], w) and ("block", lo, j1, vt) for
+    _apply_block(m[:lo, :j1], vt), with copies of w and vt."""
+    module = importlib.import_module("ccsk.decompose")
+    factor, block = module._apply_factor, module._apply_block
+    calls = []
+
+    def recorded_factor(x, w):
+        calls.append(("factor", x.shape[1] - x.shape[0], x.shape[1], w.copy()))
+        factor(x, w)
+
+    def recorded_block(m, vt):
+        calls.append(("block", m.shape[0], m.shape[1], vt.copy()))
+        block(m, vt)
+
+    monkeypatch.setattr(module, "_apply_factor", recorded_factor)
+    monkeypatch.setattr(module, "_apply_block", recorded_block)
+    return calls
+
+
+def recorded_panels(calls: list, n: int) -> list:
+    """The panels (lo, j1) that ``record_peel``'s calls show, from row n down:
+    one per block call, then the head (0, j1), which has none, with j1 the
+    last block's lo, or n."""
+    blocks = [(lo, j1) for kind, lo, j1, _ in calls if kind == "block"]
+    return blocks + [(0, blocks[-1][0] if blocks else n)]

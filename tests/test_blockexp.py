@@ -9,14 +9,14 @@ import pytest
 from numpy.linalg import lapack_lite
 
 import ccsk.blockexp as blockexp_module
-from ccsk.blockexp import (_apply_factor, _apply_factors, _reflector, _reflectors, compose,
-                           exp_column_factor, exp_diagonal, exp_k, k_matrix)
+from ccsk.blockexp import (_apply_block, _apply_factor, _reflector, compose, exp_column_factor,
+                           exp_diagonal, exp_k, k_matrix)
 from ccsk.linalg import frobenius_norm, unitarity_defect
 from ccsk.oracle import RngState, expm, random_params
 from ccsk.params import CcskParams, assemble_generator
 
 from conftest import (OVERFLOWING_Z, complex_gaussian_vector, random_complex_matrix,
-                      rejects_non_finite)
+                      record_peel, recorded_panels, rejects_non_finite)
 
 
 EPS = np.finfo(float).eps
@@ -27,6 +27,11 @@ decompose_module = importlib.import_module("ccsk.decompose")
 
 def random_z(rng, m):
     return complex_gaussian_vector(rng, m)
+
+
+def w_of(z, rho):
+    """_reflector's w_j, in a fresh array."""
+    return _reflector(z, rho, np.empty(z.shape[0] + 1, dtype=complex))
 
 
 def reflector(z, rho, n, j):
@@ -195,8 +200,8 @@ def signed_factor(z, j, adjoint):
 
 
 class TestApplyFactor:
-    # The kernel on the leading j x j block of a larger matrix, as compose
-    # calls it: _apply_factor(u[:j, :j], _reflector(z, ||z||)).
+    # The kernel on the leading j x j block of a larger matrix:
+    # _apply_factor(u[:j, :j], w_j), w_j = _reflector(z, ||z||, w).
     N = 7
 
     @pytest.mark.parametrize("adjoint", [False, True])
@@ -208,7 +213,7 @@ class TestApplyFactor:
         z = rho * v / np.linalg.norm(v)
         want = u[:j, :j] @ signed_factor(z, j, adjoint)
         got = u.copy()
-        _apply_factor(got[:j, :j], _reflector(z, frobenius_norm(z)))
+        _apply_factor(got[:j, :j], w_of(z, frobenius_norm(z)))
         assert np.max(np.abs(got[:j, :j] - want)) <= 1e-13
         # Everything outside the leading j x j block is untouched, bit for bit.
         outside = np.ones_like(u, dtype=bool)
@@ -218,7 +223,7 @@ class TestApplyFactor:
 
 class TestFactorKernel:
     # _apply_factor(x, w) sets x <- x H_j on more rows than the block has
-    # columns, with w = _reflector(z, rho) built as compose builds it (rho =
+    # columns, with w = _reflector(z, rho, w) built from a given z (rho =
     # ||z||) or as decompose does (z = kappa conj(row), kappa = -e^{i theta}
     # rho / s, with the rho it read), against H_j = P_j F_j and its adjoint.
     @pytest.mark.parametrize("form", ["compose", "decompose"])
@@ -236,7 +241,7 @@ class TestFactorKernel:
             z = -cmath.exp(1j * rng.uniform() * 2 * math.pi) * rho / s * row.conj()
         want = u[:, :j] @ signed_factor(z, j, adjoint)
         got = u.copy()
-        _apply_factor(got[:, :j], _reflector(z, rho))
+        _apply_factor(got[:, :j], w_of(z, rho))
         assert np.max(np.abs(got[:, :j] - want)) <= 1e-14 * j
         # The columns past the block are untouched, bit for bit.
         assert got[:, j:].tobytes() == u[:, j:].tobytes()
@@ -245,7 +250,7 @@ class TestFactorKernel:
         # H_j is its own inverse: applied twice, the kernel gives x back.
         u = random_complex_matrix(rng, 5, 5)
         z = random_z(rng, 3)
-        w = _reflector(z, frobenius_norm(z))
+        w = w_of(z, frobenius_norm(z))
         got = u.copy()
         _apply_factor(got[:, :4], w)
         _apply_factor(got[:, :4], w)
@@ -253,105 +258,135 @@ class TestFactorKernel:
 
 
 class TestReflectors:
-    # H_{j0} ... H_{j1} = I - V T V^H, with rho = 0, tiny (its square
-    # underflows) and pi/2 at the first, middle and last factor.
+    # A panel's reflectors as decompose writes them, w_j into row j1 - j of a
+    # zero-filled vt, and _apply_block's product H_{j1} ... H_{j0} = I - V T
+    # V^H with V = vt^T. rho = 0, tiny (its square underflows) and pi/2 sit
+    # at the first, middle and last factor, and from k = 4 factors on the
+    # second is a zero row, a factor the peel did not apply.
     PAIRS = [(2, 2), (2, 6), (5, 5), (4, 9), (2, 32), (97, 128)]
 
     @staticmethod
-    def columns(rng, j0, j1):
+    def panel(rng, j0, j1):
+        """The columns z_j, j = j0 ... j1 (None for the zero row), and vt."""
         k = j1 - j0 + 1
         zs = [random_z(rng, j - 1) for j in range(j0, j1 + 1)]
         # dict(): where k < 3 puts two of them on one factor, the later wins.
         for i, rho in dict(zip((0, k // 2, k - 1), (0.0, 1e-170, math.pi / 2))).items():
             zs[i] *= rho / np.linalg.norm(zs[i])
-        return zs
+        if k >= 4:
+            zs[1] = None
+        vt = np.zeros((k, j1), dtype=complex)
+        for j, z in zip(range(j0, j1 + 1), zs):
+            if z is not None:
+                _reflector(z, np.linalg.norm(z), vt[j1 - j, :j])
+        return zs, vt
 
     @pytest.mark.parametrize("j0, j1", PAIRS)
     def test_unit_columns(self, rng, j0, j1):
-        v, _ = _reflectors(np.concatenate(self.columns(rng, j0, j1)), j0, j1)
-        # Within the rounding of the norm itself (1.5 eps seen).
-        assert np.max(np.abs(np.linalg.norm(v, axis=0) - 1.0)) <= 2 * EPS
+        # Each written row is a unit w_j, zero past its pivot j; the zero row
+        # stays zero. Within the rounding of the norm itself (1.5 eps seen).
+        zs, vt = self.panel(rng, j0, j1)
+        for j, z in zip(range(j0, j1 + 1), zs):
+            w = vt[j1 - j]
+            assert not w[j:].any()
+            if z is None:
+                assert not w.any()
+            else:
+                assert abs(np.linalg.norm(w) - 1.0) <= 2 * EPS
+                assert w[j - 1] == math.cos(0.5 * np.linalg.norm(z))
 
     @pytest.mark.parametrize("j0, j1", PAIRS)
     def test_t_inverse(self, rng, j0, j1):
-        v, t = _reflectors(np.concatenate(self.columns(rng, j0, j1)), j0, j1)
-        k = j1 - j0 + 1
-        t_inverse = 0.5 * np.eye(k) + np.triu(v.conj().T @ v, 1)
-        assert np.max(np.abs(t @ t_inverse - np.eye(k))) <= 1e-14
+        # T^{-1} = I/2 + striu(V^H V) gives T^{-1} + T^{-H} = V^H V, which is
+        # what makes I - V T V^H unitary.
+        _, vt = self.panel(rng, j0, j1)
+        got = np.eye(j1, dtype=complex)
+        _apply_block(got, vt)
+        assert unitarity_defect(got) <= 1e-14
 
     @pytest.mark.parametrize("j0, j1", PAIRS)
     def test_columns_are_the_kernel_reflectors(self, rng, j0, j1):
-        # Column i of V is w_j, j = j0 + i, zero-padded: the block evaluates it
-        # with numpy's norm and sinc, the kernel's _reflector with
-        # frobenius_norm and math, so they agree to rounding. The random
-        # columns have rho up to 14, and a rounding of rho moves w by about
-        # eps rho (1.03 eps max(1, rho) seen over 200 draws).
-        zs = self.columns(rng, j0, j1)
-        v, _ = _reflectors(np.concatenate(zs), j0, j1)
-        for i, z in enumerate(zs):
-            rho = frobenius_norm(z)
-            want = np.zeros(j1, dtype=complex)
-            want[:j0 + i] = _reflector(z, rho)
-            assert np.max(np.abs(v[:, i] - want)) <= 2 * EPS * max(1.0, rho)
+        # The block update of rows m equals the factor kernel applied to them
+        # row by row of vt, H_{j1} first, skipping the zero row.
+        zs, vt = self.panel(rng, j0, j1)
+        m = random_complex_matrix(rng, 5, j1)
+        want = m.copy()
+        for j in range(j1, j0 - 1, -1):
+            if zs[j - j0] is not None:
+                _apply_factor(want[:, :j], vt[j1 - j, :j])
+        got = m.copy()
+        _apply_block(got, vt)
+        assert np.max(np.abs(got - want)) <= 1e-13
 
     @pytest.mark.parametrize("j0, j1", PAIRS)
     def test_matches_dense_product(self, rng, j0, j1):
-        # I - V T V^H = H_{j0} ... H_{j1}, with H_j = P_j F_j from
-        # exp_column_factor; its adjoint, also as _apply_factors applies it.
-        zs = self.columns(rng, j0, j1)
+        # _apply_block on the identity gives H_{j1} ... H_{j0}, with H_j = P_j
+        # F_j from exp_column_factor and the identity for the zero row.
+        zs, vt = self.panel(rng, j0, j1)
         want = np.eye(j1, dtype=complex)
-        for j, z in zip(range(j0, j1 + 1), zs):
-            h = exp_column_factor(z, j1, j)
-            h[j - 1] *= -1.0
-            want = want @ h
-        seg = np.concatenate(zs)
-        v, t = _reflectors(seg, j0, j1)
-        got = np.eye(j1) - v @ t @ v.conj().T
-        assert np.max(np.abs(got - want)) <= 1e-14
-        got = np.eye(j1) - v @ t.conj().T @ v.conj().T
-        assert np.max(np.abs(got - want.conj().T)) <= 1e-14
+        for j in range(j1, j0 - 1, -1):
+            z = zs[j - j0]
+            if z is not None:
+                h = exp_column_factor(z, j1, j)
+                h[j - 1] *= -1.0
+                want = want @ h
         got = np.eye(j1, dtype=complex)
-        _apply_factors(got, seg, j0)
-        assert np.max(np.abs(got - want.conj().T)) <= 1e-14
+        _apply_block(got, vt)
+        assert np.max(np.abs(got - want)) <= 1e-14
 
 
 class TestRuns:
-    # decompose's peel partition (ccsk.decompose._runs): H_2 ... H_n as a
-    # first run, all of it up to n = 95, then runs of _NB. The peel takes
-    # the first run one factor at a time and each later run as a panel.
+    # decompose's panels, recorded from its kernel calls: runs of _NB
+    # factors counted down from H_n, each peeled as a panel of rows lo + 1
+    # ... j1 = lo + _NB, and the head, lo = 0, which takes every row left
+    # once j1 < 2 _NB: all n up to n = 63, and 32 to 63 rows beyond.
     EXPECTED = {
-        1: [(2, 1)],
-        2: [(2, 2)],
-        32: [(2, 32)],
-        33: [(2, 33)],
-        34: [(2, 34)],
-        63: [(2, 63)],
-        64: [(2, 64)],
-        65: [(2, 65)],
-        95: [(2, 95)],
-        96: [(2, 64), (65, 96)],
-        97: [(2, 65), (66, 97)],
-        128: [(2, 64), (65, 96), (97, 128)],
-        129: [(2, 65), (66, 97), (98, 129)],
+        1: [(0, 1)],
+        2: [(0, 2)],
+        32: [(0, 32)],
+        33: [(0, 33)],
+        34: [(0, 34)],
+        63: [(0, 63)],
+        64: [(32, 64), (0, 32)],
+        65: [(33, 65), (0, 33)],
+        95: [(63, 95), (0, 63)],
+        96: [(64, 96), (32, 64), (0, 32)],
+        97: [(65, 97), (33, 65), (0, 33)],
+        128: [(96, 128), (64, 96), (32, 64), (0, 32)],
+        129: [(97, 129), (65, 97), (33, 65), (0, 33)],
     }
 
     @pytest.mark.parametrize("n", sorted(EXPECTED))
-    def test_table(self, n):
+    def test_table(self, n, monkeypatch):
         assert decompose_module._NB == 32
-        assert decompose_module._runs(n) == self.EXPECTED[n]
+        calls = record_peel(monkeypatch)
+        decompose_module.decompose(compose(random_params(n, RngState(n))))
+        assert recorded_panels(calls, n) == self.EXPECTED[n]
+        # Every factor kernel call updates the rows of its panel, from lo.
+        panel_of = {j: lo for lo, j1 in self.EXPECTED[n] for j in range(lo + 1, j1 + 1)}
+        assert [(lo, j) for kind, lo, j, _ in calls if kind == "factor"] == [
+            (panel_of[j], j) for j in range(n, 1, -1)]
 
     @pytest.mark.parametrize("nb", [1, decompose_module._NB, 2 * decompose_module._NB])
     def test_partition(self, nb, monkeypatch):
-        # For any block size _NB, the one in use among them, the runs cover
-        # 2..n in order, with no gap or overlap; the first ends at H_b with
-        # min(n, 2 _NB) <= b < 3 _NB, and every later run has _NB factors.
+        # For any block size _NB, the one in use among them, the panels cover
+        # rows 1..n from row n down, with no gap or overlap; the head holds
+        # min(n, _NB) to 2 _NB - 1 rows, and every other panel _NB. The
+        # identity calls no factor kernel, so its panels are its block
+        # calls, and every vt is zero: the blocks are only recorded.
         monkeypatch.setattr(decompose_module, "_NB", nb)
+        calls = []
+        monkeypatch.setattr(decompose_module, "_apply_block",
+                            lambda m, vt: calls.append(("block", *m.shape, vt.any())))
         for n in range(1, 401):
-            runs = decompose_module._runs(n)
-            assert runs[0][0] == 2 and runs[-1][1] == n
-            assert all(a[1] + 1 == b[0] for a, b in zip(runs, runs[1:]))
-            assert min(n, 2 * nb) <= runs[0][1] < 3 * nb
-            assert all(j1 - j0 + 1 == nb for j0, j1 in runs[1:])
+            calls.clear()
+            decompose_module.decompose(np.eye(n))
+            assert not any(call[-1] for call in calls)
+            panels = recorded_panels(calls, n)
+            assert panels[0][1] == n and panels[-1][0] == 0
+            assert all(a[0] == b[1] for a, b in zip(panels, panels[1:]))
+            assert min(n, nb) <= panels[-1][1] < 2 * nb
+            assert all(j1 - lo == nb for lo, j1 in panels[:-1])
 
 
 def single_factor_compose(p: CcskParams) -> np.ndarray:
@@ -360,7 +395,7 @@ def single_factor_compose(p: CcskParams) -> np.ndarray:
     u[1:] *= -1.0  # D' = diag(e^{i theta_1}, -e^{i theta_2}, ..., -e^{i theta_n})
     for j in range(2, p.n + 1):
         z = p.z_column(j)
-        _apply_factor(u[:j, :j], _reflector(z, frobenius_norm(z)))
+        _apply_factor(u[:j, :j], w_of(z, frobenius_norm(z)))
     return u
 
 

@@ -19,11 +19,19 @@ from ccsk.linalg import frobenius_norm, unitarity_defect
 from ccsk.oracle import RngState, expm, random_params
 from ccsk.params import CcskParams, assemble_generator, params_from_generator
 
-from conftest import NON_FINITE_MATRICES, rejects_non_finite
+from conftest import NON_FINITE_MATRICES, record_peel, recorded_panels, rejects_non_finite
 
 # The module itself: the package exports the function under the same name.
 decompose_module = importlib.import_module("ccsk.decompose")
-_NB, _runs = decompose_module._NB, decompose_module._runs
+_NB = decompose_module._NB
+
+
+def panels(n: int) -> list:
+    """decompose's panels (lo, j1), rows lo + 1 ... j1, from row n down: p =
+    max(1, n // _NB) of them, each of _NB rows but the last, the head (0, n -
+    (p - 1) _NB), which holds the rest."""
+    p = max(1, n // _NB)
+    return [(n - (i + 1) * _NB, n - i * _NB) for i in range(p - 1)] + [(0, n - (p - 1) * _NB)]
 
 
 def test_package_attribute_stays_the_function():
@@ -215,16 +223,17 @@ class TestChartEdges:
         assert abs(math.remainder(q.thetas[n - 1] - p.thetas[n - 1], 2 * math.pi)) <= 1e-2
 
     @pytest.mark.parametrize("first, last", [(math.pi / 2, 0.0), (0.0, math.pi / 2)])
-    @pytest.mark.parametrize("n", [3 * _NB - 1, 3 * _NB, 3 * _NB + 1, 200])
+    @pytest.mark.parametrize("n", [63, 64, 65, 95, 96, 97, 200])
     def test_panel_edge_rows(self, n, first, last):
         # rho = pi/2 (theta_j := 0 fires) and rho = 0 (z_j := 0) on the first
-        # and the last row peeled in each panel, the runs of _runs; n is
-        # around the first size with a second run. theta_j is 0 wherever
-        # rho_j is pi/2, so every parameter is defined and must come back.
+        # and the last row peeled in each panel (row 2 for the head); n is
+        # around the sizes with a second and a third panel. theta_j is 0
+        # wherever rho_j is pi/2, so every parameter is defined and must
+        # come back.
         p = generic_params(n, n)
         thetas, cols = p.thetas.copy(), list(p.z_columns)
-        for j0, j1 in _runs(n):
-            for j, rho in ((j1, first), (j0, last)):
+        for lo, j1 in panels(n):
+            for j, rho in ((j1, first), (max(lo + 1, 2), last)):
                 if rho:
                     cols[j - 2] *= rho / np.linalg.norm(cols[j - 2])
                     thetas[j - 1] = 0.0
@@ -362,27 +371,50 @@ class TestOutsideTheGate:
 
 
 class TestPanels:
-    # decompose walks its _runs(n) from the last run: each run
-    # after the first is a panel whose rows above take one aggregated update.
-    @pytest.mark.parametrize("n", [1, 2, 95, 96, 97, 128, 200])
+    # decompose peels _NB rows at a time from row n down, each factor
+    # applied at once to its panel's rows; the rows above a panel then take
+    # its factors as one block, whose vt holds the panel's w_j.
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 95, 96, 97, 127, 128, 200])
     def test_aggregated_updates_follow_the_runs(self, n, monkeypatch):
-        calls = []
-        apply_factors = decompose_module._apply_factors
-
-        def recorded(a, seg, j0):
-            calls.append((j0, a.shape[1], a.shape[0]))
-            apply_factors(a, seg, j0)
-
-        monkeypatch.setattr(decompose_module, "_apply_factors", recorded)
+        calls = record_peel(monkeypatch)
         u = compose(random_params(n, RngState(n)))
         assert frobenius_norm(compose(decompose(u)) - u) <= 1e-13 * n
-        assert calls == [(j0, j1, j0 - 1) for j0, j1 in reversed(_runs(n)[1:])]
+        assert recorded_panels(calls, n) == panels(n)
+        # Each panel's factors, j1 down to row 2, then its block, if rows
+        # lie above it.
+        want = []
+        for lo, j1 in panels(n):
+            want += [("factor", lo, j) for j in range(j1, max(lo, 1), -1)]
+            want += [("block", lo, j1)] if lo else []
+        assert [call[:3] for call in calls] == want
+
+    @pytest.mark.parametrize("n", [64, 96, 128, 200])
+    def test_block_rows_are_the_kernel_reflectors(self, n, monkeypatch):
+        # Row j1 - j of each block's vt is, bit for bit, the w_j the factor
+        # kernel applied, and zero where no kernel ran: rows 2, 40, n - _NB +
+        # 1 (the last of the first panel) and n are zero off the diagonal.
+        calls = record_peel(monkeypatch)
+        skipped = {2, 40, n - _NB + 1, n}
+        keep = [i for i in range(n) if i + 1 not in skipped]
+        u = np.diag(np.exp(1j * np.arange(n)))
+        u[np.ix_(keep, keep)] = compose(random_params(len(keep), RngState(n)))
+        assert frobenius_norm(compose(decompose(u)) - u) <= 1e-13 * n
+        ws = {j: w for kind, _, j, w in calls if kind == "factor"}
+        assert sorted(ws) == [j for j in range(2, n + 1) if j not in skipped]
+        blocks = [(lo, j1, vt) for kind, lo, j1, vt in calls if kind == "block"]
+        assert [(lo, j1) for lo, j1, _ in blocks] == panels(n)[:-1]
+        for lo, j1, vt in blocks:
+            assert vt.shape == (j1 - lo, j1)
+            for j in range(j1, lo, -1):
+                want = np.zeros(j1, dtype=complex)
+                if j in ws:
+                    want[:j] = ws[j]
+                assert vt[j1 - j].tobytes() == want.tobytes()
 
 
 def panel_rows(n: int) -> dict:
-    """The first row the peel of column j updates: its panel's, or 0 in the first run."""
-    return {j: (j0 - 1 if j0 > 2 else 0)
-            for j0, j1 in _runs(n) for j in range(j0, j1 + 1)}
+    """The first row the peel of column j updates: lo of its panel."""
+    return {j: lo for lo, j1 in panels(n) for j in range(lo + 1, j1 + 1)}
 
 
 class TestPeel:
