@@ -19,11 +19,8 @@ l, as w_j is zero at coordinate l, so every flip moves to the phases:
     diag-phases * F_2 * ... * F_n = D' H_2 ... H_n,
     D' = diag(e^{i theta_1}, -e^{i theta_2}, ..., -e^{i theta_n}).
 
-H_j is its own adjoint and inverse. ``decompose`` peels H_n ... H_2 off
-with one kernel, ``_apply_factor``, which multiplies H_j onto the leading j
-columns of a matrix in place, x <- x - 2 (x w_j) w_j^H, in O(j^2), and keeps
-the signs in its D'; ``_reflector`` writes w_j from z_j and rho into the
-row it is given. ``exp_k`` and ``exp_column_factor`` build the factor
+H_j is its own adjoint and inverse; ``decompose`` peels the H_j off with
+its own kernels. ``exp_k`` and ``exp_column_factor`` build the factor
 matrices themselves, from sigma and a: ``exp_k`` serves ``ccsk compare``,
 and ``exp_column_factor``, its n x n embedding, is the reference form for
 the tests.
@@ -40,11 +37,6 @@ of Schreiber and Van Loan (SIAM J. Sci. Stat. Comput. 10, 1989), and the
 97 to 128 left nearest H_2 one at a time. Like any Householder
 accumulation, its rounding is bounded by Higham's Lemma 19.3 (README, "The
 defect of compose, bounded").
-
-``decompose`` applies a panel's reflectors to the rows above it as one
-block with ``_apply_block``: H_{j1} ... H_{lo+1} = I - V T V^H, with V the
-rows w_j the peel wrote and T from the UT transform, the same compact WY
-form for rank-1 factors.
 """
 
 from __future__ import annotations
@@ -122,44 +114,6 @@ def exp_column_factor(z, n: int, j: int) -> np.ndarray:
 def _sinc(x: float) -> float:
     """sin(x)/x, continued by 1 at x = 0."""
     return math.sin(x) / x if x else 1.0
-
-
-def _reflector(z: np.ndarray, rho: float, w: np.ndarray) -> np.ndarray:
-    """Write w_j = (-sinc(rho/2)/2 z, cos(rho/2)), the unit vector of H_j =
-    P_j F_j, into w (length j) and return it, from z = z_j and rho = ||z||,
-    the angle ``decompose`` read."""
-    np.multiply(z, -0.5 * _sinc(0.5 * rho), out=w[:-1])
-    w[-1] = math.cos(0.5 * rho)
-    return w
-
-
-def _apply_factor(x: np.ndarray, w: np.ndarray) -> None:
-    """x <- x @ H_j = x - 2 (x w) w^H, in place: the one factor kernel.
-
-    x holds the rows to update, restricted to the leading j columns, and w is
-    ``_reflector``'s w_j. H_j is its own adjoint, so ``decompose`` peels it
-    with the same kernel; the signs P_j stay in its D'.
-    """
-    y = x @ w
-    y += y
-    x -= y[:, None] * w.conj()
-
-
-def _apply_block(m: np.ndarray, vt: np.ndarray) -> None:
-    """m <- m @ H_{j1} ... H_{lo+1}, in place: ``decompose``'s block update.
-
-    m has j1 columns, and row i of vt (k x j1, k = j1 - lo) is the w_j of j =
-    j1 - i, zero-padded, or zero where the peel applied no factor. With V =
-    vt^T the product is I - V T V^H, T upper triangular with T^{-1} = I/2 +
-    striu(V^H V) (the UT transform of Joffrain, Low, Quintana-Orti, van de
-    Geijn and Van Zee, ACM TOMS 32, 2006), where a zero column of V is an
-    identity factor. So m -= (m V) T V^H: 2 r j1 k + r k^2 complex
-    multiply-adds for r rows.
-    """
-    vh = vt.conj()
-    g = np.triu(vh @ vt.T, 1)
-    g.ravel()[:: g.shape[0] + 1] = 0.5
-    m -= (m @ vt.T) @ np.linalg.inv(g) @ vh
 
 
 @functools.lru_cache(maxsize=64)

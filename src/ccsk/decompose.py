@@ -3,12 +3,14 @@
 The last row of the factor for column j is (-sin(rho) <ztilde|, cos(rho)), and
 every earlier factor leaves row/column j untouched apart from the phase
 e^{i theta_j}. So row j of the current leading block reads off theta_j, rho_j
-and ztilde_j directly. F_j = P_j H_j (see ``blockexp``), so multiplying by
-the reflector H_j, its own adjoint (in place, with the factor kernel
-``blockexp._apply_factor``, given w_j from the z and rho just read), peels
-it away up to the sign P_j, leaving -e^{i theta_j} on the pivot, and the
-recursion continues on the leading (j-1) x (j-1) block. Row i reads no
-column past i, so no read meets a sign P_j would flip.
+and ztilde_j directly. F_j = P_j H_j (see ``blockexp``), with H_j = I - 2
+w_j w_j^H and w_j = (-sinc(rho/2)/2 z_j, cos(rho/2), 0, ...), which
+``_reflector`` writes from the z_j and rho_j just read. H_j is its own
+adjoint, so the one factor kernel ``_apply_factor``, x <- x - 2 (x w_j)
+w_j^H in place on the leading j columns, peels F_j away up to the sign
+P_j, leaving -e^{i theta_j} on the pivot, and the recursion continues on
+the leading (j-1) x (j-1) block. Row i reads no column past i, so no read
+meets a sign P_j would flip.
 
 rho_j is read as atan2(||off-diagonal row||, |pivot|) and ztilde_j as the row
 over its own norm, so angles near 0 come back to full relative precision
@@ -23,9 +25,12 @@ panels of _NB = 32 rows down from row n, each of rows lo + 1 ... j1 with lo
 factor of a panel is applied at once to the panel's rows alone, and its w_j
 is written into row j1 - j of the panel's array vt (left zero where no
 factor is applied). The rows above the panel then take all its factors in
-one block, I - V T V^H with V = vt^T (``blockexp._apply_block``), as
-matrix-matrix products. The panels are the peel's alone: ``compose`` builds
-the whole product with one LAPACK call.
+one block with ``_apply_block``: H_{j1} ... H_{lo+1} = I - V T V^H with V =
+vt^T and T upper triangular, T^{-1} = I/2 + striu(V^H V) (the UT transform
+of Joffrain, Low, Quintana-Orti, van de Geijn and Van Zee, ACM TOMS 32,
+2006: the compact WY form for rank-1 factors), where a zero column of V is
+an identity factor. The panels are the peel's alone: ``compose`` builds the
+whole product with one LAPACK call.
 
 The unitarity gate (defect at most ``unitarity_tol * n``) is the one
 acceptance test, and it is decided after the peel, from what the peel leaves:
@@ -57,7 +62,7 @@ import math
 
 import numpy as np
 
-from .blockexp import _apply_block, _apply_factor, _reflector, compose
+from .blockexp import _sinc, compose
 from .linalg import frobenius_norm, square_matrix, unitarity_defect
 from .params import CcskParams, z_offset
 
@@ -120,7 +125,6 @@ def decompose(u: np.ndarray, *, unitarity_tol: float = UNITARITY_TOL) -> CcskPar
     thetas = np.zeros(n)
     z_all = np.zeros(z_offset(n + 1), dtype=np.complex128)
     phases = []  # the diagonal of D', +-e^{i theta_j}, for j = n, n-1, ..., 1
-    end = z_all.shape[0]  # z_j is z_all[end - (j - 1):end], walked down from j = n
     j1 = n
     while j1:
         # The panel is rows lo..j1-1, down to row 1 for the head. Each peel
@@ -129,7 +133,6 @@ def decompose(u: np.ndarray, *, unitarity_tol: float = UNITARITY_TOL) -> CcskPar
         lo = j1 - _NB if j1 >= 2 * _NB else 0
         vt = np.zeros((j1 - lo, j1), dtype=np.complex128)
         for j in range(j1, lo, -1):
-            start = end - (j - 1)
             pivot = m.item(j - 1, j - 1)
             row = m[j - 1, : j - 1]
             c = abs(pivot)
@@ -147,12 +150,11 @@ def decompose(u: np.ndarray, *, unitarity_tol: float = UNITARITY_TOL) -> CcskPar
             # output is always canonical.
             thetas[j - 1] = theta if theta > -math.pi else math.pi
             if s:
-                z = z_all[start:end]
+                z = z_all[z_offset(j):z_offset(j + 1)]
                 np.multiply(row.conj(), -phase * rho / s, out=z)
                 _apply_factor(m[lo:j, :j], _reflector(z, rho, vt[j1 - j, :j]))
                 phase = -phase  # the pivot H_j leaves
             phases.append(phase)
-            end = start
         if lo:
             _apply_block(m[:lo, :j1], vt)
         j1 = lo
@@ -178,6 +180,33 @@ def decompose(u: np.ndarray, *, unitarity_tol: float = UNITARITY_TOL) -> CcskPar
 # The panel height: panels of _NB rows are peeled down from row n, and the
 # head takes the _NB to 2 _NB - 1 rows left (all of them for n < 2 _NB).
 _NB = 32
+
+
+def _reflector(z: np.ndarray, rho: float, w: np.ndarray) -> np.ndarray:
+    """Write w_j, from z = z_j and the rho = ||z|| the peel read, into w (the
+    leading j entries of its row of vt) and return it."""
+    np.multiply(z, -0.5 * _sinc(0.5 * rho), out=w[:-1])
+    w[-1] = math.cos(0.5 * rho)
+    return w
+
+
+def _apply_factor(x: np.ndarray, w: np.ndarray) -> None:
+    """x <- x @ H_j = x - 2 (x w) w^H, in place: the one factor kernel. x holds
+    the rows to update, cut to the leading j columns, and w is w_j."""
+    y = x @ w
+    y += y
+    x -= y[:, None] * w.conj()
+
+
+def _apply_block(m: np.ndarray, vt: np.ndarray) -> None:
+    """m <- m @ H_{j1} ... H_{lo+1} = m - (m V) T V^H, in place: the block
+    update. m has j1 columns, and row i of vt (k x j1, k = j1 - lo) is the
+    w_j of j = j1 - i, zero-padded. 2 r j1 k + r k^2 complex multiply-adds
+    for r rows."""
+    vh = vt.conj()
+    g = np.triu(vh @ vt.T, 1)
+    g.ravel()[:: g.shape[0] + 1] = 0.5
+    m -= (m @ vt.T) @ np.linalg.inv(g) @ vh
 
 
 def _not_unitary(test: str, gate: float) -> ValueError:

@@ -67,6 +67,15 @@ def rejects_non_finite(match: str):
             yield
 
 
+def panels(n: int) -> list:
+    """decompose's panels (lo, j1), rows lo + 1 ... j1, from row n down: p =
+    max(1, n // _NB) of them, each of _NB rows but the last, the head (0, n -
+    (p - 1) _NB), which holds the rest."""
+    nb = importlib.import_module("ccsk.decompose")._NB
+    p = max(1, n // nb)
+    return [(n - (i + 1) * nb, n - i * nb) for i in range(p - 1)] + [(0, n - (p - 1) * nb)]
+
+
 def record_peel(monkeypatch) -> list:
     """Record decompose's kernel calls in order, each still made: ("factor",
     lo, j, w) for _apply_factor(m[lo:j, :j], w) and ("block", lo, j1, vt) for

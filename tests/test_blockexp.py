@@ -9,13 +9,13 @@ import pytest
 from numpy.linalg import lapack_lite
 
 import ccsk.blockexp as blockexp_module
-from ccsk.blockexp import (_apply_block, _apply_factor, _reflector, compose, exp_column_factor,
-                           exp_diagonal, exp_k, k_matrix)
+from ccsk.blockexp import compose, exp_column_factor, exp_diagonal, exp_k, k_matrix
+from ccsk.decompose import _apply_block, _apply_factor, _reflector
 from ccsk.linalg import frobenius_norm, unitarity_defect
 from ccsk.oracle import RngState, expm, random_params
 from ccsk.params import CcskParams, assemble_generator
 
-from conftest import (OVERFLOWING_Z, complex_gaussian_vector, random_complex_matrix,
+from conftest import (OVERFLOWING_Z, complex_gaussian_vector, panels, random_complex_matrix,
                       record_peel, recorded_panels, rejects_non_finite)
 
 
@@ -352,20 +352,28 @@ class TestRuns:
         95: [(63, 95), (0, 63)],
         96: [(64, 96), (32, 64), (0, 32)],
         97: [(65, 97), (33, 65), (0, 33)],
+        127: [(95, 127), (63, 95), (0, 63)],
         128: [(96, 128), (64, 96), (32, 64), (0, 32)],
         129: [(97, 129), (65, 97), (33, 65), (0, 33)],
+        200: [(168, 200), (136, 168), (104, 136), (72, 104), (40, 72), (0, 40)],
     }
 
     @pytest.mark.parametrize("n", sorted(EXPECTED))
     def test_table(self, n, monkeypatch):
+        # The table, the closed-form rule panels(n) and the recorded panels
+        # agree; each panel's factor kernel calls, j1 down to row 2, update
+        # its rows from lo, and its block follows if rows lie above it; and
+        # the peel still round-trips.
         assert decompose_module._NB == 32
         calls = record_peel(monkeypatch)
-        decompose_module.decompose(compose(random_params(n, RngState(n))))
-        assert recorded_panels(calls, n) == self.EXPECTED[n]
-        # Every factor kernel call updates the rows of its panel, from lo.
-        panel_of = {j: lo for lo, j1 in self.EXPECTED[n] for j in range(lo + 1, j1 + 1)}
-        assert [(lo, j) for kind, lo, j, _ in calls if kind == "factor"] == [
-            (panel_of[j], j) for j in range(n, 1, -1)]
+        u = compose(random_params(n, RngState(n)))
+        assert frobenius_norm(compose(decompose_module.decompose(u)) - u) <= 1e-13 * n
+        assert recorded_panels(calls, n) == self.EXPECTED[n] == panels(n)
+        want = []
+        for lo, j1 in self.EXPECTED[n]:
+            want += [("factor", lo, j) for j in range(j1, max(lo, 1), -1)]
+            want += [("block", lo, j1)] if lo else []
+        assert [call[:3] for call in calls] == want
 
     @pytest.mark.parametrize("nb", [1, decompose_module._NB, 2 * decompose_module._NB])
     def test_partition(self, nb, monkeypatch):

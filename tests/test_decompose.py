@@ -9,29 +9,21 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ccsk
 from ccsk.blockexp import compose
-from ccsk.decompose import UNITARITY_TOL, decompose, roundtrip_error
+from ccsk.decompose import UNITARITY_TOL, ZERO_PIVOT_TOL, decompose, roundtrip_error
 from ccsk.linalg import frobenius_norm, unitarity_defect
 from ccsk.oracle import RngState, expm, random_params
-from ccsk.params import CcskParams, assemble_generator, params_from_generator
+from ccsk.params import CcskParams, assemble_generator, params_from_generator, z_offset
 
-from conftest import NON_FINITE_MATRICES, record_peel, recorded_panels, rejects_non_finite
+from conftest import NON_FINITE_MATRICES, panels, record_peel, rejects_non_finite
 
 # The module itself: the package exports the function under the same name.
 decompose_module = importlib.import_module("ccsk.decompose")
 _NB = decompose_module._NB
-
-
-def panels(n: int) -> list:
-    """decompose's panels (lo, j1), rows lo + 1 ... j1, from row n down: p =
-    max(1, n // _NB) of them, each of _NB rows but the last, the head (0, n -
-    (p - 1) _NB), which holds the rest."""
-    p = max(1, n // _NB)
-    return [(n - (i + 1) * _NB, n - i * _NB) for i in range(p - 1)] + [(0, n - (p - 1) * _NB)]
 
 
 def test_package_attribute_stays_the_function():
@@ -374,20 +366,6 @@ class TestPanels:
     # decompose peels _NB rows at a time from row n down, each factor
     # applied at once to its panel's rows; the rows above a panel then take
     # its factors as one block, whose vt holds the panel's w_j.
-    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 95, 96, 97, 127, 128, 200])
-    def test_aggregated_updates_follow_the_runs(self, n, monkeypatch):
-        calls = record_peel(monkeypatch)
-        u = compose(random_params(n, RngState(n)))
-        assert frobenius_norm(compose(decompose(u)) - u) <= 1e-13 * n
-        assert recorded_panels(calls, n) == panels(n)
-        # Each panel's factors, j1 down to row 2, then its block, if rows
-        # lie above it.
-        want = []
-        for lo, j1 in panels(n):
-            want += [("factor", lo, j) for j in range(j1, max(lo, 1), -1)]
-            want += [("block", lo, j1)] if lo else []
-        assert [call[:3] for call in calls] == want
-
     @pytest.mark.parametrize("n", [64, 96, 128, 200])
     def test_block_rows_are_the_kernel_reflectors(self, n, monkeypatch):
         # Row j1 - j of each block's vt is, bit for bit, the w_j the factor
@@ -554,10 +532,16 @@ class TestAcceptanceImpliesThePeel:
     # peel inverts to within the defect: the residue R it leaves has ||R||_F
     # <= defect / sqrt(2) + rounding, and the roundtrip error is ||R||_F.
     # The largest ratio seen over these families is 0.71 (defect + eps
-    # n^{3/2}).
+    # n^{3/2}). The examples, one column scaled to 0.99 of the gate, read
+    # 0.697, 0.702 and 0.704; there an elimination on (J u J)^H gated by the
+    # exact defect, the LU form of the same map (TestEliminationIdentity),
+    # returns a roundtrip 1.10 to 1.15 times this allowance.
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(n=st.integers(2, 200), kind=st.integers(0, 5), seed=st.integers(0, 2**32 - 1),
            fraction=st.floats(0.0, 0.99))
+    @example(n=64, kind=1, seed=11, fraction=0.99)
+    @example(n=128, kind=1, seed=11, fraction=0.99)
+    @example(n=194, kind=1, seed=11, fraction=0.99)
     def test_roundtrip_within_the_defect(self, n, kind, seed, fraction):
         gate = UNITARITY_TOL * n
         u = compose(random_params(n, RngState(seed)))
@@ -570,6 +554,47 @@ class TestAcceptanceImpliesThePeel:
         defect = unitarity_defect(a)
         assert defect <= gate
         assert roundtrip_error(a) <= defect + 2 * EPS * n ** 1.5
+
+
+def eliminate(u: np.ndarray) -> tuple:
+    """README's identity for the peel, as a reference: with B = (J u J)^H, J
+    the reversal, column k of B read like row j = n - k of the peel gives
+    theta_j and z_j, then B's trailing block takes the rank-1 update with
+    multipliers tail e^{i theta_j} / (1 + |pivot|). Returns (thetas, z)."""
+    n = u.shape[0]
+    b = u[::-1, ::-1].conj().T
+    thetas = np.zeros(n)
+    z = np.zeros(z_offset(n + 1), dtype=complex)
+    for k in range(n):
+        j = n - k
+        pivot, tail = b[k, k], b[k + 1:, k]
+        c, s = abs(pivot), np.linalg.norm(tail)
+        thetas[j - 1] = -cmath.phase(pivot) if c > ZERO_PIVOT_TOL else 0.0
+        if s:
+            phase = cmath.exp(1j * thetas[j - 1])
+            z[z_offset(j):z_offset(j + 1)] = tail[::-1] * (-phase * math.atan2(s, c) / s)
+            b[k + 1:, k + 1:] -= np.outer(tail * (phase / (1 + c)), b[k, k + 1:])
+    return thetas, z
+
+
+class TestEliminationIdentity:
+    # The peel computes the modified LU of Ballard et al. (IPDPS 2014), with
+    # phases in place of signs: the reference elimination gives decompose's
+    # parameters to rounding, on compose outputs with columns 2, (n + 2) // 2
+    # and n at rho = 0 or pi/2.
+    @pytest.mark.parametrize("rho", [0.0, math.pi / 2])
+    @pytest.mark.parametrize("n", [2, 3, 8, 33])
+    def test_matches_the_peel(self, n, rho):
+        p = random_params(n, RngState(n))
+        z = p.z.copy()
+        for j in {2, (n + 2) // 2, n}:
+            col = z[z_offset(j):z_offset(j + 1)]
+            col *= rho / np.linalg.norm(col)
+        u = compose(CcskParams(p.thetas, z))
+        q = decompose(u)
+        thetas, z = eliminate(u)
+        assert np.max(np.abs(np.angle(np.exp(1j * (thetas - q.thetas))))) <= 1e-13
+        assert np.max(np.abs(z - q.z)) <= 1e-13
 
 
 class TestTightTolerance:
