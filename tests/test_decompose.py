@@ -366,6 +366,21 @@ class TestPanels:
     # decompose peels _NB rows at a time from row n down, each factor
     # applied at once to its panel's rows; the rows above a panel then take
     # its factors as one block, whose vt holds the panel's w_j.
+    # The sizes are TestRuns::test_table's, where panels(n) is pinned to a
+    # literal table.
+    @pytest.mark.parametrize("n", [1, 2, 32, 33, 34, 63, 64, 65, 95, 96, 97, 127, 128, 129, 200])
+    def test_aggregated_updates_follow_the_runs(self, n, monkeypatch):
+        calls = record_peel(monkeypatch)
+        u = compose(random_params(n, RngState(n)))
+        assert frobenius_norm(compose(decompose(u)) - u) <= 1e-13 * n
+        # Each panel's factors, j1 down to row 2, each updating the panel's
+        # rows from lo, then its block, if rows lie above it.
+        want = []
+        for lo, j1 in panels(n):
+            want += [("factor", lo, j) for j in range(j1, max(lo, 1), -1)]
+            want += [("block", lo, j1)] if lo else []
+        assert [call[:3] for call in calls] == want
+
     @pytest.mark.parametrize("n", [64, 96, 128, 200])
     def test_block_rows_are_the_kernel_reflectors(self, n, monkeypatch):
         # Row j1 - j of each block's vt is, bit for bit, the w_j the factor
