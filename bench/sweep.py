@@ -12,8 +12,8 @@ threads default to 1, as in perfbench; a thread variable already set is kept.
 The record holds the values in force.
 
 Method. Each (layer, n) takes one warm-up call, discarded, so that the
-per-n table built on a first call (``blockexp._scatter_mask``, the mask
-``compose`` scatters the z columns with) is not charged to the timings, and
+per-n table built on a first call (``params.z_mask``, the mask ``compose``
+scatters the z columns with) is not charged to the timings, and
 one call that sets how many calls a sample times (enough for
 ``MIN_SAMPLE_S``). Then every repeat times one sample of each layer in turn,
 the order rotating from one repeat to the next, so that a drift of the

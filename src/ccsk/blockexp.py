@@ -41,7 +41,6 @@ defect of compose, bounded").
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 
@@ -49,7 +48,7 @@ import numpy as np
 from numpy.linalg import lapack_lite
 
 from .linalg import _vector_norm, as_cvector
-from .params import CcskParams
+from .params import CcskParams, z_mask
 
 __all__ = [
     "k_matrix",
@@ -116,18 +115,6 @@ def _sinc(x: float) -> float:
     return math.sin(x) / x if x else 1.0
 
 
-@functools.lru_cache(maxsize=64)
-def _scatter_mask(n: int) -> np.ndarray:
-    """The mask ``compose`` scatters z_2 ... z_n with, built once.
-
-    Row i (of (n - 1) x n) holds True in its first i + 1 entries, so f[mask]
-    walks the packed z columns.
-    """
-    mask = np.tri(n - 1, n, dtype=bool)
-    mask.flags.writeable = False
-    return mask
-
-
 def compose(p: CcskParams) -> np.ndarray:
     """Ordered product: diagonal phases, then the column factors j = 2..n.
 
@@ -146,7 +133,7 @@ def compose(p: CcskParams) -> np.ndarray:
     """
     n = p.n
     f = np.zeros((n, n), dtype=np.complex128)
-    f[-2::-1, ::-1][_scatter_mask(n)] = p.z  # z_j reversed, in row n - j
+    f[::-1, ::-1][z_mask(n)] = p.z  # z_j reversed, in row n - j
     h = np.linalg.norm(f, axis=1)
     # rho_j / 2, with rho_j = 0 (or a rho_j^2 that underflowed) raised to the
     # smallest normal double, where tan(h) / 2h is 1/2 and cos(h) is 1.

@@ -185,6 +185,7 @@ _NB = 32
 def _reflector(z: np.ndarray, rho: float, w: np.ndarray) -> np.ndarray:
     """Write w_j, from z = z_j and the rho = ||z|| the peel read, into w (the
     leading j entries of its row of vt) and return it."""
+    # _sinc covers rho = 0 with z != 0, where atan2(s, |pivot|) underflows.
     np.multiply(z, -0.5 * _sinc(0.5 * rho), out=w[:-1])
     w[-1] = math.cos(0.5 * rho)
     return w

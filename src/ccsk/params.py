@@ -8,8 +8,8 @@ and the negated conjugates below.
 
 ``CcskParams`` stores the columns packed in one vector z of length
 n(n-1)/2: z_2, z_3, ..., z_n laid end to end, which is the strict upper
-triangle of the generator read column by column, ``x.T[np.tri(n, k=-1,
-dtype=bool)]``. z_j starts at ``z_offset(j)``; ``z_column(j)`` is a view.
+triangle of the generator read column by column, ``x.T[z_mask(n)]``. z_j
+starts at ``z_offset(j)``; ``z_column(j)`` is a view.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ __all__ = [
     "GENERATOR_DEFECT_TOL",
     "assemble_generator",
     "params_from_generator",
+    "z_mask",
     "z_offset",
 ]
 
@@ -159,17 +160,21 @@ def _rho_in_chart(z: np.ndarray) -> bool:
     return np.linalg.norm(z) <= math.pi / 2 + _CANONICAL_RHO_SLACK * math.sqrt(z.shape[0])
 
 
-def _strictly_lower(n: int) -> np.ndarray:
-    """Mask of the strict lower triangle. For an n x n x, x.T[mask] lists the
+@functools.lru_cache(maxsize=64)
+def z_mask(n: int) -> np.ndarray:
+    """The packed z's layout: the n x n mask of the strict lower triangle,
+    read-only and built once per n. For an n x n x, x.T[mask] lists the
     strict upper triangle column by column, the packed z; x[mask] lists the
     lower triangle row by row, in the same order."""
-    return np.tri(n, k=-1, dtype=bool)
+    mask = np.tri(n, k=-1, dtype=bool)
+    mask.flags.writeable = False
+    return mask
 
 
 def assemble_generator(p: CcskParams) -> np.ndarray:
     """Anti-Hermitian n x n matrix: i*theta diagonal, z columns above, -conj below."""
     x = np.diag(1j * p.thetas)
-    lower = _strictly_lower(p.n)  # empty at n = 1
+    lower = z_mask(p.n)  # empty at n = 1
     x.T[lower] = p.z
     x[lower] = -p.z.conj()
     return x
@@ -194,4 +199,4 @@ def params_from_generator(x) -> CcskParams:
         worst = float(np.max(np.abs(diag.real)))
         raise ValueError(
             f"generator diagonal has real part up to {worst:.3e}; not in u(n)")
-    return CcskParams(diag.imag.copy(), x.T[_strictly_lower(n)])
+    return CcskParams(diag.imag.copy(), x.T[z_mask(n)])

@@ -322,6 +322,8 @@ FAR_FROM_UNITARY = {
     "two_identity_200": 2 * np.eye(200, dtype=complex),
     "gaussian_128": _gaussian[0] + 1j * _gaussian[1],
     "entries_1e200": np.full((3, 3), 1e200, dtype=complex),
+    # rho_2 = atan2(1e-170, 1e154) underflows to 0 while the rescaled s is 1e-170.
+    "rho_underflows_2": np.array([[1, 0], [1e-170, 1e154]], dtype=complex),
 }
 
 

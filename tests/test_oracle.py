@@ -378,8 +378,10 @@ class TestRandomParams:
         with pytest.raises(ValueError):
             random_params(0, RngState(1))
 
+    # random_params takes Box-Muller's cos from numpy and gaussian from
+    # math.cos, so a numpy whose cos differs from libm's fails here.
     @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
-    @pytest.mark.parametrize("n", [1, 2, 5, 128, 200, 1024])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 64, 128, 200, 1024])
     def test_bulk_stream_matches_scalar_draws(self, seed, n):
         p = random_params(n, RngState(seed))
         q = scalar_random_params(n, RngState(seed))
