@@ -5,12 +5,12 @@ exponentials, and decompose arbitrary unitaries back into canonical
 parameters, with an independent matrix-exponential oracle for verification.
 """
 
-from .blockexp import compose, exp_column_factor, exp_k, k_matrix
+from .blockexp import (Euler2Factors, ProjectorPair, compose, euler2_factorize,
+                       exp_column_factor, exp_k, k_matrix, projector_form)
 from .decompose import decompose, roundtrip_error
 from .linalg import anti_hermiticity_defect, frobenius_norm, unitarity_defect
 from .oracle import RngState, expm, random_params
 from .params import CcskParams, assemble_generator, params_from_generator
-from .special import Euler2Factors, ProjectorPair, euler2_factorize, projector_form
 
 __all__ = [
     "CcskParams",

@@ -25,6 +25,12 @@ matrices themselves, from sigma and a: ``exp_k`` serves ``ccsk compare``,
 and ``exp_column_factor``, its n x n embedding, is the reference form for
 the tests.
 
+Two more reference forms write the same factor another way. For n=2 the
+product of the diagonal phases with the single column factor splits into
+phase * real rotation * phase (``euler2_factorize``). For any column vector,
+the leading block I - (1 - cos rho)|zt><zt| equals P0 + cos(rho) P1 with P1
+= |zt><zt| and P0 its complement (``projector_form``).
+
 ``compose`` forms D' H_2 ... H_n with one call of LAPACK's ZUNGQR, the
 routine that accumulates the Householder reflectors of a QR factorization
 (Anderson et al., LAPACK Users' Guide, 3rd ed., SIAM 1999), on the
@@ -41,21 +47,26 @@ defect of compose, bounded").
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import lapack_lite
 
-from .linalg import _vector_norm, as_cvector
+from .linalg import _vector_norm, as_cvector, frobenius_norm
 from .params import CcskParams, z_mask
 
 __all__ = [
     "k_matrix",
-    "exp_diagonal",
     "exp_k",
     "exp_column_factor",
     "compose",
+    "Euler2Factors",
+    "ProjectorPair",
+    "euler2_factorize",
+    "projector_form",
 ]
 
 def k_matrix(z) -> np.ndarray:
@@ -69,15 +80,6 @@ def k_matrix(z) -> np.ndarray:
     k[:m, m] = z
     k[m, :m] = -z.conj()
     return k
-
-
-def exp_diagonal(thetas) -> np.ndarray:
-    """diag(e^{i theta_1}, ..., e^{i theta_n})."""
-    thetas = np.asarray(thetas, dtype=np.float64)
-    n = thetas.shape[0]
-    out = np.zeros((n, n), dtype=np.complex128)
-    out.ravel()[:: n + 1] = np.exp(1j * thetas)  # np.diag's work, without its overhead
-    return out
 
 
 def exp_k(z) -> np.ndarray:
@@ -151,3 +153,65 @@ def compose(p: CcskParams) -> np.ndarray:
     d = np.exp(1j * p.thetas)
     d[1:] *= -1.0  # D'
     return d[:, None] * np.conjugate(f, out=f)[::-1, ::-1]
+
+
+# eq=False: equality and hash by identity; a generated __eq__ raises on arrays.
+@dataclass(frozen=True, eq=False)
+class Euler2Factors:
+    left_phase: np.ndarray
+    rotation: np.ndarray
+    right_phase: np.ndarray
+
+    def product(self) -> np.ndarray:
+        return self.left_phase @ self.rotation @ self.right_phase
+
+
+@dataclass(frozen=True, eq=False)
+class ProjectorPair:
+    p0: np.ndarray
+    p1: np.ndarray
+    rho: float
+
+    def cosine_combination(self) -> np.ndarray:
+        """p0 + cos(rho) p1; equals the leading block of the column factor."""
+        return self.p0 + math.cos(self.rho) * self.p1
+
+
+def euler2_factorize(theta1: float, theta2: float, z: complex) -> Euler2Factors:
+    """phase * rotation * phase factorisation of the 2x2 product map.
+
+    With alpha = arg(z) (zero for z = 0) and r = |z|:
+      left  = diag(e^{i(theta1 + alpha/2)}, e^{i(theta2 - alpha/2)})
+      mid   = [[cos r, sin r], [-sin r, cos r]]
+      right = diag(e^{-i alpha/2}, e^{i alpha/2})
+    A nan or inf argument, or a z whose modulus overflows, is refused (ValueError).
+    """
+    z = complex(z)
+    r = math.hypot(z.real, z.imag)  # abs(z), but inf where that overflows
+    if not (math.isfinite(theta1) and math.isfinite(theta2) and math.isfinite(r)):
+        raise ValueError("euler2_factorize requires finite theta1, theta2 and |z|, "
+                         f"got {theta1}, {theta2} and {z}")
+    alpha = cmath.phase(z) if z != 0 else 0.0
+    left = np.diag([cmath.exp(1j * (theta1 + alpha / 2.0)),
+                    cmath.exp(1j * (theta2 - alpha / 2.0))])
+    rotation = np.array([[math.cos(r), math.sin(r)],
+                         [-math.sin(r), math.cos(r)]], dtype=np.complex128)
+    right = np.diag([cmath.exp(-1j * alpha / 2.0), cmath.exp(1j * alpha / 2.0)])
+    return Euler2Factors(left, rotation, right)
+
+
+def projector_form(z) -> ProjectorPair:
+    """Orthogonal projectors onto the z direction and its complement. A z
+    that is zero or whose norm overflows is refused (ValueError)."""
+    z = as_cvector(z)
+    rho = _vector_norm(z, "projector_form")
+    if rho == 0.0:
+        raise ValueError("projector_form requires a nonzero vector")
+    if rho < 1e-300:  # z / rho takes 1 / rho, inf for a subnormal rho; 2^1000 is exact
+        zs = z * 2.0**1000
+        zt = zs / frobenius_norm(zs)
+    else:
+        zt = z / rho
+    p1 = np.outer(zt, zt.conj())
+    p0 = np.eye(z.shape[0], dtype=np.complex128) - p1
+    return ProjectorPair(p0, p1, rho)

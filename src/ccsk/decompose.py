@@ -63,7 +63,7 @@ import math
 import numpy as np
 
 from .blockexp import _sinc, compose
-from .linalg import frobenius_norm, square_matrix, unitarity_defect
+from .linalg import _rescaled_norm, frobenius_norm, square_matrix, unitarity_defect
 from .params import CcskParams, z_offset
 
 __all__ = [
@@ -139,9 +139,7 @@ def decompose(u: np.ndarray, *, unitarity_tol: float = UNITARITY_TOL) -> CcskPar
             s = math.sqrt(np.vdot(row, row).real)  # frobenius_norm(row), inline
             if not s and j > 1 and row.any():
                 # ||row||^2 underflowed (rho_j below about 1.5e-162): scale it.
-                a = np.abs(row)
-                t = a.max()
-                s = t * frobenius_norm(a / t)
+                s = _rescaled_norm(row)
             rho = math.atan2(s, c)
             theta = cmath.phase(pivot) if c > ZERO_PIVOT_TOL else 0.0
             phase = cmath.exp(1j * theta)

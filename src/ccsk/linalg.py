@@ -44,12 +44,22 @@ def frobenius_norm(a: np.ndarray) -> float:
     return math.sqrt(np.vdot(a, a).real)
 
 
+def _rescaled_norm(v: np.ndarray) -> float:
+    """||v||_2 of a nonzero vector as t ||v / t||, t = max |v_i|, for entries
+    whose squares are subnormal or 0 (below about 1.5e-154)."""
+    a = np.abs(v)
+    t = a.max()
+    return t * frobenius_norm(a / t)
+
+
 def _vector_norm(v: np.ndarray, what: str) -> float:
-    """``frobenius_norm(v)`` of a checked vector z, or a ValueError naming
-    ``what`` when it overflows (finite entries above about 1.3e154)."""
+    """``frobenius_norm(v)`` of a checked vector z, rescaled below 1e-150, or a
+    ValueError naming ``what`` when it overflows (entries above about 1.3e154)."""
     norm = frobenius_norm(v)
     if not math.isfinite(norm):
         raise ValueError(f"{what}: the norm of z overflows")
+    if norm < 1e-150 and v.any():
+        norm = _rescaled_norm(v)
     return norm
 
 

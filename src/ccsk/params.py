@@ -98,9 +98,9 @@ class CcskParams:
                     raise ValueError(
                         f"z column for j={j} must have length {j - 1}, got shape {c.shape}")
             z = np.concatenate(cols) if cols else np.zeros(0, dtype=np.complex128)
-        # compose takes each column's norm unscaled (linalg.frobenius_norm), so
-        # a finite column whose norm overflows is refused too. Entries and
-        # columns are looked at only when the norm of all of z is not finite.
+        # compose's np.linalg.norm of each column sums unscaled squares, so a
+        # finite column whose norm overflows would give NaNs: refused too.
+        # Entries and columns are looked at only when z's norm is not finite.
         if not math.isfinite(frobenius_norm(z)):
             if not np.isfinite(z).all():
                 raise ValueError("z contains non-finite values")

@@ -10,14 +10,14 @@ import math
 import numpy as np
 import pytest
 
-from ccsk.blockexp import compose, exp_column_factor, exp_k, k_matrix
+from ccsk.blockexp import (compose, euler2_factorize, exp_column_factor, exp_k, k_matrix,
+                           projector_form)
 from ccsk.cli import main
 from ccsk.decompose import decompose, roundtrip_error
 from ccsk.linalg import frobenius_norm, unitarity_defect
 from ccsk.oracle import RngState, expm, random_params
 from ccsk.params import CcskParams, assemble_generator
 from ccsk.serialize import read_matrix, write_matrix, write_params
-from ccsk.special import euler2_factorize, projector_form
 
 from conftest import complex_gaussian_vector
 from test_decompose import params_close

@@ -9,7 +9,7 @@ import pytest
 from numpy.linalg import lapack_lite
 
 import ccsk.blockexp as blockexp_module
-from ccsk.blockexp import compose, exp_column_factor, exp_diagonal, exp_k, k_matrix
+from ccsk.blockexp import compose, exp_column_factor, exp_k, k_matrix
 from ccsk.decompose import _apply_block, _apply_factor, _reflector
 from ccsk.linalg import frobenius_norm, unitarity_defect
 from ccsk.oracle import RngState, expm, random_params
@@ -61,18 +61,6 @@ class TestKAlgebra:
         expected[:5, :5] = -np.outer(z, z.conj())
         expected[5, 5] = -zz
         assert frobenius_norm(k @ k - expected) <= 1e-14 * (1 + zz)
-
-
-class TestExpDiagonal:
-    def test_zeros_is_identity(self):
-        np.testing.assert_array_equal(exp_diagonal(np.zeros(4)), np.eye(4))
-
-    def test_pi(self):
-        assert abs(exp_diagonal([math.pi])[0, 0] + 1.0) <= 1e-15
-
-    def test_unit_magnitudes(self):
-        d = np.diag(exp_diagonal([0.3, -0.7]))
-        np.testing.assert_allclose(np.abs(d), 1.0, atol=1e-16)
 
 
 class TestExpK:
@@ -392,7 +380,7 @@ class TestRuns:
 
 def single_factor_compose(p: CcskParams) -> np.ndarray:
     """The ordered product D' H_2 ... H_n with every reflector applied on its own."""
-    u = exp_diagonal(p.thetas)
+    u = np.diag(np.exp(1j * p.thetas))
     u[1:] *= -1.0  # D' = diag(e^{i theta_1}, -e^{i theta_2}, ..., -e^{i theta_n})
     for j in range(2, p.n + 1):
         z = p.z_column(j)
@@ -402,7 +390,7 @@ def single_factor_compose(p: CcskParams) -> np.ndarray:
 
 def dense_compose(p: CcskParams) -> np.ndarray:
     """The ordered product built from explicit n x n factor matrices."""
-    u = exp_diagonal(p.thetas)
+    u = np.diag(np.exp(1j * p.thetas))
     for j in range(2, p.n + 1):
         u = u @ exp_column_factor(p.z_column(j), p.n, j)
     return u
@@ -480,7 +468,7 @@ class TestCompose:
             for j, rho in zip((2, n // 2 + 1, n), (0.0, 1e-170, math.pi / 2)):
                 d = random_z(rng, j - 1)
                 cols[j - 2] = rho * d / np.linalg.norm(d)
-        want = exp_diagonal(p.thetas)
+        want = np.diag(np.exp(1j * p.thetas))
         want[1:] *= -1.0
         for j, z in zip(range(2, n + 1), cols):
             want = want @ reflector(z, math.sqrt(np.vdot(z, z).real), n, j)

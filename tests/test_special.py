@@ -1,13 +1,13 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from ccsk.blockexp import compose, exp_diagonal, exp_k
+from ccsk.blockexp import compose, euler2_factorize, exp_k, projector_form
 from ccsk.linalg import frobenius_norm, unitarity_defect
 from ccsk.params import CcskParams
-from ccsk.special import euler2_factorize, projector_form
 
 from conftest import OVERFLOWING_Z, complex_gaussian_vector, rejects_non_finite
 
@@ -24,11 +24,12 @@ def three_lines(theta1, theta2, z):
         [math.cos(r), cmath.exp(1j * alpha) * math.sin(r)],
         [-cmath.exp(-1j * alpha) * math.sin(r), math.cos(r)],
     ])
-    line1 = exp_diagonal([theta1, theta2]) @ rot_alpha
+    phases = np.diag(np.exp(1j * np.array([theta1, theta2])))
+    line1 = phases @ rot_alpha
     rot = np.array([[math.cos(r), math.sin(r)],
                     [-math.sin(r), math.cos(r)]], dtype=complex)
     half = np.diag([cmath.exp(1j * alpha / 2), cmath.exp(-1j * alpha / 2)])
-    line2 = (exp_diagonal([theta1, theta2]) @ half @ rot @ half.conj().T)
+    line2 = (phases @ half @ rot @ half.conj().T)
     line3 = euler2_factorize(theta1, theta2, z).product()
     return line1, line2, line3
 
@@ -37,7 +38,7 @@ class TestEuler2Factorize:
     def test_zero_z_is_pure_phase(self):
         f = euler2_factorize(0.2, -0.5, 0)
         np.testing.assert_array_equal(f.rotation, np.eye(2))
-        assert frobenius_norm(f.product() - exp_diagonal([0.2, -0.5])) <= 1e-15
+        assert frobenius_norm(f.product() - np.diag(np.exp(1j * np.array([0.2, -0.5])))) <= 1e-15
 
     def test_imaginary_z(self):
         z = 1j * (math.pi / 4)
@@ -123,6 +124,26 @@ class TestProjectorForm:
         assert frobenius_norm(pp.cosine_combination() - direct) <= 1e-14
         assert frobenius_norm(pp.cosine_combination() - exp_k(z)[:4, :4]) <= 1e-13
 
+    # The squares of entries below about 1.5e-154 are subnormal or underflow
+    # to 0: the unscaled norm lost digits at 1e-160 and refused a z of 1e-170
+    # as zero. Below 2.2e-308 rho itself is subnormal: 5e-324 is the
+    # smallest subnormal u, and sqrt(2) u rounds to u.
+    @pytest.mark.parametrize("z, zt, rho", [
+        ([1e-170, 2e-170], np.array([1.0, 2.0]) / math.sqrt(5.0), math.sqrt(5.0) * 1e-170),
+        ([1e-160 * 0.6, 1e-160 * 0.8j], [0.6, 0.8j], 1e-160),
+        ([1e-170 * 0.6, 1e-170 * 0.8j], [0.6, 0.8j], 1e-170),
+        ([5e-324 * 3, 5e-324 * 4j], [0.6, 0.8j], 5e-324 * 5),
+        ([5e-324, 5e-324j], np.array([1.0, 1j]) / math.sqrt(2.0), 5e-324),
+        ([5e-324], [1.0], 5e-324),
+    ], ids=["1e-170_and_2e-170", "1e-160", "1e-170", "3u_and_4u", "u_and_u", "u"])
+    def test_tiny_entries(self, z, zt, rho):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            pp = projector_form(z)
+        zt = np.asarray(zt, dtype=complex)
+        assert frobenius_norm(pp.p1 - np.outer(zt, zt.conj())) <= 1e-15
+        assert pp.rho == pytest.approx(rho, rel=1e-15)
+
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError, match="nonzero"):
             projector_form(np.zeros(3, dtype=complex))
@@ -133,3 +154,12 @@ class TestProjectorForm:
     def test_refuses_a_norm_that_overflows(self, name):
         with rejects_non_finite("^projector_form: the norm of z overflows$"):
             projector_form(OVERFLOWING_Z[name])
+
+
+def test_factor_records_compare_and_hash_by_identity():
+    # The generated __eq__ compared the ndarray fields and raised.
+    f = euler2_factorize(0.1, 0.2, 0.3 + 0.1j)
+    g = euler2_factorize(0.1, 0.2, 0.3 + 0.1j)
+    pp = projector_form([0.6, 0.8j])
+    assert f == f and f != g and pp == pp and pp != projector_form([0.6, 0.8j])
+    assert len({f, g, pp}) == 3
