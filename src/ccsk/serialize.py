@@ -120,8 +120,12 @@ def params_from_doc(doc) -> CcskParams:
     flat = _read_pairs(zs, list(range(1, n)), "z",
                        lambda k: f"z[{k}]: expected {k + 1} entries (column j={k + 2})")
     try:
-        return CcskParams(np.array(thetas, dtype=np.float64), flat)
-    except (ValueError, OverflowError) as exc:
+        thetas = np.array(thetas, dtype=np.float64)
+    except OverflowError as exc:
+        raise ParseError(f'field "thetas": {exc}') from exc
+    try:
+        return CcskParams(thetas, flat)
+    except ValueError as exc:
         raise ParseError(str(exc)) from exc
 
 
@@ -147,15 +151,15 @@ def _write(path, head: str, values: list, sizes) -> None:
 
 
 def _read(path) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
-    except RecursionError as exc:  # the decoder recurses once per nested array or object
-        raise ParseError(f"{path}: invalid JSON: nesting too deep") from exc
-    except UnicodeDecodeError as exc:  # a ValueError, but its message names no file
-        raise ParseError(f"{path}: invalid JSON: not UTF-8 ({exc})") from exc
+        except RecursionError as exc:  # the decoder recurses once per nested array or object
+            raise ParseError(f"{path}: invalid JSON: nesting too deep") from exc
+        except UnicodeDecodeError as exc:  # a ValueError, but its message names no file
+            raise ParseError(f"{path}: invalid JSON: not UTF-8 ({exc})") from exc
+        except ValueError as exc:  # a JSONDecodeError, or an integer past int's digit limit
+            raise ParseError(f"{path}: invalid JSON: {exc}") from exc
 
 
 def write_matrix(path, m: np.ndarray) -> None:

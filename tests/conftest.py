@@ -1,6 +1,4 @@
 import importlib
-import warnings
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -55,16 +53,6 @@ NON_FINITE_MATRICES = {
 # take the norm of a z they are given.
 OVERFLOWING_Z = {"one_1e200": [1e200], "two_1e160": [1e160, 1e160],
                  "imag_1e200": [0, 1e200j]}
-
-
-@contextmanager
-def rejects_non_finite(match: str):
-    """Expect a ValueError matching ``match``, with no RuntimeWarning on the way
-    (numpy warns when nan or inf reaches its arithmetic)."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(ValueError, match=match):
-            yield
 
 
 def panels(n: int) -> list:

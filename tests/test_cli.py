@@ -2,7 +2,6 @@ import json
 import os
 import subprocess
 import sys
-import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +12,7 @@ from ccsk.cli import main
 from ccsk.decompose import decompose
 from ccsk.linalg import frobenius_norm
 from ccsk.oracle import RngState, random_params
-from ccsk.params import CcskParams
+from ccsk.params import CcskParams, assemble_generator
 from ccsk.serialize import ParseError, read_matrix, read_params, write_matrix, write_params
 
 
@@ -86,9 +85,7 @@ class TestVerify:
         # A finite entry of 1e300: forming u^H u would overflow with a warning.
         min_ = tmp_path / "m.json"
         write_matrix(min_, np.array([[1, 1e300], [0, 1]]))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            assert run("verify", "-i", min_) == 2
+        assert run("verify", "-i", min_) == 2
         captured = capsys.readouterr()
         assert captured.out == "unitarity_defect inf\n"
         assert captured.err == ""
@@ -157,9 +154,7 @@ class TestExpmCommand:
     def test_refuses_a_spectral_bound_past_2_to_32(self, tmp_path, capsys):
         xin, uout = tmp_path / "x.json", tmp_path / "u.json"
         write_matrix(xin, np.array([[0, 1e150], [-1e150, 0]]))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            assert run("expm", "-i", xin, "-o", uout) == 1
+        assert run("expm", "-i", xin, "-o", uout) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: expm: x is out of range: ") and err.count("\n") == 1
         assert "s = 500 halvings" in err and "exceeds 2^32" in err
@@ -203,18 +198,70 @@ class TestRoundtripCommand:
         assert run("roundtrip", "-i", u) == 0
 
 
+# Sizes at and around the plan changes of the kernels, then n = 200, 256 and
+# 512. compose is one LAPACK ZUNGQR call, which applies each factor on its
+# own up to n = 129 and blocks of 32 from n = 130. decompose peels panels of
+# 32 rows from row n down, the head taking the 32 to 63 rows left: one panel
+# up to n = 63, two from 64, three from 96, four from 128. expm scales by
+# ||x||_F alone below n = 16.
+BOUNDARY_SIZES = [1, 2, 3, 8, 9, 10, 11, 12, 15, 16, 32, 33, 34, 40, 41, 42, 63, 64, 65,
+                  95, 96, 97, 127, 128, 129, 130, 200, 256, 512]
+
+
+class TestBoundarySizes:
+    @pytest.mark.parametrize("n", BOUNDARY_SIZES)
+    def test_chain(self, tmp_path, n):
+        u, p, c, r, rc, x, e = (tmp_path / f"{k}.json" for k in "u p c r rc x e".split())
+        assert run("random", "--n", n, "--what", "unitary", "-o", u) == 0
+        assert run("decompose", "-i", u, "-o", p) == 0
+        assert run("compose", "-i", p, "-o", c) == 0
+        assert run("roundtrip", "-i", u) == 0
+        # The seed-0 params file, composed, is the seed-0 unitary file byte for byte.
+        assert run("random", "--n", n, "-o", r) == 0
+        assert run("compose", "-i", r, "-o", rc) == 0
+        assert rc.read_bytes() == u.read_bytes()
+        # The exponential of the params' generator passes verify.
+        write_matrix(x, assemble_generator(read_params(r)))
+        assert run("expm", "-i", x, "-o", e) == 0
+        assert run("verify", "-i", e) == 0
+        if n <= 64:  # compare takes one expm per column
+            assert run("compare", "-i", r) == 0
+
+    def test_compare_at_rho_0_and_1e_15(self, tmp_path, capsys):
+        # exp_k's sigma and a at their limits: ||z_2|| = 0 and ||z_3|| = 1e-15.
+        path = tmp_path / "p.json"
+        write_params(path, CcskParams(np.zeros(3), ([0j], [6e-16, 8e-16j])))
+        assert run("compare", "-i", path) == 0
+        # Each deviation is far below ||z_3||^2 = 1e-30.
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 3 and all(float(line.split()[1]) <= 1e-30 for line in lines)
+
+    def test_two_identity_at_200_is_refused(self, tmp_path, capsys):
+        # The message README's CLI section quotes.
+        path = tmp_path / "u.json"
+        write_matrix(path, 2 * np.eye(200))
+        assert run("decompose", "-i", path, "-o", tmp_path / "p.json") == 1
+        assert capsys.readouterr().err == (
+            "error: input is not unitary: the defect ||u^H u - I||_F = 4.243e+01 "
+            "exceeds unitarity_tol * n = 2.000e-08\n")
+
+
+def run_process(*argv):
+    """The real entry point, run as a process: ``python -m ccsk.cli``."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(ccsk.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "ccsk.cli", *map(str, argv)],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
 class TestSubprocessChain:
-    # The real entry point, run as a process: ``python -m ccsk.cli``.
     def test_random_decompose_compose_n16(self, tmp_path):
-        env = dict(os.environ)
-        src = os.path.dirname(os.path.dirname(ccsk.__file__))
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         u, p, u2 = tmp_path / "u.json", tmp_path / "p.json", tmp_path / "u2.json"
         for argv in (["random", "--n", "16", "--seed", "3", "--what", "unitary", "-o", u],
                      ["decompose", "-i", u, "-o", p],
                      ["compose", "-i", p, "-o", u2]):
-            done = subprocess.run([sys.executable, "-m", "ccsk.cli", *map(str, argv)],
-                                  env=env, capture_output=True, text=True, timeout=120)
+            done = run_process(*argv)
             assert done.returncode == 0, done.stderr
         # The processes wrote what the in-process writers write.
         ref = tmp_path / "ref.json"
@@ -224,6 +271,16 @@ class TestSubprocessChain:
         assert p.read_bytes() == ref.read_bytes()
         write_matrix(ref, compose(read_params(p)))
         assert u2.read_bytes() == ref.read_bytes()
+
+    def test_verify_of_a_nan_entry_exits_1(self, tmp_path):
+        # A refusal's exit status and its one stderr line, across a real process boundary.
+        path = tmp_path / "in.json"
+        path.write_text('{"type": "cmatrix", "n": 1, "rows": [[[NaN, 0]]]}')
+        done = run_process("verify", "-i", path)
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr.startswith("error: matrix_from_doc requires finite entries; "
+                                      "entry (0, 0) is non-finite (")
+        assert done.stderr.count("\n") == 1
 
 
 class TestBoolIsNotANumber:
@@ -257,11 +314,10 @@ class TestNonFiniteEntries:
         argv = [command, "-i", path]
         if command in ("decompose", "expm"):
             argv += ["-o", tmp_path / "out.json"]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            assert run(*argv) == 1
+        assert run(*argv) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "non-finite" in err
+        assert err.startswith("error: matrix_from_doc requires finite entries; "
+                              "entry (1, 1) is non-finite (") and err.count("\n") == 1
         assert not (tmp_path / "out.json").exists()
 
 
@@ -285,12 +341,10 @@ class TestNonFiniteParams:
         path, out = tmp_path / "in.json", tmp_path / "out.json"
         path.write_text(NON_FINITE_PARAMS[key])
         argv = [command, "-i", path] + (["-o", out] if command == "compose" else [])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            assert run(*argv) == 1
+        assert run(*argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert captured.err.startswith(f"error: {key[0]} contain") and captured.err.count("\n") == 1
         assert "non-finite values" in captured.err
         assert not out.exists()
 
@@ -313,9 +367,7 @@ class TestOverflowingParams:
         z = [[[0.0, 0.0]] * (j - 1) for j in range(2, n + 1)]
         z[0] = [[1e200, 0.0]]
         path.write_text(json.dumps({"type": "ccsk_params", "n": n, "thetas": [0.0] * n, "z": z}))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            assert run("compose", "-i", path, "-o", out) == 1
+        assert run("compose", "-i", path, "-o", out) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: z column for j=2 has a norm that overflows\n"
@@ -351,6 +403,20 @@ class TestNotUtf8:
         assert not (tmp_path / "out.json").exists()
 
 
+class TestTooManyDigits:
+    # json.load refuses an integer past the interpreter's digit limit (4300
+    # by default) with a ValueError whose message names no file.
+    @pytest.mark.parametrize("command", ["verify", "compose"])
+    def test_exit_1_with_one_error_line(self, tmp_path, capsys, command):
+        path = tmp_path / "in.json"
+        path.write_text('{"type": "cmatrix", "n": 1, "rows": [[[1%s, 0]]]}' % ("0" * 4999))
+        argv = [command, "-i", path] + (["-o", tmp_path / "out.json"] if command == "compose" else [])
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: invalid JSON: ") and err.count("\n") == 1
+        assert not (tmp_path / "out.json").exists()
+
+
 class TestUsageErrors:
     def test_unknown_command_exit_64(self):
         with pytest.raises(SystemExit) as exc:
@@ -378,7 +444,9 @@ class TestToleranceOption:
             run(*argv)
         assert exc.value.code == 64
         err = capsys.readouterr().err
-        assert err.startswith("usage: ") and "--tol" in err and "Traceback" not in err
+        assert err.startswith("usage: ") and "Traceback" not in err
+        assert err.endswith(f"ccsk {command}: error: argument --tol: "
+                            f"must be a number in (0, 1), got '{tol}'\n")
 
     # A loose --tol admits a matrix off the unitary group, and no parameters
     # compose back to it: the round trip misses ROUNDTRIP_TOL * n = 3e-9, so

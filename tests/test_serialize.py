@@ -154,7 +154,8 @@ class TestBulkIO:
         {"type": "ccsk_params", "n": 1, "thetas": [10 ** 400], "z": []},
     ])
     def test_integer_out_of_float_range(self, doc):
-        with pytest.raises(ParseError, match="too large"):
+        field = "rows" if doc["type"] == "cmatrix" else "z" if doc["z"] else "thetas"
+        with pytest.raises(ParseError, match=f'^field "{field}": .*too large'):
             (matrix_from_doc if doc["type"] == "cmatrix" else params_from_doc)(doc)
 
 
