@@ -8,16 +8,15 @@ parameters, with an independent matrix-exponential oracle for verification.
 from .blockexp import (Euler2Factors, ProjectorPair, compose, euler2_factorize,
                        exp_column_factor, exp_k, k_matrix, projector_form)
 from .decompose import decompose, roundtrip_error
-from .linalg import anti_hermiticity_defect, frobenius_norm, unitarity_defect
+from .linalg import frobenius_norm, unitarity_defect
 from .oracle import RngState, expm, random_params
-from .params import CcskParams, assemble_generator, params_from_generator
+from .params import CcskParams, assemble_generator
 
 __all__ = [
     "CcskParams",
     "Euler2Factors",
     "ProjectorPair",
     "RngState",
-    "anti_hermiticity_defect",
     "assemble_generator",
     "compose",
     "decompose",
@@ -27,7 +26,6 @@ __all__ = [
     "expm",
     "frobenius_norm",
     "k_matrix",
-    "params_from_generator",
     "projector_form",
     "random_params",
     "roundtrip_error",

@@ -17,7 +17,6 @@ __all__ = [
     "frobenius_norm",
     "square_matrix",
     "unitarity_defect",
-    "anti_hermiticity_defect",
 ]
 
 
@@ -101,8 +100,3 @@ def unitarity_defect(u) -> float:
         return math.inf
     return frobenius_norm(u.conj().T @ u - np.eye(u.shape[0]))
 
-
-def anti_hermiticity_defect(x) -> float:
-    """||x† + x||_F; zero iff x is anti-Hermitian (a u(n) element)."""
-    x, _ = square_matrix(x, "anti_hermiticity_defect")
-    return frobenius_norm(x.conj().T + x)

@@ -46,9 +46,9 @@ _GAMMA = 0x9E3779B97F4A7C15
 _EXPM_TARGET_NORM = 0.5
 # From this n on, expm takes back the halvings of x that ||b^k||_F^(1/k)
 # shows are not needed. Below it, the two norms cost more than the squarings
-# they save: on random generators, with one BLAS thread on a 2-core VM, the
-# rescaled path took 1.4% longer at n = 8, tied at n = 12 and was 1.2%
-# faster at n = 16 and 4% at n = 32.
+# they save: with the fixed degree 16, one plan at every n (the rescaled one)
+# took 1.04-1.13x the time at n = 2-12, in-process between other calls, with
+# one BLAS thread on a 2-core VM.
 _EXPM_RESCALE_MIN_N = 16
 # It takes back halvings only while ||a||_F stays at most this. That keeps
 # the coefficients 2^(dk)/k! finite (x = 1e150 E_01 has alpha = 0, and taking

@@ -1,10 +1,11 @@
-"""Parameter data model and the map between parameters and the generator.
+"""Parameter data model and the map from parameters to their generator.
 
 A dimension-n parameter set holds n diagonal phases theta_1..theta_n plus one
 complex column vector z_j of length j-1 for each j = 2..n, for a total of
 n^2 real parameters. The generator assembled from them is the anti-Hermitian
 matrix with i*theta on the diagonal, z entries in the strict upper triangle
-and the negated conjugates below.
+and the negated conjugates below. The map runs one way: parameters come back
+from a unitary, through ``decompose``, not from a generator.
 
 ``CcskParams`` stores the columns packed in one vector z of length
 n(n-1)/2: z_2, z_3, ..., z_n laid end to end, which is the strict upper
@@ -20,25 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import anti_hermiticity_defect, frobenius_norm, square_matrix
+from .linalg import frobenius_norm
 
 __all__ = [
     "CcskParams",
-    "GENERATOR_DEFECT_TOL",
     "assemble_generator",
-    "params_from_generator",
     "z_mask",
     "z_offset",
 ]
-
-# Per-dimension tolerance on ||X† + X||_F for a matrix accepted as a generator.
-GENERATOR_DEFECT_TOL = 1e-12
-
-# Largest |Re x_kk| that params_from_generator accepts on a generator's
-# diagonal, whose real parts must vanish in u(n). It bounds each entry on its
-# own, so unlike GENERATOR_DEFECT_TOL (a Frobenius norm over n^2 entries) it
-# does not scale with n.
-_DIAG_REAL_TOL = 1e-12
 
 # Slack in is_canonical's test ||z_j|| <= pi/2, for the rounding of the norm of
 # a column drawn at rho = pi/2 exactly, per square root of the column length
@@ -179,24 +169,3 @@ def assemble_generator(p: CcskParams) -> np.ndarray:
     x[lower] = -p.z.conj()
     return x
 
-
-def params_from_generator(x) -> CcskParams:
-    """Read parameters off a generator: thetas from Im(diag), z from the upper triangle.
-
-    The result goes through the checked constructor: finite entries can still
-    make a column whose norm overflows (x_01 = 1e200 = -x_10 passes both gates
-    here), and ``CcskParams`` refuses that column.
-    """
-    x, _ = square_matrix(x, "params_from_generator")
-    n = x.shape[0]
-    defect = anti_hermiticity_defect(x)
-    if not defect <= GENERATOR_DEFECT_TOL * n:
-        raise ValueError(
-            f"matrix is not anti-Hermitian: defect {defect:.3e} exceeds "
-            f"{GENERATOR_DEFECT_TOL * n:.3e}")
-    diag = np.diag(x)
-    if not np.all(np.abs(diag.real) <= _DIAG_REAL_TOL):
-        worst = float(np.max(np.abs(diag.real)))
-        raise ValueError(
-            f"generator diagonal has real part up to {worst:.3e}; not in u(n)")
-    return CcskParams(diag.imag.copy(), x.T[z_mask(n)])

@@ -7,10 +7,8 @@ import numpy as np
 import pytest
 
 from ccsk.decompose import decompose, roundtrip_error
-from ccsk.linalg import (anti_hermiticity_defect, as_cvector, frobenius_norm,
-                         square_matrix, unitarity_defect)
+from ccsk.linalg import as_cvector, frobenius_norm, square_matrix, unitarity_defect
 from ccsk.oracle import expm
-from ccsk.params import params_from_generator
 from ccsk.serialize import matrix_from_doc, write_matrix
 
 from conftest import NON_FINITE_MATRICES, matrix_doc, random_complex_matrix
@@ -77,13 +75,6 @@ class TestDefects:
         with pytest.raises(ValueError, match="square"):
             unitarity_defect(np.zeros((2, 3), dtype=complex))
 
-    def test_anti_hermitian_scalar(self):
-        assert anti_hermiticity_defect(np.array([[0.9j]])) == 0.0
-
-    def test_identity_anti_hermiticity_defect(self):
-        # ||I† + I||_F = ||2 I_2||_F = 2 sqrt(2)
-        assert anti_hermiticity_defect(np.eye(2, dtype=complex)) == pytest.approx(2 * math.sqrt(2))
-
     def test_product_of_unitaries_stays_unitary(self, rng):
         from ccsk.blockexp import compose
         from ccsk.oracle import random_params
@@ -101,10 +92,8 @@ SQUARE_ENTRY_POINTS = {
     "decompose": ("decompose", decompose),
     "roundtrip_error": ("decompose", roundtrip_error),
     "expm": ("expm", expm),
-    "params_from_generator": ("params_from_generator", params_from_generator),
     "write_matrix": ("write_matrix", functools.partial(write_matrix, os.devnull)),
     "unitarity_defect": ("unitarity_defect", unitarity_defect),
-    "anti_hermiticity_defect": ("anti_hermiticity_defect", anti_hermiticity_defect),
 }
 
 # Inputs that are not a non-empty square matrix of numbers, with the fault
@@ -152,7 +141,7 @@ class TestSquareMatrixBoundary:
     @pytest.mark.parametrize("entry", sorted(SQUARE_ENTRY_POINTS))
     def test_accepts_nested_list(self, entry):
         _, f = SQUARE_ENTRY_POINTS[entry]
-        rows = [[1j, 0], [0, -1j]]  # unitary and anti-Hermitian
+        rows = [[1j, 0], [0, -1j]]  # unitary
         assert _same(f(rows), f(np.array(rows)))
 
     def test_matrix_from_doc_accepts_its_rows(self):
@@ -172,13 +161,12 @@ class TestSquareMatrixBoundary:
 
 class TestCheckedOnce:
     # Each public check runs once per call, also when the caller is inside
-    # the package: decompose's exact gate, ccsk verify, ccsk compose and
-    # params_from_generator each call the public defect once.
+    # the package: decompose's exact gate, ccsk verify and ccsk compose each
+    # call the public defect once.
     def test_internal_paths_run_each_check_once(self, monkeypatch, tmp_path):
         from ccsk import linalg
         from ccsk.cli import main
         from ccsk.oracle import RngState, random_params
-        from ccsk.params import assemble_generator
         from ccsk.serialize import write_params
 
         calls = []
@@ -190,16 +178,14 @@ class TestCheckedOnce:
 
         monkeypatch.setattr(linalg, "square_matrix", counted)
         p = random_params(8, RngState(8))
-        params_from_generator(assemble_generator(p))
-        assert calls == ["anti_hermiticity_defect"]
         # At --tol 1e-20 the exact defect decides the gate.
         perm = np.roll(np.eye(8, dtype=complex), 1, axis=0)
         decompose(perm, unitarity_tol=1e-20)
-        assert calls[1:] == ["unitarity_defect"]
+        assert calls == ["unitarity_defect"]
         write_matrix(tmp_path / "u.json", perm)
         write_params(tmp_path / "p.json", p)
-        assert calls[2:] == []
+        assert calls[1:] == []
         assert main(["verify", "-i", str(tmp_path / "u.json")]) == 0
-        assert calls[2:] == ["unitarity_defect"]
+        assert calls[1:] == ["unitarity_defect"]
         assert main(["compose", "-i", str(tmp_path / "p.json"), "-o", str(tmp_path / "c.json")]) == 0
-        assert calls[3:] == ["unitarity_defect"]
+        assert calls[2:] == ["unitarity_defect"]

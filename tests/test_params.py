@@ -5,13 +5,11 @@ import pytest
 
 from ccsk.blockexp import compose
 from ccsk.decompose import decompose
-from ccsk.linalg import anti_hermiticity_defect
 from ccsk.oracle import RngState, random_params
-from ccsk.params import (CcskParams, _rho_in_chart, assemble_generator,
-                         params_from_generator, z_offset)
+from ccsk.params import CcskParams, _rho_in_chart, assemble_generator, z_offset
 from ccsk.serialize import params_from_doc
 
-from conftest import NON_FINITE_MATRICES, params_doc
+from conftest import params_doc
 
 
 class TestCcskParams:
@@ -134,16 +132,10 @@ class TestPackedLayout:
 
 # Two of the package's own results skip the constructor's checks
 # (CcskParams._unchecked): they are built from arrays that come out of
-# checked input. params_from_generator goes through them, as finite entries
-# can make a column whose norm overflows.
+# checked input.
 UNCHECKED_RESULTS = {
     "decompose": lambda n: decompose(compose(random_params(n, RngState(n)))),
     "random_params": lambda n: random_params(n, RngState(n)),
-}
-RESULTS = {
-    **UNCHECKED_RESULTS,
-    "params_from_generator":
-        lambda n: params_from_generator(assemble_generator(random_params(n, RngState(n)))),
 }
 
 
@@ -152,10 +144,10 @@ class ConstructorCheckRan(Exception):
 
 
 class TestUncheckedResults:
-    @pytest.mark.parametrize("make", sorted(RESULTS))
+    @pytest.mark.parametrize("make", sorted(UNCHECKED_RESULTS))
     @pytest.mark.parametrize("n", [1, 2, 3, 33, 65, 128])
     def test_well_formed(self, n, make):
-        p = RESULTS[make](n)
+        p = UNCHECKED_RESULTS[make](n)
         assert p == CcskParams(p.thetas, p.z)
         assert p.thetas.dtype == np.float64 and p.thetas.shape == (n,)
         assert p.z.dtype == np.complex128 and p.z.shape == (n * (n - 1) // 2,)
@@ -164,8 +156,8 @@ class TestUncheckedResults:
 
     def test_the_checks_run_only_at_the_boundary(self, monkeypatch):
         # With the constructor's checks made to fail, every unchecked result
-        # still comes back; a params document, read from outside, and the
-        # parameters of a generator still go through them.
+        # still comes back; a params document, read from outside, still goes
+        # through them.
         def check(self):
             raise ConstructorCheckRan
 
@@ -174,8 +166,6 @@ class TestUncheckedResults:
         assert results["decompose"].n == 8
         with pytest.raises(ConstructorCheckRan):
             params_from_doc(params_doc(results["random_params"]))
-        with pytest.raises(ConstructorCheckRan):
-            RESULTS["params_from_generator"](8)
 
 
 def column_at(rho: float, length: int, seed: int) -> np.ndarray:
@@ -215,7 +205,7 @@ class TestAssembleGenerator:
 
     def test_anti_hermitian_by_construction(self, rng):
         x = assemble_generator(random_params(3, rng))
-        assert anti_hermiticity_defect(x) <= 1e-15
+        assert np.array_equal(x.conj().T, -x)
 
     @pytest.mark.parametrize("n", [1, 2, 7, 128])
     def test_bit_identical_to_column_loop(self, rng, n):
@@ -226,67 +216,4 @@ class TestAssembleGenerator:
             want[: j - 1, j - 1] = p.z_column(j)
             want[j - 1, : j - 1] = -p.z_column(j).conj()
         assert assemble_generator(p).tobytes() == want.tobytes()
-
-
-class TestParamsFromGenerator:
-    def test_scalar(self):
-        p = params_from_generator(np.array([[0.5j]]))
-        assert p.n == 1
-        assert p.thetas[0] == 0.5
-
-    def test_roundtrip_bitwise(self, rng):
-        p = random_params(3, rng)
-        q = params_from_generator(assemble_generator(p))
-        np.testing.assert_array_equal(q.thetas, p.thetas)
-        for a, b in zip(q.z_columns, p.z_columns):
-            np.testing.assert_array_equal(a, b)
-
-    @pytest.mark.parametrize("n", [1, 2, 7, 128])
-    def test_bit_identical_to_column_loop(self, rng, n):
-        # The lower triangle is off by roundoff: only the upper one is read.
-        x = assemble_generator(random_params(n, rng))
-        x[np.tril_indices(n, -1)] *= 1 + 1e-15
-        q = params_from_generator(x)
-        assert q.thetas.tobytes() == x.diagonal().imag.tobytes()
-        assert len(q.z_columns) == n - 1
-        for j in range(2, n + 1):
-            assert q.z_column(j).tobytes() == x[: j - 1, j - 1].tobytes()
-
-    def test_generator_roundtrip(self, rng):
-        x = assemble_generator(random_params(4, rng))
-        np.testing.assert_array_equal(
-            assemble_generator(params_from_generator(x)), x)
-
-    def test_rejects_a_matrix_that_is_not_anti_hermitian(self):
-        # I^H + I = 2 I, of norm 2 sqrt(2), against 1e-12 * 2.
-        with pytest.raises(ValueError, match=r"^matrix is not anti-Hermitian: defect "
-                                             r"2\.828e\+00 exceeds 2\.000e-12$"):
-            params_from_generator(np.eye(2))
-
-    # x_01 = 1e200 = -x_10 passes the anti-Hermitian gate (defect 0) and the
-    # diagonal check, but z_2 = [1e200] has a norm that overflows, which
-    # compose cannot take: it raised math domain error at n = 2 and overflowed
-    # in matmul at n = 12.
-    @pytest.mark.parametrize("n", [2, 12])
-    def test_rejects_a_column_whose_norm_overflows(self, n):
-        x = np.zeros((n, n), dtype=complex)
-        x[0, 1], x[1, 0] = 1e200, -1e200
-        with pytest.raises(ValueError, match="^z column for j=2 has a norm that overflows$"):
-            params_from_generator(x)
-
-    def test_rejects_real_diagonal(self):
-        # small enough to pass the overall defect gate (1e-12 * n), large
-        # enough to trip the diagonal real-part check
-        x = np.diag([1.4e-12 + 0.3j, 0.1j, -0.2j])
-        with pytest.raises(ValueError, match="real part"):
-            params_from_generator(x)
-
-
-class TestNonFiniteGenerator:
-    # nan passed the anti-Hermitian gate `defect > tol` and the diagonal check,
-    # and CcskParams then blamed a "vector".
-    @pytest.mark.parametrize("name", sorted(NON_FINITE_MATRICES))
-    def test_params_from_generator_rejects(self, name):
-        with pytest.raises(ValueError, match="generator requires finite entries"):
-            params_from_generator(NON_FINITE_MATRICES[name])
 
