@@ -5,8 +5,8 @@ exponentials, and decompose arbitrary unitaries back into canonical
 parameters, with an independent matrix-exponential oracle for verification.
 """
 
-from .blockexp import (Euler2Factors, ProjectorPair, compose, euler2_factorize,
-                       exp_column_factor, exp_k, k_matrix, projector_form)
+from .blockexp import (compose, euler2_factorize, exp_column_factor, exp_k, k_matrix,
+                       projector_form)
 from .decompose import decompose, roundtrip_error
 from .linalg import frobenius_norm, unitarity_defect
 from .oracle import RngState, expm, random_params
@@ -14,8 +14,6 @@ from .params import CcskParams, assemble_generator
 
 __all__ = [
     "CcskParams",
-    "Euler2Factors",
-    "ProjectorPair",
     "RngState",
     "assemble_generator",
     "compose",

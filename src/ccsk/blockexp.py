@@ -50,7 +50,6 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import lapack_lite
@@ -63,8 +62,6 @@ __all__ = [
     "exp_k",
     "exp_column_factor",
     "compose",
-    "Euler2Factors",
-    "ProjectorPair",
     "euler2_factorize",
     "projector_form",
 ]
@@ -155,35 +152,15 @@ def compose(p: CcskParams) -> np.ndarray:
     return d[:, None] * np.conjugate(f, out=f)[::-1, ::-1]
 
 
-# eq=False: equality and hash by identity; a generated __eq__ raises on arrays.
-@dataclass(frozen=True, eq=False)
-class Euler2Factors:
-    left_phase: np.ndarray
-    rotation: np.ndarray
-    right_phase: np.ndarray
-
-    def product(self) -> np.ndarray:
-        return self.left_phase @ self.rotation @ self.right_phase
-
-
-@dataclass(frozen=True, eq=False)
-class ProjectorPair:
-    p0: np.ndarray
-    p1: np.ndarray
-    rho: float
-
-    def cosine_combination(self) -> np.ndarray:
-        """p0 + cos(rho) p1; equals the leading block of the column factor."""
-        return self.p0 + math.cos(self.rho) * self.p1
-
-
-def euler2_factorize(theta1: float, theta2: float, z: complex) -> Euler2Factors:
-    """phase * rotation * phase factorisation of the 2x2 product map.
+def euler2_factorize(theta1: float, theta2: float,
+                     z: complex) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """phase * rotation * phase factorisation of the 2x2 product map, as the
+    arrays (left, rotation, right) whose product left @ rotation @ right it is.
 
     With alpha = arg(z) (zero for z = 0) and r = |z|:
-      left  = diag(e^{i(theta1 + alpha/2)}, e^{i(theta2 - alpha/2)})
-      mid   = [[cos r, sin r], [-sin r, cos r]]
-      right = diag(e^{-i alpha/2}, e^{i alpha/2})
+      left     = diag(e^{i(theta1 + alpha/2)}, e^{i(theta2 - alpha/2)})
+      rotation = [[cos r, sin r], [-sin r, cos r]]
+      right    = diag(e^{-i alpha/2}, e^{i alpha/2})
     A nan or inf argument, or a z whose modulus overflows, is refused (ValueError).
     """
     z = complex(z)
@@ -197,12 +174,14 @@ def euler2_factorize(theta1: float, theta2: float, z: complex) -> Euler2Factors:
     rotation = np.array([[math.cos(r), math.sin(r)],
                          [-math.sin(r), math.cos(r)]], dtype=np.complex128)
     right = np.diag([cmath.exp(-1j * alpha / 2.0), cmath.exp(1j * alpha / 2.0)])
-    return Euler2Factors(left, rotation, right)
+    return left, rotation, right
 
 
-def projector_form(z) -> ProjectorPair:
-    """Orthogonal projectors onto the z direction and its complement. A z
-    that is zero or whose norm overflows is refused (ValueError)."""
+def projector_form(z) -> tuple[np.ndarray, np.ndarray, float]:
+    """(p0, p1, rho): the orthogonal projectors p1 onto the z direction and p0
+    onto its complement, and rho = ||z||, so that p0 + cos(rho) p1 is the
+    leading block of the column factor. A z that is zero or whose norm
+    overflows is refused (ValueError)."""
     z = as_cvector(z)
     rho = _vector_norm(z, "projector_form")
     if rho == 0.0:
@@ -214,4 +193,4 @@ def projector_form(z) -> ProjectorPair:
         zt = z / rho
     p1 = np.outer(zt, zt.conj())
     p0 = np.eye(z.shape[0], dtype=np.complex128) - p1
-    return ProjectorPair(p0, p1, rho)
+    return p0, p1, rho

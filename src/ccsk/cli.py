@@ -26,13 +26,6 @@ EXIT_USAGE = 64
 ROUNDTRIP_TOL = 1e-9
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-
-
 def _tolerance(text: str) -> float:
     """argparse type for --tol: a finite number in (0, 1)."""
     try:
@@ -55,45 +48,41 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _build_parser() -> _Parser:
-    p = _Parser(prog="ccsk",
-                description="Compose and decompose unitary matrices via "
-                            "canonical coordinates of the second kind.")
-    sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
+def _build_parser() -> argparse.ArgumentParser:
+    # The flags more than one command takes, each defined once; a command's
+    # help names the kinds of file it reads and writes.
+    input_ = argparse.ArgumentParser(add_help=False)
+    input_.add_argument("-i", "--input", required=True, help="file to read (JSON)")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("-o", "--output", required=True, help="file to write")
+    tol = argparse.ArgumentParser(add_help=False)
+    tol.add_argument("--tol", type=_tolerance, default=UNITARITY_TOL,
+                     help="per-dimension unitarity tolerance (default %(default)g)")
 
-    sp = sub.add_parser("compose", help="params file -> unitary matrix file")
-    sp.add_argument("-i", "--input", required=True, help="params file (JSON)")
-    sp.add_argument("-o", "--output", required=True, help="matrix file to write")
-
-    sp = sub.add_parser("decompose", help="unitary matrix file -> params file")
-    sp.add_argument("-i", "--input", required=True, help="matrix file (JSON)")
-    sp.add_argument("-o", "--output", required=True, help="params file to write")
-    sp.add_argument("--tol", type=_tolerance, default=UNITARITY_TOL,
-                    help="per-dimension unitarity tolerance (default %(default)g)")
-
-    sp = sub.add_parser("verify", help="print the unitarity defect of a matrix")
-    sp.add_argument("-i", "--input", required=True, help="matrix file (JSON)")
-    sp.add_argument("--tol", type=_tolerance, default=UNITARITY_TOL,
-                    help="per-dimension pass threshold (default %(default)g)")
-
-    sp = sub.add_parser("random", help="write a seeded random params/matrix file")
-    sp.add_argument("--n", type=_positive_int, required=True, help="dimension (>= 1)")
-    sp.add_argument("--seed", type=int, default=0, help="64-bit RNG seed")
-    sp.add_argument("--what", choices=("params", "unitary"), default="params")
-    sp.add_argument("-o", "--output", required=True)
-
-    sp = sub.add_parser("expm", help="matrix exponential of a generator file")
-    sp.add_argument("-i", "--input", required=True, help="matrix file (JSON)")
-    sp.add_argument("-o", "--output", required=True, help="matrix file to write")
-
-    sp = sub.add_parser("compare", help="product map vs. exponential of the "
-                                        "summed generator, plus per-factor checks")
-    sp.add_argument("-i", "--input", required=True, help="params file (JSON)")
-
-    sp = sub.add_parser("roundtrip", help="decompose-then-compose error of a matrix")
-    sp.add_argument("-i", "--input", required=True, help="matrix file (JSON)")
-    sp.add_argument("--tol", type=_tolerance, default=UNITARITY_TOL,
-                    help="per-dimension unitarity tolerance (default %(default)g)")
+    p = argparse.ArgumentParser(prog="ccsk",
+                                description="Compose and decompose unitary matrices via "
+                                            "canonical coordinates of the second kind.")
+    sub = p.add_subparsers(dest="command", required=True)
+    sub.add_parser("compose", parents=[input_, output],
+                   help="params file -> unitary matrix file").set_defaults(run=_cmd_compose)
+    sub.add_parser("decompose", parents=[input_, output, tol],
+                   help="unitary matrix file -> params file").set_defaults(run=_cmd_decompose)
+    sub.add_parser("verify", parents=[input_, tol],
+                   help="print the unitarity defect of a matrix").set_defaults(run=_cmd_verify)
+    # random's own flags come first in its usage line, ahead of -o.
+    random_flags = argparse.ArgumentParser(add_help=False)
+    random_flags.add_argument("--n", type=_positive_int, required=True, help="dimension (>= 1)")
+    random_flags.add_argument("--seed", type=int, default=0, help="64-bit RNG seed")
+    random_flags.add_argument("--what", choices=("params", "unitary"), default="params")
+    sub.add_parser("random", parents=[random_flags, output],
+                   help="write a seeded random params/matrix file").set_defaults(run=_cmd_random)
+    sub.add_parser("expm", parents=[input_, output],
+                   help="matrix exponential of a generator file").set_defaults(run=_cmd_expm)
+    sub.add_parser("compare", parents=[input_],
+                   help="product map of a params file vs. exponential of the summed "
+                        "generator, plus per-factor checks").set_defaults(run=_cmd_compare)
+    sub.add_parser("roundtrip", parents=[input_, tol],
+                   help="decompose-then-compose error of a matrix").set_defaults(run=_cmd_roundtrip)
     return p
 
 
@@ -163,21 +152,13 @@ def _cmd_roundtrip(args) -> int:
     return EXIT_OK
 
 
-_DISPATCH = {
-    "compose": _cmd_compose,
-    "decompose": _cmd_decompose,
-    "verify": _cmd_verify,
-    "random": _cmd_random,
-    "expm": _cmd_expm,
-    "compare": _cmd_compare,
-    "roundtrip": _cmd_roundtrip,
-}
-
-
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        return _DISPATCH[args.command](args)
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+        raise SystemExit(EXIT_USAGE if exc.code == 2 else exc.code) from None
+    try:
+        return args.run(args)
     # ParseError is a ValueError; numpy refuses an array too large to
     # allocate, such as random's stream at --n 100000000, with a MemoryError.
     except (ValueError, OSError, MemoryError) as exc:

@@ -45,14 +45,15 @@ class ParseError(ValueError):
     """Malformed or out-of-schema input document."""
 
 
-def _is_number(v) -> bool:
-    """A JSON number. bool subclasses int in Python, but true/false are not numbers."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+def _numbers(values) -> bool:
+    """Whether every value is a JSON number: an int or a float, as json.load
+    gives them. bool subclasses int in Python, but true/false are not numbers."""
+    return set(map(type, values)) <= {int, float}
 
 
 def _dimension(doc: dict) -> int:
     n = doc.get("n")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+    if type(n) is not int or n < 1:
         raise ParseError(f'field "n" must be a positive integer, got {n!r}')
     return n
 
@@ -62,28 +63,22 @@ def _read_pairs(groups: list, sizes: list[int], name: str, group_error) -> np.nd
     flat complex vector.
 
     The bulk check asks for the exact types json.load gives: lists of lists
-    of two ints or floats. A document that fails it is walked in order,
-    raising the ParseError that names the first bad group (``group_error(k)``)
-    or entry.
+    of two numbers. A document that fails it is walked in order, raising the
+    ParseError that names the first bad group (``group_error(k)``) or entry.
     """
     leaves = None
     if set(map(type, groups)) <= {list} and list(map(len, groups)) == sizes:
         entries = list(chain.from_iterable(groups))
         if set(map(type, entries)) <= {list} and set(map(len, entries)) <= {2}:
             leaves = list(chain.from_iterable(entries))
-            if not set(map(type, leaves)) <= {int, float}:  # so no bool
-                leaves = None
-    if leaves is None:
+    if leaves is None or not _numbers(leaves):
         for k, (group, size) in enumerate(zip(groups, sizes)):
-            if not isinstance(group, list) or len(group) != size:
+            if type(group) is not list or len(group) != size:
                 raise ParseError(group_error(k))
             for i, obj in enumerate(group):
-                if (not isinstance(obj, list) or len(obj) != 2
-                        or not all(_is_number(v) for v in obj)):
+                if type(obj) is not list or len(obj) != 2 or not _numbers(obj):
                     raise ParseError(
                         f"{name}[{k}][{i}]: expected a [re, im] number pair, got {obj!r}")
-        # Every entry is valid, with a subclass of list, int or float somewhere.
-        leaves = list(chain.from_iterable(chain.from_iterable(groups)))
     try:
         return np.array(leaves, dtype=np.float64).view(np.complex128)
     except OverflowError as exc:
@@ -111,8 +106,7 @@ def params_from_doc(doc) -> CcskParams:
         raise ParseError('expected a document with "type": "ccsk_params"')
     n = _dimension(doc)
     thetas = doc.get("thetas")
-    if (not isinstance(thetas, list) or len(thetas) != n
-            or not all(_is_number(t) for t in thetas)):
+    if not isinstance(thetas, list) or len(thetas) != n or not _numbers(thetas):
         raise ParseError(f'field "thetas" must be a list of {n} reals')
     zs = doc.get("z")
     if not isinstance(zs, list) or len(zs) != n - 1:

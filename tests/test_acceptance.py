@@ -10,8 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from ccsk.blockexp import (compose, euler2_factorize, exp_column_factor, exp_k, k_matrix,
-                           projector_form)
+from ccsk.blockexp import compose, exp_column_factor, exp_k, k_matrix, projector_form
 from ccsk.cli import main
 from ccsk.decompose import decompose, roundtrip_error
 from ccsk.linalg import frobenius_norm, unitarity_defect
@@ -21,7 +20,7 @@ from ccsk.serialize import read_matrix, write_matrix, write_params
 
 from conftest import complex_gaussian_vector
 from test_decompose import params_close
-from test_special import compose2, three_lines
+from test_reference_forms import compose2, three_lines
 
 
 def report(name, ok):
@@ -123,15 +122,16 @@ def test_criterion_7_projector_remark():
     for _ in range(50):
         m = 1 + rng.next_u64() % 6
         z = complex_gaussian_vector(rng, m)
-        pp = projector_form(z)
+        p0, p1, rho = projector_form(z)
         eye = np.eye(m)
-        ok &= frobenius_norm(pp.p0 @ pp.p0 - pp.p0) <= 1e-13
-        ok &= frobenius_norm(pp.p1 @ pp.p1 - pp.p1) <= 1e-13
-        ok &= frobenius_norm(pp.p0 @ pp.p1) <= 1e-13
-        ok &= frobenius_norm(pp.p0 + pp.p1 - eye) <= 1e-13
-        direct = eye - (1 - math.cos(pp.rho)) * pp.p1
-        ok &= frobenius_norm(pp.cosine_combination() - direct) <= 1e-13
-        ok &= frobenius_norm(pp.cosine_combination() - exp_k(z)[:m, :m]) <= 1e-13
+        ok &= frobenius_norm(p0 @ p0 - p0) <= 1e-13
+        ok &= frobenius_norm(p1 @ p1 - p1) <= 1e-13
+        ok &= frobenius_norm(p0 @ p1) <= 1e-13
+        ok &= frobenius_norm(p0 + p1 - eye) <= 1e-13
+        direct = eye - (1 - math.cos(rho)) * p1
+        cosine_form = p0 + math.cos(rho) * p1
+        ok &= frobenius_norm(cosine_form - direct) <= 1e-13
+        ok &= frobenius_norm(cosine_form - exp_k(z)[:m, :m]) <= 1e-13
     report("projector algebra and cosine form match the factor block (50 cases)", ok)
 
 

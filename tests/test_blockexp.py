@@ -186,52 +186,35 @@ def signed_factor(z, j, adjoint):
     return factor
 
 
-class TestApplyFactor:
-    # The kernel on the leading j x j block of a larger matrix:
-    # _apply_factor(u[:j, :j], w_j), w_j = _reflector(z, ||z||, w).
-    N = 7
-
-    @pytest.mark.parametrize("adjoint", [False, True])
-    @pytest.mark.parametrize("j", [2, 3, N])
-    @pytest.mark.parametrize("rho", [0.0, 1e-15, 1e-8, 1.0, math.pi / 2])
-    def test_matches_dense_factor(self, rng, rho, j, adjoint):
-        u = random_complex_matrix(rng, self.N, self.N)
-        v = random_z(rng, j - 1)
-        z = rho * v / np.linalg.norm(v)
-        want = u[:j, :j] @ signed_factor(z, j, adjoint)
-        got = u.copy()
-        _apply_factor(got[:j, :j], w_of(z, frobenius_norm(z)))
-        assert np.max(np.abs(got[:j, :j] - want)) <= 1e-13
-        # Everything outside the leading j x j block is untouched, bit for bit.
-        outside = np.ones_like(u, dtype=bool)
-        outside[:j, :j] = False
-        np.testing.assert_array_equal(got[outside], u[outside])
-
-
 class TestFactorKernel:
-    # _apply_factor(x, w) sets x <- x H_j on more rows than the block has
-    # columns, with w = _reflector(z, rho, w) built from a given z (rho =
-    # ||z||) or as decompose does (z = kappa conj(row), kappa = -e^{i theta}
-    # rho / s, with the rho it read), against H_j = P_j F_j and its adjoint.
-    @pytest.mark.parametrize("form", ["compose", "decompose"])
+    # _apply_factor(x, w) sets x <- x H_j, with w = _reflector(z, rho, w)
+    # built from a given z (rho = ||z||) or as decompose does (z = kappa
+    # conj(row), kappa = -e^{i theta} rho / s, with the rho it read), against
+    # H_j = P_j F_j and its adjoint. x is the leading j columns of a square
+    # matrix, on more rows than the block has columns, or its leading j x j
+    # block alone.
+    @pytest.mark.parametrize("form", ["given", "decompose"])
     @pytest.mark.parametrize("adjoint", [False, True])
     @pytest.mark.parametrize("j", [2, 5, 9])
-    @pytest.mark.parametrize("rho", [0.0, 1e-300, 1e-8, 1.0, math.pi / 2])
+    @pytest.mark.parametrize("rho", [0.0, 1e-300, 1e-15, 1e-8, 1.0, math.pi / 2])
     def test_matches_dense_factor(self, rng, rho, j, adjoint, form):
-        rows = j + 3  # more rows than the block has columns
-        u = random_complex_matrix(rng, rows, j + 2)
+        u = random_complex_matrix(rng, j + 3, j + 3)
         row = random_z(rng, j - 1)
         s = math.sqrt(np.vdot(row, row).real)
-        if form == "compose":
+        if form == "given":
             z = rho * row / s
         else:
             z = -cmath.exp(1j * rng.uniform() * 2 * math.pi) * rho / s * row.conj()
-        want = u[:, :j] @ signed_factor(z, j, adjoint)
-        got = u.copy()
-        _apply_factor(got[:, :j], w_of(z, rho))
-        assert np.max(np.abs(got[:, :j] - want)) <= 1e-14 * j
-        # The columns past the block are untouched, bit for bit.
-        assert got[:, j:].tobytes() == u[:, j:].tobytes()
+        factor = signed_factor(z, j, adjoint)
+        w = w_of(z, rho)
+        for rows in (j + 3, j):
+            got = u.copy()
+            _apply_factor(got[:rows, :j], w)
+            assert np.max(np.abs(got[:rows, :j] - u[:rows, :j] @ factor)) <= 1e-14 * j
+            # Everything outside x is untouched, bit for bit.
+            outside = np.ones(u.shape, dtype=bool)
+            outside[:rows, :j] = False
+            assert got[outside].tobytes() == u[outside].tobytes()
 
     def test_inverse_undoes_forward(self, rng):
         # H_j is its own inverse: applied twice, the kernel gives x back.

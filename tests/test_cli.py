@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import pytest
 
 import ccsk
 from ccsk.blockexp import compose
-from ccsk.cli import main
+from ccsk.cli import _build_parser, main
 from ccsk.decompose import decompose
 from ccsk.linalg import frobenius_norm
 from ccsk.oracle import RngState, random_params
@@ -427,6 +428,35 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             run("verify")
         assert exc.value.code == 64
+
+
+class TestSurface:
+    # Each command's option strings, -h/--help aside.
+    OPTIONS = {
+        "compose": "-i --input -o --output",
+        "decompose": "-i --input -o --output --tol",
+        "verify": "-i --input --tol",
+        "random": "-o --output --n --seed --what",
+        "expm": "-i --input -o --output",
+        "compare": "-i --input",
+        "roundtrip": "-i --input --tol",
+    }
+
+    def test_option_strings(self):
+        commands, = (a.choices for a in _build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction))
+        assert {command: {s for a in parser._actions if not isinstance(a, argparse._HelpAction)
+                          for s in a.option_strings}
+                for command, parser in commands.items()} == {
+            command: set(options.split()) for command, options in self.OPTIONS.items()}
+
+    # --help is argparse's exit 0, which the usage-error exit 64 leaves alone.
+    @pytest.mark.parametrize("argv", [["--help"]] + [[c, "--help"] for c in OPTIONS])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(*argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: ccsk")
 
 
 class TestToleranceOption:

@@ -8,8 +8,6 @@ import ccsk
 # Each public name and the module that defines it.
 PUBLIC = {
     "CcskParams": "params",
-    "Euler2Factors": "blockexp",
-    "ProjectorPair": "blockexp",
     "RngState": "oracle",
     "assemble_generator": "params",
     "compose": "blockexp",
@@ -47,5 +45,5 @@ def test_every_modules_all_resolves():
 
 
 def test_blockexp_lists_the_reference_forms():
-    names = {"Euler2Factors", "ProjectorPair", "euler2_factorize", "projector_form"}
+    names = {"euler2_factorize", "projector_form"}
     assert names <= set(importlib.import_module("ccsk.blockexp").__all__)

@@ -29,28 +29,29 @@ def three_lines(theta1, theta2, z):
                     [-math.sin(r), math.cos(r)]], dtype=complex)
     half = np.diag([cmath.exp(1j * alpha / 2), cmath.exp(-1j * alpha / 2)])
     line2 = (phases @ half @ rot @ half.conj().T)
-    line3 = euler2_factorize(theta1, theta2, z).product()
+    left, rotation, right = euler2_factorize(theta1, theta2, z)
+    line3 = left @ rotation @ right
     return line1, line2, line3
 
 
 class TestEuler2Factorize:
     def test_zero_z_is_pure_phase(self):
-        f = euler2_factorize(0.2, -0.5, 0)
-        np.testing.assert_array_equal(f.rotation, np.eye(2))
-        assert frobenius_norm(f.product() - np.diag(np.exp(1j * np.array([0.2, -0.5])))) <= 1e-15
+        left, rotation, right = euler2_factorize(0.2, -0.5, 0)
+        np.testing.assert_array_equal(rotation, np.eye(2))
+        assert frobenius_norm(left @ rotation @ right
+                              - np.diag(np.exp(1j * np.array([0.2, -0.5])))) <= 1e-15
 
     def test_imaginary_z(self):
         z = 1j * (math.pi / 4)
-        f = euler2_factorize(0.0, 0.0, z)
+        left, rotation, right = euler2_factorize(0.0, 0.0, z)
         want = compose2(0.0, 0.0, z)
         s = math.sin(math.pi / 4)
         np.testing.assert_allclose(want[0, 1], 1j * s, atol=1e-15)
-        assert frobenius_norm(f.product() - want) <= 1e-15
+        assert frobenius_norm(left @ rotation @ right - want) <= 1e-15
 
     def test_factors_unitary(self, rng):
         z = complex(rng.gaussian(), rng.gaussian())
-        f = euler2_factorize(rng.uniform(), rng.uniform(), z)
-        for m in (f.left_phase, f.rotation, f.right_phase):
+        for m in euler2_factorize(rng.uniform(), rng.uniform(), z):
             assert unitarity_defect(m) <= 1e-14
 
     def test_product_matches_compose_sweep(self, rng):
@@ -58,8 +59,8 @@ class TestEuler2Factorize:
             t1 = math.pi * (1 - 2 * rng.uniform())
             t2 = math.pi * (1 - 2 * rng.uniform())
             z = complex(rng.gaussian(), rng.gaussian())
-            got = euler2_factorize(t1, t2, z).product()
-            assert frobenius_norm(got - compose2(t1, t2, z)) <= 1e-14
+            left, rotation, right = euler2_factorize(t1, t2, z)
+            assert frobenius_norm(left @ rotation @ right - compose2(t1, t2, z)) <= 1e-14
 
     def test_three_displayed_lines_agree(self, rng):
         for _ in range(50):
@@ -95,33 +96,32 @@ class TestEuler2Factorize:
 
 class TestProjectorForm:
     def test_one_dimensional(self):
-        pp = projector_form(np.array([1.0 + 0j]))
-        np.testing.assert_allclose(pp.p1, [[1.0]], atol=1e-16)
-        np.testing.assert_allclose(pp.p0, [[0.0]], atol=1e-16)
-        np.testing.assert_allclose(pp.cosine_combination(), [[math.cos(1.0)]],
-                                   atol=1e-15)
+        p0, p1, rho = projector_form(np.array([1.0 + 0j]))
+        np.testing.assert_allclose(p1, [[1.0]], atol=1e-16)
+        np.testing.assert_allclose(p0, [[0.0]], atol=1e-16)
+        np.testing.assert_allclose(p0 + math.cos(rho) * p1, [[math.cos(1.0)]], atol=1e-15)
 
     def test_completeness_fixed(self):
         z = 0.7 * np.array([1.0, 1j]) / math.sqrt(2)
-        pp = projector_form(z)
-        assert frobenius_norm(pp.p0 + pp.p1 - np.eye(2)) <= 1e-15
-        assert pp.rho == pytest.approx(0.7)
+        p0, p1, rho = projector_form(z)
+        assert frobenius_norm(p0 + p1 - np.eye(2)) <= 1e-15
+        assert rho == pytest.approx(0.7)
 
     def test_projector_algebra(self, rng):
         z = complex_gaussian_vector(rng, 4)
-        pp = projector_form(z)
-        assert frobenius_norm(pp.p0 @ pp.p0 - pp.p0) <= 1e-13
-        assert frobenius_norm(pp.p1 @ pp.p1 - pp.p1) <= 1e-13
-        assert frobenius_norm(pp.p0 @ pp.p1) <= 1e-13
-        assert frobenius_norm(pp.p0 + pp.p1 - np.eye(4)) <= 1e-13
+        p0, p1, _ = projector_form(z)
+        assert frobenius_norm(p0 @ p0 - p0) <= 1e-13
+        assert frobenius_norm(p1 @ p1 - p1) <= 1e-13
+        assert frobenius_norm(p0 @ p1) <= 1e-13
+        assert frobenius_norm(p0 + p1 - np.eye(4)) <= 1e-13
 
     def test_matches_exp_k_leading_block(self, rng):
         z = complex_gaussian_vector(rng, 4)
-        pp = projector_form(z)
-        rho = pp.rho
-        direct = np.eye(4) - (1 - math.cos(rho)) * pp.p1
-        assert frobenius_norm(pp.cosine_combination() - direct) <= 1e-14
-        assert frobenius_norm(pp.cosine_combination() - exp_k(z)[:4, :4]) <= 1e-13
+        p0, p1, rho = projector_form(z)
+        cosine_form = p0 + math.cos(rho) * p1
+        direct = np.eye(4) - (1 - math.cos(rho)) * p1
+        assert frobenius_norm(cosine_form - direct) <= 1e-14
+        assert frobenius_norm(cosine_form - exp_k(z)[:4, :4]) <= 1e-13
 
     # The squares of entries below about 1.5e-154 are subnormal or underflow
     # to 0: the unscaled norm lost digits at 1e-160 and refused a z of 1e-170
@@ -136,10 +136,10 @@ class TestProjectorForm:
         ([5e-324], [1.0], 5e-324),
     ], ids=["1e-170_and_2e-170", "1e-160", "1e-170", "3u_and_4u", "u_and_u", "u"])
     def test_tiny_entries(self, z, zt, rho):
-        pp = projector_form(z)
+        _, p1, got_rho = projector_form(z)
         zt = np.asarray(zt, dtype=complex)
-        assert frobenius_norm(pp.p1 - np.outer(zt, zt.conj())) <= 1e-15
-        assert pp.rho == pytest.approx(rho, rel=1e-15)
+        assert frobenius_norm(p1 - np.outer(zt, zt.conj())) <= 1e-15
+        assert got_rho == pytest.approx(rho, rel=1e-15)
 
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError, match="nonzero"):
@@ -152,11 +152,3 @@ class TestProjectorForm:
         with pytest.raises(ValueError, match="^projector_form: the norm of z overflows$"):
             projector_form(OVERFLOWING_Z[name])
 
-
-def test_factor_records_compare_and_hash_by_identity():
-    # The generated __eq__ compared the ndarray fields and raised.
-    f = euler2_factorize(0.1, 0.2, 0.3 + 0.1j)
-    g = euler2_factorize(0.1, 0.2, 0.3 + 0.1j)
-    pp = projector_form([0.6, 0.8j])
-    assert f == f and f != g and pp == pp and pp != projector_form([0.6, 0.8j])
-    assert len({f, g, pp}) == 3

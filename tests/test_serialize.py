@@ -143,11 +143,6 @@ class TestBulkIO:
         assert len(q.z_columns) == len(p.z_columns)
         assert all(same_bits(a, b) for a, b in zip(q.z_columns, p.z_columns))
 
-    def test_subclassed_numbers_still_read(self):
-        # Not what json.load makes, but a number all the same.
-        doc = {"type": "cmatrix", "n": 1, "rows": [[[np.float64(0.5), 2]]]}
-        assert same_bits(matrix_from_doc(doc), np.array([[0.5 + 2j]]))
-
     @pytest.mark.parametrize("doc", [
         {"type": "cmatrix", "n": 1, "rows": [[[10 ** 400, 0]]]},
         {"type": "ccsk_params", "n": 2, "thetas": [0, 0], "z": [[[0, -10 ** 400]]]},
