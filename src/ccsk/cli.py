@@ -2,7 +2,8 @@
 
 Commands: compose, decompose, verify, random, expm, compare, roundtrip.
 Exit codes: 0 success, 1 input/validation error, 2 numerical tolerance
-failure, 64 usage error. Results go to stdout, diagnostics to stderr.
+failure, 64 usage error. Commands return (name, value, bound) lines, which
+``main`` alone prints (diagnostics go to stderr) and gates: exit 2 past a bound.
 """
 
 from __future__ import annotations
@@ -86,70 +87,54 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _cmd_compose(args) -> int:
+def _cmd_compose(args) -> list:
     p = read_params(args.input)
     u = compose(p)
     write_matrix(args.output, u)
-    print(f"unitarity_defect {unitarity_defect(u):.17e}")
-    return EXIT_OK
+    return [("unitarity_defect", unitarity_defect(u), None)]
 
 
-def _cmd_decompose(args) -> int:
+def _cmd_decompose(args) -> list:
     u = read_matrix(args.input)
     p = decompose(u, unitarity_tol=args.tol)
     write_params(args.output, p)
-    err = frobenius_norm(compose(p) - u)
-    print(f"roundtrip_error {err:.17e}")
-    if not err <= ROUNDTRIP_TOL * p.n:
-        print(f"roundtrip error exceeds {ROUNDTRIP_TOL * p.n:.3e}", file=sys.stderr)
-        return EXIT_TOLERANCE
-    return EXIT_OK
+    return [("roundtrip_error", frobenius_norm(compose(p) - u), ROUNDTRIP_TOL * p.n)]
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> list:
     u = read_matrix(args.input)
-    defect = unitarity_defect(u)
-    print(f"unitarity_defect {defect:.17e}")
-    if not defect <= args.tol * u.shape[0]:
-        return EXIT_TOLERANCE
-    return EXIT_OK
+    return [("unitarity_defect", unitarity_defect(u), args.tol * u.shape[0])]
 
 
-def _cmd_random(args) -> int:
+def _cmd_random(args) -> list:
     p = random_params(args.n, RngState(args.seed))
     if args.what == "params":
         write_params(args.output, p)
     else:
         write_matrix(args.output, compose(p))
-    return EXIT_OK
+    return []
 
 
-def _cmd_expm(args) -> int:
-    x = read_matrix(args.input)
-    write_matrix(args.output, expm(x))
-    return EXIT_OK
+def _cmd_expm(args) -> list:
+    write_matrix(args.output, expm(read_matrix(args.input)))
+    return []
 
 
-def _cmd_compare(args) -> int:
+def _cmd_compare(args) -> list:
     p = read_params(args.input)
     x = assemble_generator(p)
     product = compose(p)
-    print(f"product_vs_expm {frobenius_norm(product - expm(x)):.17e}")
     # F_j is the identity outside its leading j x j block, and so is the
     # exponential of generator block j: compare the j x j blocks alone.
-    for j in range(2, p.n + 1):
-        z = p.z_column(j)
-        print(f"factor_{j}_vs_expm {frobenius_norm(exp_k(z) - expm(k_matrix(z))):.17e}")
-    return EXIT_OK
+    return [("product_vs_expm", frobenius_norm(product - expm(x)), None)] + [
+        (f"factor_{j}_vs_expm", frobenius_norm(exp_k(z) - expm(k_matrix(z))), None)
+        for j, z in enumerate(p.z_columns, start=2)]
 
 
-def _cmd_roundtrip(args) -> int:
+def _cmd_roundtrip(args) -> list:
     u = read_matrix(args.input)
     err = roundtrip_error(u, unitarity_tol=args.tol)
-    print(f"roundtrip_error {err:.17e}")
-    if not err <= ROUNDTRIP_TOL * u.shape[0]:
-        return EXIT_TOLERANCE
-    return EXIT_OK
+    return [("roundtrip_error", err, ROUNDTRIP_TOL * u.shape[0])]
 
 
 def main(argv=None) -> int:
@@ -158,7 +143,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
         raise SystemExit(EXIT_USAGE if exc.code == 2 else exc.code) from None
     try:
-        return args.run(args)
+        lines = args.run(args)
+        for name, value, _ in lines:
+            print(f"{name} {value:.17e}")
+        for name, value, bound in lines:
+            if bound is not None and not value <= bound:
+                print(f"{name.replace('_', ' ')} exceeds {bound:.3e}", file=sys.stderr)
+                return EXIT_TOLERANCE
+        return EXIT_OK
     # ParseError is a ValueError; numpy refuses an array too large to
     # allocate, such as random's stream at --n 100000000, with a MemoryError.
     except (ValueError, OSError, MemoryError) as exc:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import frobenius_norm
+from .linalg import _rescaled_norm, frobenius_norm
 
 __all__ = [
     "CcskParams",
@@ -136,7 +136,10 @@ class CcskParams:
         return self.z_columns[j - 2]
 
     def rho(self, j: int) -> float:
-        return float(np.linalg.norm(self.z_column(j)))
+        """||z_j||, rescaled below 1e-150, where its squares underflow."""
+        z = self.z_column(j)
+        rho = np.linalg.norm(z)
+        return float(_rescaled_norm(z) if rho < 1e-150 and z.any() else rho)
 
     def is_canonical(self) -> bool:
         """theta in (-pi, pi] and each ||z_j|| in [0, pi/2]."""

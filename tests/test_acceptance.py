@@ -8,7 +8,6 @@ import itertools
 import math
 
 import numpy as np
-import pytest
 
 from ccsk.blockexp import compose, exp_column_factor, exp_k, k_matrix, projector_form
 from ccsk.cli import main
@@ -16,7 +15,7 @@ from ccsk.decompose import decompose, roundtrip_error
 from ccsk.linalg import frobenius_norm, unitarity_defect
 from ccsk.oracle import RngState, expm, random_params
 from ccsk.params import CcskParams, assemble_generator
-from ccsk.serialize import read_matrix, write_matrix, write_params
+from ccsk.serialize import read_matrix, write_matrix
 
 from conftest import complex_gaussian_vector
 from test_decompose import params_close

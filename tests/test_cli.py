@@ -21,6 +21,24 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+# Each command's option strings, -h/--help aside.
+OPTIONS = {
+    "compose": "-i --input -o --output",
+    "decompose": "-i --input -o --output --tol",
+    "verify": "-i --input --tol",
+    "random": "-o --output --n --seed --what",
+    "expm": "-i --input -o --output",
+    "compare": "-i --input",
+    "roundtrip": "-i --input --tol",
+}
+
+
+def argv_for(command, path, tmp_path, *extra):
+    """``command -i path``, with ``-o tmp_path/out.json`` where it takes -o."""
+    out = ["-o", tmp_path / "out.json"] if "-o" in OPTIONS[command].split() else []
+    return [command, "-i", path, *out, *extra]
+
+
 class TestCompose:
     def test_zero_params_to_identity(self, tmp_path, capsys):
         pin, mout = tmp_path / "p.json", tmp_path / "m.json"
@@ -28,12 +46,6 @@ class TestCompose:
         assert run("compose", "-i", pin, "-o", mout) == 0
         np.testing.assert_array_equal(read_matrix(mout), np.eye(3))
         assert "unitarity_defect" in capsys.readouterr().out
-
-    def test_parse_error_exit_1(self, tmp_path, capsys):
-        pin = tmp_path / "p.json"
-        pin.write_text('{"type": "ccsk_params", "n": 2, "thetas": [0], "z": []}')
-        assert run("compose", "-i", pin, "-o", tmp_path / "m.json") == 1
-        assert "error" in capsys.readouterr().err
 
 
 class TestDecompose:
@@ -55,7 +67,7 @@ class TestDecompose:
     def test_non_unitary_exit_1_reports_defect(self, tmp_path, capsys):
         min_ = tmp_path / "m.json"
         write_matrix(min_, 2 * np.eye(2, dtype=complex))
-        assert run("decompose", "-i", min_, "-o", tmp_path / "p.json") == 1
+        assert run(*argv_for("decompose", min_, tmp_path)) == 1
         assert "defect" in capsys.readouterr().err
 
 
@@ -77,11 +89,6 @@ class TestVerify:
         write_matrix(min_, 2 * np.eye(2, dtype=complex))
         assert run("verify", "-i", min_) == 2
 
-    def test_parse_error_exit_1(self, tmp_path):
-        min_ = tmp_path / "m.json"
-        min_.write_text("[]")
-        assert run("verify", "-i", min_) == 1
-
     def test_norm_overflow_is_an_infinite_defect_exit_2(self, tmp_path, capsys):
         # A finite entry of 1e300: forming u^H u would overflow with a warning.
         min_ = tmp_path / "m.json"
@@ -89,14 +96,7 @@ class TestVerify:
         assert run("verify", "-i", min_) == 2
         captured = capsys.readouterr()
         assert captured.out == "unitarity_defect inf\n"
-        assert captured.err == ""
-
-    def test_integer_out_of_float_range_exit_1(self, tmp_path, capsys):
-        min_ = tmp_path / "m.json"
-        min_.write_text('{"type": "cmatrix", "n": 1, "rows": [[[1%s, 0]]]}' % ("0" * 400))
-        assert run("verify", "-i", min_) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "Traceback" not in err
+        assert captured.err == "unitarity defect exceeds 2.000e-10\n"
 
 
 class TestRandom:
@@ -284,44 +284,6 @@ class TestSubprocessChain:
         assert done.stderr.count("\n") == 1
 
 
-class TestBoolIsNotANumber:
-    # JSON true/false must not pass as numbers (bool subclasses int in Python).
-    @pytest.mark.parametrize("command, doc", [
-        ("verify", '{"type": "cmatrix", "n": true, "rows": [[[1, 0]]]}'),
-        ("verify", '{"type": "cmatrix", "n": 1, "rows": [[[true, false]]]}'),
-        ("compose", '{"type": "ccsk_params", "n": true, "thetas": [0], "z": []}'),
-        ("compose", '{"type": "ccsk_params", "n": 1, "thetas": [true], "z": []}'),
-        ("compose", '{"type": "ccsk_params", "n": 2, "thetas": [0, 0], "z": [[[true, 0]]]}'),
-    ])
-    def test_exit_1_with_error_line(self, tmp_path, capsys, command, doc):
-        path = tmp_path / "in.json"
-        path.write_text(doc)
-        argv = [command, "-i", path] + (["-o", tmp_path / "out.json"] if command == "compose" else [])
-        assert run(*argv) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "Traceback" not in err
-        assert not (tmp_path / "out.json").exists()
-
-
-class TestNonFiniteEntries:
-    # json.load reads NaN, Infinity and -Infinity; every command that reads a
-    # matrix file must refuse them with an error line (exit 1).
-    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
-    @pytest.mark.parametrize("command", ["verify", "decompose", "roundtrip", "expm"])
-    def test_exit_1_with_error_line(self, tmp_path, capsys, command, literal):
-        path = tmp_path / "in.json"
-        path.write_text('{"type": "cmatrix", "n": 2, "rows": '
-                        '[[[1, 0], [0, 0]], [[0, 0], [1, %s]]]}' % literal)
-        argv = [command, "-i", path]
-        if command in ("decompose", "expm"):
-            argv += ["-o", tmp_path / "out.json"]
-        assert run(*argv) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: matrix_from_doc requires finite entries; "
-                              "entry (1, 1) is non-finite (") and err.count("\n") == 1
-        assert not (tmp_path / "out.json").exists()
-
-
 # Params documents with a NaN, Infinity or -Infinity (which json.load reads)
 # in one theta or one z entry.
 NON_FINITE_PARAMS = {
@@ -334,21 +296,6 @@ NON_FINITE_PARAMS = {
 
 
 class TestNonFiniteParams:
-    # The params file reader keeps the constructor's checks: compose and
-    # compare refuse a non-finite theta or z entry with one error line.
-    @pytest.mark.parametrize("key", sorted(NON_FINITE_PARAMS))
-    @pytest.mark.parametrize("command", ["compose", "compare"])
-    def test_exit_1_with_one_error_line(self, tmp_path, capsys, command, key):
-        path, out = tmp_path / "in.json", tmp_path / "out.json"
-        path.write_text(NON_FINITE_PARAMS[key])
-        argv = [command, "-i", path] + (["-o", out] if command == "compose" else [])
-        assert run(*argv) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith(f"error: {key[0]} contain") and captured.err.count("\n") == 1
-        assert "non-finite values" in captured.err
-        assert not out.exists()
-
     @pytest.mark.parametrize("key", sorted(NON_FINITE_PARAMS))
     def test_read_params_raises_parse_error(self, tmp_path, key):
         path = tmp_path / "in.json"
@@ -357,64 +304,74 @@ class TestNonFiniteParams:
             read_params(path)
 
 
-class TestOverflowingParams:
-    # A z column whose entries are finite but whose norm overflows: compose
-    # refuses it with one error line naming the column, no RuntimeWarning
-    # and no output file, on the single-factor path (n = 2) and the
-    # aggregated one (n = 12).
-    @pytest.mark.parametrize("n", [2, 12])
-    def test_compose_exit_1_naming_the_column(self, tmp_path, capsys, n):
-        path, out = tmp_path / "in.json", tmp_path / "out.json"
-        z = [[[0.0, 0.0]] * (j - 1) for j in range(2, n + 1)]
-        z[0] = [[1e200, 0.0]]
-        path.write_text(json.dumps({"type": "ccsk_params", "n": n, "thetas": [0.0] * n, "z": z}))
-        assert run("compose", "-i", path, "-o", out) == 1
+def overflowing_params(n):
+    """A params document whose z_2 = [1e200]: finite, but its norm overflows."""
+    z = [[[0.0, 0.0]] * (j - 1) for j in range(2, n + 1)]
+    z[0] = [[1e200, 0.0]]
+    return json.dumps({"type": "ccsk_params", "n": n, "thetas": [0.0] * n, "z": z})
+
+
+# The commands that read each kind of file.
+READERS = {"matrix": ["decompose", "verify", "roundtrip", "expm"], "params": ["compose", "compare"]}
+READERS["any"] = READERS["matrix"] + READERS["params"]
+
+# Malformed files: (name, kind, content, stderr line). {path} stands for the
+# file read. A line that ends in a newline is the whole line; one that does
+# not is its start.
+MALFORMED = [
+    # JSON true/false must not pass as numbers (bool subclasses int in Python).
+    ("n-true", "matrix", '{"type": "cmatrix", "n": true, "rows": [[[1, 0]]]}',
+     'error: field "n" must be a positive integer, got True\n'),
+    ("entry-true", "matrix", '{"type": "cmatrix", "n": 1, "rows": [[[true, false]]]}',
+     "error: rows[0][0]: expected a [re, im] number pair, got [True, False]\n"),
+    ("n-true", "params", '{"type": "ccsk_params", "n": true, "thetas": [0], "z": []}',
+     'error: field "n" must be a positive integer, got True\n'),
+    ("theta-true", "params", '{"type": "ccsk_params", "n": 1, "thetas": [true], "z": []}',
+     'error: field "thetas" must be a list of 1 reals\n'),
+    ("z-true", "params", '{"type": "ccsk_params", "n": 2, "thetas": [0, 0], "z": [[[true, 0]]]}',
+     "error: z[0][0]: expected a [re, im] number pair, got [True, 0]\n"),
+    # The NaN, Infinity and -Infinity that json.load reads; a matrix file's
+    # error names the first such entry.
+    *((f"entry-{literal}", "matrix",
+       '{"type": "cmatrix", "n": 2, "rows": [[[1, 0], [0, 0]], [[0, 0], [1, %s]]]}' % literal,
+       f"error: matrix_from_doc requires finite entries; entry (1, 1) is non-finite (1.0{shown}j)\n")
+      for literal, shown in (("NaN", "+nan"), ("Infinity", "+inf"), ("-Infinity", "-inf"))),
+    *((f"{field}-{literal}", "params", doc,
+       f"error: {field} {'contain' if field == 'thetas' else 'contains'} non-finite values\n")
+      for (field, literal), doc in sorted(NON_FINITE_PARAMS.items())),
+    # compose's single-factor path (n = 2) and its aggregated one (n = 12).
+    *((f"z-overflow-n{n}", "params", overflowing_params(n),
+       "error: z column for j=2 has a norm that overflows\n") for n in (2, 12)),
+    ("not-a-matrix", "matrix", "[]", 'error: expected a document with "type": "cmatrix"\n'),
+    ("int-past-float-range", "matrix", '{"type": "cmatrix", "n": 1, "rows": [[[1%s, 0]]]}'
+     % ("0" * 400), 'error: field "rows": int too large to convert to float\n'),
+    ("too-few-thetas", "params", '{"type": "ccsk_params", "n": 2, "thetas": [0], "z": []}',
+     'error: field "thetas" must be a list of 2 reals\n'),
+    # json.load recurses once per nesting level, past the recursion limit here.
+    ("nested", "any", "[" * 200_000, "error: {path}: invalid JSON: nesting too deep\n"),
+    ("not-utf8", "any", b"\xff\xfe{", "error: {path}: invalid JSON: not UTF-8 ('utf-8' codec "
+     "can't decode byte 0xff in position 0: invalid start byte)\n"),
+    # An integer past the interpreter's digit limit (4300 by default); the
+    # text of json.load's ValueError is the interpreter's.
+    ("too-many-digits", "any", '{"type": "cmatrix", "n": 1, "rows": [[[1%s, 0]]]}' % ("0" * 4999),
+     "error: {path}: invalid JSON: "),
+]
+
+
+class TestMalformedFile:
+    # Every command that reads a malformed file exits 1 with one error line,
+    # prints nothing on stdout and writes no file.
+    @pytest.mark.parametrize("command, content, line", [
+        pytest.param(command, content, line, id=f"{command}-{name}")
+        for name, kind, content, line in MALFORMED for command in READERS[kind]])
+    def test_exit_1_with_one_error_line(self, tmp_path, capsys, command, content, line):
+        path = tmp_path / "in.json"
+        path.write_bytes(content if isinstance(content, bytes) else content.encode())
+        assert run(*argv_for(command, path, tmp_path)) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: z column for j=2 has a norm that overflows\n"
-        assert not out.exists()
-
-
-class TestDeeplyNested:
-    # json.load recurses once per nesting level; a file nested past the
-    # interpreter's recursion limit must still give one error line, exit 1.
-    @pytest.mark.parametrize("command", ["verify", "compose"])
-    def test_exit_1_with_one_error_line(self, tmp_path, capsys, command):
-        path = tmp_path / "in.json"
-        path.write_text("[" * 200_000)
-        argv = [command, "-i", path] + (["-o", tmp_path / "out.json"] if command == "compose" else [])
-        assert run(*argv) == 1
-        err = capsys.readouterr().err
-        assert err == f"error: {path}: invalid JSON: nesting too deep\n"
-        assert not (tmp_path / "out.json").exists()
-
-
-class TestNotUtf8:
-    # Bytes that do not decode as UTF-8 must give one error line that names
-    # the file, exit 1, like the other decode failures.
-    @pytest.mark.parametrize("command", ["verify", "compose"])
-    def test_exit_1_with_one_error_line(self, tmp_path, capsys, command):
-        path = tmp_path / "in.json"
-        path.write_bytes(b"\xff\xfe{")
-        argv = [command, "-i", path] + (["-o", tmp_path / "out.json"] if command == "compose" else [])
-        assert run(*argv) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {path}: invalid JSON: not UTF-8 (")
-        assert err.endswith(")\n") and err.count("\n") == 1
-        assert not (tmp_path / "out.json").exists()
-
-
-class TestTooManyDigits:
-    # json.load refuses an integer past the interpreter's digit limit (4300
-    # by default) with a ValueError whose message names no file.
-    @pytest.mark.parametrize("command", ["verify", "compose"])
-    def test_exit_1_with_one_error_line(self, tmp_path, capsys, command):
-        path = tmp_path / "in.json"
-        path.write_text('{"type": "cmatrix", "n": 1, "rows": [[[1%s, 0]]]}' % ("0" * 4999))
-        argv = [command, "-i", path] + (["-o", tmp_path / "out.json"] if command == "compose" else [])
-        assert run(*argv) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {path}: invalid JSON: ") and err.count("\n") == 1
+        assert captured.err.startswith(line.format(path=path))
+        assert captured.err.endswith("\n") and captured.err.count("\n") == 1
         assert not (tmp_path / "out.json").exists()
 
 
@@ -431,24 +388,13 @@ class TestUsageErrors:
 
 
 class TestSurface:
-    # Each command's option strings, -h/--help aside.
-    OPTIONS = {
-        "compose": "-i --input -o --output",
-        "decompose": "-i --input -o --output --tol",
-        "verify": "-i --input --tol",
-        "random": "-o --output --n --seed --what",
-        "expm": "-i --input -o --output",
-        "compare": "-i --input",
-        "roundtrip": "-i --input --tol",
-    }
-
     def test_option_strings(self):
         commands, = (a.choices for a in _build_parser()._actions
                      if isinstance(a, argparse._SubParsersAction))
         assert {command: {s for a in parser._actions if not isinstance(a, argparse._HelpAction)
                           for s in a.option_strings}
                 for command, parser in commands.items()} == {
-            command: set(options.split()) for command, options in self.OPTIONS.items()}
+            command: set(options.split()) for command, options in OPTIONS.items()}
 
     # --help is argparse's exit 0, which the usage-error exit 64 leaves alone.
     @pytest.mark.parametrize("argv", [["--help"]] + [[c, "--help"] for c in OPTIONS])
@@ -467,11 +413,8 @@ class TestToleranceOption:
     def test_bad_value_exit_64(self, tmp_path, capsys, command, tol):
         path = tmp_path / "u.json"
         write_matrix(path, np.eye(2, dtype=complex))
-        argv = [command, "-i", path, "--tol", tol]
-        if command == "decompose":
-            argv += ["-o", tmp_path / "p.json"]
         with pytest.raises(SystemExit) as exc:
-            run(*argv)
+            run(*argv_for(command, path, tmp_path, "--tol", tol))
         assert exc.value.code == 64
         err = capsys.readouterr().err
         assert err.startswith("usage: ") and "Traceback" not in err
@@ -480,30 +423,23 @@ class TestToleranceOption:
 
     # A loose --tol admits a matrix off the unitary group, and no parameters
     # compose back to it: the round trip misses ROUNDTRIP_TOL * n = 3e-9, so
-    # both commands exit 2, and decompose names the bound on stderr.
-    @pytest.mark.parametrize("command, err", [
-        ("decompose", "roundtrip error exceeds 3.000e-09\n"), ("roundtrip", "")])
-    def test_loose_value_roundtrip_error_exit_2(self, tmp_path, capsys, command, err):
+    # both commands exit 2 and name the bound on stderr.
+    @pytest.mark.parametrize("command", ["decompose", "roundtrip"])
+    def test_loose_value_roundtrip_error_exit_2(self, tmp_path, capsys, command):
         u = np.eye(3, dtype=complex)
         u[0, 1] = 1e-3
         path = tmp_path / "u.json"
         write_matrix(path, u)
-        argv = [command, "-i", path, "--tol", "0.5"]
-        if command == "decompose":
-            argv += ["-o", tmp_path / "p.json"]
-        assert run(*argv) == 2
+        assert run(*argv_for(command, path, tmp_path, "--tol", "0.5")) == 2
         captured = capsys.readouterr()
         assert captured.out.startswith("roundtrip_error 1.0000000000000000")
-        assert captured.err == err
+        assert captured.err == "roundtrip error exceeds 3.000e-09\n"
 
     @pytest.mark.parametrize("command", ["verify", "decompose", "roundtrip"])
     def test_good_value_accepted(self, tmp_path, command):
         path = tmp_path / "u.json"
         write_matrix(path, np.eye(2, dtype=complex))
-        argv = [command, "-i", path, "--tol", "1e-8"]
-        if command == "decompose":
-            argv += ["-o", tmp_path / "p.json"]
-        assert run(*argv) == 0
+        assert run(*argv_for(command, path, tmp_path, "--tol", "1e-8")) == 0
 
     # decompose and roundtrip accept what verify passes at the same --tol: a
     # permutation has defect exactly 0, and the peel's rounding (about eps)
@@ -512,8 +448,5 @@ class TestToleranceOption:
     def test_permutation_passes_at_1e_20(self, tmp_path, capsys, command):
         path = tmp_path / "u.json"
         write_matrix(path, np.roll(np.eye(3, dtype=complex), 1, axis=0))
-        argv = [command, "-i", path, "--tol", "1e-20"]
-        if command == "decompose":
-            argv += ["-o", tmp_path / "p.json"]
-        assert run(*argv) == 0
+        assert run(*argv_for(command, path, tmp_path, "--tol", "1e-20")) == 0
         assert capsys.readouterr().err == ""

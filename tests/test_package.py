@@ -1,9 +1,13 @@
 """The package's public surface: ``ccsk.__all__`` and where each name lives."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import ccsk
+
+ROOT = Path(__file__).resolve().parent.parent
 
 # Each public name and the module that defines it.
 PUBLIC = {
@@ -47,3 +51,22 @@ def test_every_modules_all_resolves():
 def test_blockexp_lists_the_reference_forms():
     names = {"euler2_factorize", "projector_form"}
     assert names <= set(importlib.import_module("ccsk.blockexp").__all__)
+
+
+def test_no_unused_module_level_import():
+    # Each name a module-level import binds is used in its module or listed
+    # in its __all__ (__future__ imports aside).
+    unused = []
+    for path in sorted(p for d in ("src/ccsk", "tests", "bench") for p in (ROOT / d).rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                used |= set(ast.literal_eval(node.value))
+        unused += [f"{path.relative_to(ROOT)}:{node.lineno} {alias.asname or alias.name}"
+                   for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+                   and getattr(node, "module", None) != "__future__"
+                   for alias in node.names
+                   if (alias.asname or alias.name.split(".")[0]) not in used]
+    assert unused == []

@@ -52,6 +52,15 @@ class TestCcskParams:
         p = random_params(n, rng)
         assert p.real_parameter_count() == n * n
 
+    # A column whose squares underflow: decompose reads it back exactly, and
+    # rho must not read its norm as 0.
+    @pytest.mark.parametrize("scale", [1e-170, 1e-300])
+    def test_rho_below_the_square_underflow(self, scale):
+        p = CcskParams(np.zeros(2), (np.array([(3 + 4j) * scale]),))
+        assert p.rho(2) == abs(p.z[0]) == pytest.approx(5 * scale, rel=1e-15)
+        q = decompose(compose(p))
+        assert q == p and q.rho(2) == p.rho(2)
+
 
 class TestPackedLayout:
     # z is the strict upper triangle of the generator, read column by column.
